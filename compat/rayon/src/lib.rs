@@ -102,8 +102,9 @@ fn default_threads() -> usize {
 
 /// Runs `f` with the pool size pinned to `threads` on this thread
 /// (restored afterwards, panic-safe). `1` forces the exact sequential
-/// path. This is how the determinism tests and the `--bench` driver
-/// compare thread counts without mutating the process environment.
+/// path. This is how the determinism tests and the benchmark's
+/// sequential leg compare thread counts without mutating the process
+/// environment.
 pub fn with_thread_count<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<usize>);
     impl Drop for Restore {

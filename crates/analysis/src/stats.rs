@@ -848,6 +848,58 @@ mod tests {
     }
 
     #[test]
+    fn welford_columns_match_scalar_welford_bitwise() {
+        // 106 lanes: thirteen 8-lane blocks plus a 2-lane tail. Blocks
+        // are all-NaN, all-finite or mixed (NaN, ±inf, finite), with
+        // magnitudes from 1e-6 to 1e12, so every push_row path runs.
+        // Two windows through the fused finish-and-reset check that the
+        // reset leaves every lane empty.
+        const WIDTH: usize = 106;
+        let mut state = 0xC01A_2021u64;
+        let mut bank = WelfordColumns::new(WIDTH);
+        let mut stats = Vec::new();
+        for window in 0..2 {
+            let mut scalar = vec![Welford::new(); WIDTH];
+            for _ in 0..40 {
+                let mut row = [0.0f32; WIDTH];
+                for block in row.chunks_mut(8) {
+                    let kind = splitmix64(&mut state) % 3;
+                    for v in block.iter_mut() {
+                        let r = splitmix64(&mut state);
+                        *v = match (kind, r % 8) {
+                            (0, _) | (2, 0) => f32::NAN,
+                            (2, 1) if r & 16 == 0 => f32::INFINITY,
+                            (2, 1) => f32::NEG_INFINITY,
+                            _ => {
+                                let exp = ((r >> 8) % 19) as i32 - 6;
+                                let mantissa = ((r >> 16) % 1000) as f32 / 100.0;
+                                let sign = if (r >> 40) & 1 == 0 { 1.0 } else { -1.0 };
+                                sign * mantissa * 10f32.powi(exp)
+                            }
+                        };
+                    }
+                }
+                bank.push_row(&row);
+                for (w, &v) in scalar.iter_mut().zip(&row) {
+                    w.push(f64::from(v));
+                }
+            }
+            stats.clear();
+            bank.finish_reset_into(&mut stats);
+            assert_eq!(stats.len(), WIDTH);
+            for (m, (got, lane)) in stats.iter().zip(&scalar).enumerate() {
+                let want = lane.finish();
+                let ctx = format!("window {window} lane {m}");
+                assert_eq!(got.count, want.count, "count {ctx}");
+                assert_eq!(got.min.to_bits(), want.min.to_bits(), "min {ctx}");
+                assert_eq!(got.max.to_bits(), want.max.to_bits(), "max {ctx}");
+                assert_eq!(got.mean.to_bits(), want.mean.to_bits(), "mean {ctx}");
+                assert_eq!(got.std.to_bits(), want.std.to_bits(), "std {ctx}");
+            }
+        }
+    }
+
+    #[test]
     fn welford_matches_two_pass() {
         let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         let mut w = Welford::new();

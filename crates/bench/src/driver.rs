@@ -8,64 +8,16 @@
 //! the whole paper suite with each expensive artifact built exactly
 //! once.
 
-use summit_analysis::cdf::Ecdf;
-use summit_analysis::correlation::CorrelationMatrix;
-use summit_analysis::fft::fft_padded;
-use summit_analysis::kde::{Bandwidth, Kde1d, Kde2d};
-use summit_analysis::stats::WindowStats;
 use summit_core::cache::{ScenarioCache, HITS_COUNTER, MISSES_COUNTER};
 use summit_core::experiments::registry;
 use summit_core::experiments::{Experiment, REGISTRY};
 use summit_core::json::Json;
 use summit_core::pipeline::{run_streaming, run_telemetry, StreamConfig};
-use summit_sim::engine::{Engine, EngineConfig, StepOptions};
-use summit_telemetry::batch::FrameBatch;
-use summit_telemetry::catalog::METRIC_COUNT;
-use summit_telemetry::cluster::cluster_power;
-use summit_telemetry::ids::{AllocationId, NodeId};
-use summit_telemetry::ingest::IngestHealth;
-use summit_telemetry::jobjoin::{join_jobs, AllocationIndex};
-use summit_telemetry::records::{NodeAllocation, NodeFrame};
 use summit_telemetry::stream::FaultConfig;
-use summit_telemetry::window::{
-    coarsen_parallel_layout, CoarsenLayout, NodeWindow, PAPER_WINDOW_S,
-};
 
 /// Default fidelity scale when `--scale` is not given: the CI smoke
 /// scale (seconds per study, shapes preserved).
 pub const SMOKE_SCALE: f64 = 0.05;
-
-/// Default fidelity scale for `--bench`: large enough that the
-/// trajectory's parallel kernels dominate the wall clock (at
-/// [`SMOKE_SCALE`] fixed costs drown them and no pool can win), small
-/// enough for a CI leg.
-pub const BENCH_SCALE: f64 = 0.25;
-
-/// Minimum end-to-end speedup (1 thread vs the default pool) the
-/// `--bench` gate demands on a multi-core host.
-pub const SPEEDUP_THRESHOLD: f64 = 1.15;
-
-/// Minimum per-kernel speedup the gate tolerates on a multi-core host:
-/// a stage may not profit from the pool (it runs inline under its
-/// `seq_below` floor), but it must never pay for it. Anything below
-/// this is a parallel regression of that kernel.
-pub const PER_KERNEL_FLOOR: f64 = 0.95;
-
-/// Per-stage sequential seconds below which the per-kernel gate treats
-/// the timing as noise and abstains: a sub-5 ms histogram sum is timer
-/// jitter, not a measurement, even after [`KERNEL_REPS`] repetitions.
-pub const STAGE_NOISE_FLOOR_S: f64 = 0.005;
-
-/// Minimum rows/columns coarsening-time ratio the AoS-vs-SoA leg
-/// demands of the columnar layout on a multi-core host.
-pub const AOS_SOA_THRESHOLD: f64 = 1.3;
-
-/// Repetitions of the µs-scale analysis kernels (FFT, KDE fits, ECDF,
-/// correlation) per trajectory pass: one call is far below timer
-/// resolution at bench scale, so each leg repeats the kernel on the
-/// same input and the per-stage histogram sums the repetitions. Both
-/// legs repeat identically, leaving speedups unbiased.
-const KERNEL_REPS: usize = 25;
 
 /// Driver usage, printed on `--help` and argument errors.
 pub const USAGE: &str = "\
@@ -75,36 +27,25 @@ usage: experiments [--list] [--all | <name>...] [options]
   --all             run every registered study, sharing one scenario cache
   <name>...         run the named studies (see --list)
   --scale S         fidelity scale in (0, 1]; 1.0 = paper scale
-                    (default 0.05, or 0.25 under --bench)
+                    (default 0.05)
   --full            shorthand for --scale 1.0
   --config JSON     JSON object merged over each study's default config
   --json            emit one JSON envelope per study instead of plain text
-  --bench           time the multi-kernel parallel trajectory (engine
-                    ticks -> coarsening -> job join -> analysis
-                    kernels) with 1 thread vs the default pool and
-                    write BENCH_perf.json; study names are ignored
   --trace PATH      record a deterministic (virtual-clock) trace of the
                     run and write Chrome/Perfetto Trace Event JSON to
-                    PATH (load at chrome://tracing or ui.perfetto.dev);
-                    incompatible with --bench
+                    PATH (load at chrome://tracing or ui.perfetto.dev)
   --trace-folded PATH
                     also write flamegraph-compatible folded stacks
   --stream          run table2-class studies online: frames are
                     generated on a producer thread and processed as
                     they arrive over a bounded, backpressured channel
-                    (bit-identical output to the batch replay);
-                    incompatible with --bench (which always times a
-                    streaming leg)
+                    (bit-identical output to the batch replay)
   --export-windows PATH
                     run the telemetry pipeline at the effective scale
                     and write its coarsened 10 s windows as CSV to
                     PATH; honors --stream (same seed -> byte-identical
-                    file either way); incompatible with --bench
+                    file either way)
   -h, --help        print this help";
-
-/// Where `--bench` writes its machine-readable outcome (repo root when
-/// invoked through `cargo run`).
-pub const BENCH_PERF_PATH: &str = "BENCH_perf.json";
 
 /// Parsed command line for the `experiments` driver.
 #[derive(Debug, Clone, Default)]
@@ -117,15 +58,12 @@ pub struct Invocation {
     pub names: Vec<String>,
     /// Print usage and exit.
     pub help: bool,
-    /// Fidelity scale in `(0, 1]`; `None` picks the mode default
-    /// ([`BENCH_SCALE`] under `--bench`, [`SMOKE_SCALE`] otherwise).
+    /// Fidelity scale in `(0, 1]`; `None` picks [`SMOKE_SCALE`].
     pub scale: Option<f64>,
     /// Emit JSON envelopes instead of plain reports.
     pub json: bool,
     /// JSON object merged over each study's default config.
     pub overrides: Option<Json>,
-    /// Time sequential vs parallel and write [`BENCH_PERF_PATH`].
-    pub bench: bool,
     /// Write a Chrome/Perfetto Trace Event JSON of the run here.
     pub trace: Option<String>,
     /// Write flamegraph-compatible folded stacks of the run here.
@@ -147,7 +85,6 @@ impl Invocation {
                 "--list" => inv.list = true,
                 "--all" => inv.all = true,
                 "--json" => inv.json = true,
-                "--bench" => inv.bench = true,
                 "--full" => inv.scale = Some(1.0),
                 "-h" | "--help" => inv.help = true,
                 "--scale" => {
@@ -191,10 +128,9 @@ impl Invocation {
     }
 
     /// The fidelity scale this invocation runs at: the explicit
-    /// `--scale`/`--full` value, else the mode default.
+    /// `--scale`/`--full` value, else [`SMOKE_SCALE`].
     pub fn effective_scale(&self) -> f64 {
-        self.scale
-            .unwrap_or(if self.bench { BENCH_SCALE } else { SMOKE_SCALE })
+        self.scale.unwrap_or(SMOKE_SCALE)
     }
 }
 
@@ -210,7 +146,7 @@ pub fn render_list() -> String {
 /// Resolves the studies an invocation selects, in registry order for
 /// `--all` and argument order otherwise.
 pub fn select(inv: &Invocation) -> Result<Vec<&'static dyn Experiment>, String> {
-    if inv.all || (inv.bench && inv.names.is_empty()) {
+    if inv.all {
         return Ok(REGISTRY.to_vec());
     }
     if inv.names.is_empty() {
@@ -260,8 +196,7 @@ pub struct ParTraffic {
 }
 
 /// Everything one driver run produces: study reports, cache and pool
-/// traffic, and the run's full observability snapshot (the `--bench`
-/// stage table reads per-stage `_seconds` histograms out of it).
+/// traffic, and the run's full observability snapshot.
 #[derive(Debug, Clone)]
 pub struct RunOutput {
     /// One report per selected study, in selection order.
@@ -335,741 +270,6 @@ pub fn render_par(p: &ParTraffic) -> String {
     )
 }
 
-/// The multi-kernel trajectory `--bench` reports: every pipeline stage
-/// timed in both legs, keyed by the label used in `BENCH_perf.json`
-/// and the `_seconds` histogram the stage records into.
-pub const BENCH_STAGES: &[(&str, &str)] = &[
-    ("engine_tick", "summit_core_engine_tick_seconds"),
-    ("frame_generation", "summit_core_frame_generation_seconds"),
-    ("coarsen", "summit_telemetry_coarsen_seconds"),
-    ("jobjoin", "summit_telemetry_jobjoin_seconds"),
-    ("fan_in", "summit_telemetry_fan_in_seconds"),
-    ("fft", "summit_analysis_fft_seconds"),
-    ("kde_fit", "summit_analysis_kde_fit_seconds"),
-    ("kde2_fit", "summit_analysis_kde2_fit_seconds"),
-    ("cdf_build", "summit_analysis_cdf_build_seconds"),
-    ("correlation", "summit_analysis_correlation_seconds"),
-];
-
-/// One pipeline stage's seconds in each `--bench` leg (histogram sums
-/// over every call of that stage across the selected studies), plus the
-/// work it processed so the artifact carries real throughput numbers.
-#[derive(Debug, Clone, Copy)]
-pub struct StageTiming {
-    /// Stage label (first column of [`BENCH_STAGES`]).
-    pub name: &'static str,
-    /// Total seconds in the one-thread leg.
-    pub sequential_s: f64,
-    /// Total seconds in the default-pool leg.
-    pub parallel_s: f64,
-    /// Elements the stage processed in one leg, kernel repetitions
-    /// included (0 when the stage's work is untracked).
-    pub elements: u64,
-    /// Bytes the stage read in one leg (0 when untracked).
-    pub bytes: u64,
-}
-
-impl StageTiming {
-    /// `sequential_s / parallel_s` (0 when the stage never ran).
-    pub fn speedup(&self) -> f64 {
-        if self.parallel_s > 0.0 {
-            self.sequential_s / self.parallel_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Parallel-leg throughput in elements per second (0 when the
-    /// stage never ran or its work is untracked).
-    pub fn elements_per_s(&self) -> f64 {
-        if self.parallel_s > 0.0 {
-            self.elements as f64 / self.parallel_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Parallel-leg throughput in bytes per second.
-    pub fn bytes_per_s(&self) -> f64 {
-        if self.parallel_s > 0.0 {
-            self.bytes as f64 / self.parallel_s
-        } else {
-            0.0
-        }
-    }
-
-    /// True when the timing is strong enough for the per-kernel gate
-    /// to judge: the stage ran in both legs and its sequential time is
-    /// above the noise floor.
-    pub fn gated(&self) -> bool {
-        self.sequential_s >= STAGE_NOISE_FLOOR_S && self.parallel_s > 0.0
-    }
-}
-
-/// Work one trajectory stage processed, computed from the leg's actual
-/// data shapes (frame counts, window counts, series lengths) so the
-/// per-stage throughput in the artifact is a measurement, not a guess.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageWork {
-    /// Stage label (matches [`BENCH_STAGES`]).
-    pub name: &'static str,
-    /// Elements processed (kernel repetitions included).
-    pub elements: u64,
-    /// Bytes read (kernel repetitions included).
-    pub bytes: u64,
-}
-
-/// The AoS-vs-SoA comparison leg: the same fault-free capture coarsened
-/// once with the row-structured reference layout and once with the
-/// columnar hot path, results cross-checked bit-for-bit before either
-/// time is reported.
-#[derive(Debug, Clone, Copy)]
-pub struct LayoutBench {
-    /// Seconds coarsening with [`CoarsenLayout::Rows`] (AoS reference).
-    pub rows_s: f64,
-    /// Seconds coarsening with [`CoarsenLayout::Columns`] (SoA path).
-    pub columns_s: f64,
-    /// Windows each layout produced (bitwise-identical by check).
-    pub windows: usize,
-}
-
-impl LayoutBench {
-    /// `rows_s / columns_s`: how much faster the columnar layout
-    /// coarsens the identical capture (0 when unmeasured).
-    pub fn ratio(&self) -> f64 {
-        if self.columns_s > 0.0 {
-            self.rows_s / self.columns_s
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Measurements from the online (streaming) pipeline leg of `--bench`:
-/// one smoke-scale [`run_streaming`] pass, cross-checked bit-for-bit
-/// against the batch replay before any number is reported.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamingBench {
-    /// Wall-clock seconds of the streaming pass.
-    pub wall_s: f64,
-    /// Sustained ingest rate: frames offered per wall-clock second.
-    pub frames_per_s: f64,
-    /// Live frame-to-alert latency, 99th percentile (simulated s).
-    pub frame_to_alert_p99_s: f64,
-    /// Producer stalls on the full channel (blocking backpressure).
-    pub backpressure_stalls: u64,
-    /// Peak frames resident in the pipeline (bounded-memory witness).
-    pub peak_resident_frames: usize,
-}
-
-/// Outcome of a `--bench` run: the same study selection timed twice,
-/// once pinned to one thread and once on the default pool, with the
-/// per-stage kernel trajectory alongside the end-to-end wall clock,
-/// plus one streaming-pipeline leg.
-#[derive(Debug, Clone)]
-pub struct BenchOutcome {
-    /// Wall-clock seconds with the pool pinned to one thread.
-    pub sequential_s: f64,
-    /// Wall-clock seconds with the default pool.
-    pub parallel_s: f64,
-    /// Default pool size the parallel leg resolved to.
-    pub threads: usize,
-    /// CPUs the host reports (`available_parallelism`).
-    pub host_cpus: usize,
-    /// The raw `SUMMIT_THREADS` value, when set: distinguishes a pool
-    /// pinned by configuration from a genuinely single-core host.
-    pub summit_threads: Option<String>,
-    /// `sequential_s / parallel_s`.
-    pub speedup: f64,
-    /// [`rayon::pool_generation`] after the timed legs: constant across
-    /// CI runs' legs exactly when the persistent pool reused its
-    /// workers (warm-pool reuse, provable from the artifact).
-    pub pool_generation: u64,
-    /// Per-stage kernel timings (stages that ran in either leg).
-    pub stages: Vec<StageTiming>,
-    /// AoS-vs-SoA coarsening comparison leg.
-    pub aos_soa: LayoutBench,
-    /// Streaming-pipeline leg measurements.
-    pub streaming: StreamingBench,
-}
-
-impl BenchOutcome {
-    /// The CI gate verdict: `"skip"` on one-core hosts (no parallelism
-    /// to measure), else `"pass"` when the end-to-end speedup clears
-    /// [`SPEEDUP_THRESHOLD`], every measurable kernel holds
-    /// [`PER_KERNEL_FLOOR`], and the columnar layout beats the AoS
-    /// reference by [`AOS_SOA_THRESHOLD`]; `"fail"` otherwise.
-    pub fn gate(&self) -> &'static str {
-        if self.threads <= 1 {
-            "skip"
-        } else if self.speedup < SPEEDUP_THRESHOLD
-            || self
-                .stages
-                .iter()
-                .any(|s| s.gated() && s.speedup() < PER_KERNEL_FLOOR)
-            || self.aos_soa.ratio() < AOS_SOA_THRESHOLD
-        {
-            "fail"
-        } else {
-            "pass"
-        }
-    }
-
-    /// Why a `"skip"` gate skipped, for the artifact: a pool pinned by
-    /// `SUMMIT_THREADS` or a genuinely single-core host. `None` when
-    /// the gate did not skip.
-    pub fn skip_reason(&self) -> Option<String> {
-        if self.threads > 1 {
-            return None;
-        }
-        Some(match &self.summit_threads {
-            Some(v) => format!("SUMMIT_THREADS={v} pins the pool to one thread"),
-            None => format!(
-                "single-core host ({} CPU): no parallelism to measure",
-                self.host_cpus
-            ),
-        })
-    }
-
-    /// Serializes the outcome to the `BENCH_perf.json` document
-    /// (schema `summit-perf/3`: adds host provenance, an explicit skip
-    /// reason, per-stage throughput and the AoS-vs-SoA leg to
-    /// `summit-perf/2`).
-    pub fn to_json(&self, scale: f64) -> String {
-        let stages = self
-            .stages
-            .iter()
-            .map(|s| {
-                Json::Obj(vec![
-                    ("name".into(), Json::from(s.name)),
-                    ("sequential_seconds".into(), Json::Num(s.sequential_s)),
-                    ("parallel_seconds".into(), Json::Num(s.parallel_s)),
-                    ("speedup".into(), Json::Num(s.speedup())),
-                    ("elements".into(), Json::Num(s.elements as f64)),
-                    ("bytes".into(), Json::Num(s.bytes as f64)),
-                    ("elements_per_second".into(), Json::Num(s.elements_per_s())),
-                    ("bytes_per_second".into(), Json::Num(s.bytes_per_s())),
-                ])
-            })
-            .collect();
-        let doc = Json::Obj(vec![
-            ("schema".into(), Json::from("summit-perf/3")),
-            ("scale".into(), Json::Num(scale)),
-            ("threads".into(), Json::from(self.threads)),
-            ("host_cpus".into(), Json::from(self.host_cpus)),
-            (
-                "summit_threads".into(),
-                self.summit_threads
-                    .as_ref()
-                    .map_or(Json::Null, |v| Json::Str(v.clone())),
-            ),
-            ("sequential_seconds".into(), Json::Num(self.sequential_s)),
-            ("parallel_seconds".into(), Json::Num(self.parallel_s)),
-            ("speedup".into(), Json::Num(self.speedup)),
-            ("speedup_threshold".into(), Json::Num(SPEEDUP_THRESHOLD)),
-            ("per_kernel_floor".into(), Json::Num(PER_KERNEL_FLOOR)),
-            (
-                "pool_generation".into(),
-                Json::Num(self.pool_generation as f64),
-            ),
-            ("gate".into(), Json::from(self.gate())),
-            (
-                "skip_reason".into(),
-                self.skip_reason().map_or(Json::Null, Json::Str),
-            ),
-            ("stages".into(), Json::Arr(stages)),
-            (
-                "aos_soa".into(),
-                Json::Obj(vec![
-                    ("rows_seconds".into(), Json::Num(self.aos_soa.rows_s)),
-                    ("columns_seconds".into(), Json::Num(self.aos_soa.columns_s)),
-                    ("ratio".into(), Json::Num(self.aos_soa.ratio())),
-                    ("ratio_threshold".into(), Json::Num(AOS_SOA_THRESHOLD)),
-                    ("windows".into(), Json::from(self.aos_soa.windows)),
-                ]),
-            ),
-            (
-                "streaming".into(),
-                Json::Obj(vec![
-                    ("wall_seconds".into(), Json::Num(self.streaming.wall_s)),
-                    (
-                        "frames_per_second".into(),
-                        Json::Num(self.streaming.frames_per_s),
-                    ),
-                    (
-                        "frame_to_alert_p99_seconds".into(),
-                        Json::Num(self.streaming.frame_to_alert_p99_s),
-                    ),
-                    (
-                        "backpressure_stalls".into(),
-                        Json::Num(self.streaming.backpressure_stalls as f64),
-                    ),
-                    (
-                        "peak_resident_frames".into(),
-                        Json::from(self.streaming.peak_resident_frames),
-                    ),
-                ]),
-            ),
-        ]);
-        format!("{doc}\n")
-    }
-}
-
-/// Sum of the named `_seconds` histogram in a run snapshot (0 when the
-/// stage never ran).
-fn stage_seconds(snap: &summit_obs::Snapshot, metric: &str) -> f64 {
-    snap.histogram(metric).map_or(0.0, |h| h.sum)
-}
-
-/// Builds the per-stage table from the two legs' snapshots and the
-/// trajectory's work profile, keeping stages that ran in either leg.
-fn stage_table(
-    seq: &summit_obs::Snapshot,
-    par: &summit_obs::Snapshot,
-    work: &[StageWork],
-) -> Vec<StageTiming> {
-    BENCH_STAGES
-        .iter()
-        .map(|&(name, metric)| {
-            let w = work.iter().find(|w| w.name == name);
-            StageTiming {
-                name,
-                sequential_s: stage_seconds(seq, metric),
-                parallel_s: stage_seconds(par, metric),
-                elements: w.map_or(0, |w| w.elements),
-                bytes: w.map_or(0, |w| w.bytes),
-            }
-        })
-        .filter(|s| s.sequential_s > 0.0 || s.parallel_s > 0.0)
-        .collect()
-}
-
-/// Bench-trajectory shape at `scale`: a cabinet slice of the paper's
-/// 257-cabinet machine and a capture long enough that the parallel
-/// stages (engine tick map, coarsening, cluster reduction) dominate
-/// the wall clock.
-fn trajectory_shape(scale: f64) -> (usize, f64) {
-    let cabinets = ((257.0 * scale).round() as usize).clamp(2, 257);
-    (cabinets, 240.0)
-}
-
-/// Synthetic scheduler log for the join stage: the node set carved
-/// into 16-node jobs, each node running one job in each half of the
-/// capture — every window finds an owner, and the index is exercised
-/// across an allocation boundary.
-fn synthetic_allocations(node_count: usize, duration_s: f64) -> Vec<NodeAllocation> {
-    const JOB_NODES: usize = 16;
-    let half = duration_s / 2.0;
-    let mut allocations = Vec::new();
-    for (k, first_node) in (0..node_count).step_by(JOB_NODES).enumerate() {
-        for (phase, (begin, end)) in [(0.0, half), (half, duration_s)].into_iter().enumerate() {
-            let id = AllocationId((2 * k + phase + 1) as u64);
-            for node in first_node..(first_node + JOB_NODES).min(node_count) {
-                allocations.push(NodeAllocation {
-                    allocation_id: id,
-                    node: NodeId(node as u32),
-                    begin_time: begin,
-                    end_time: end,
-                });
-            }
-        }
-    }
-    allocations
-}
-
-/// What one trajectory pass returns: the leg's private registry
-/// snapshot, a small data fingerprint used to check the two legs
-/// processed identical data, and the per-stage work profile.
-type TrajectoryLeg = (summit_obs::Snapshot, usize, Vec<StageWork>);
-
-/// One pass of the `--bench` trajectory: the telemetry capture (engine
-/// tick map, frame generation, fault injection, fault-tolerant
-/// coarsening), the scheduler join, the cluster reduction, then the
-/// analysis kernels the paper's figures lean on (FFT, 1-D/2-D KDE,
-/// ECDF, correlation matrix), each repeated [`KERNEL_REPS`] times so
-/// their histogram sums rise above timer noise. Records into a private
-/// registry and returns its snapshot, the fingerprint, and the work
-/// profile the throughput columns are computed from.
-fn trajectory_leg(scale: f64) -> Result<TrajectoryLeg, String> {
-    let obs = summit_obs::registry::Registry::new();
-    let guard = obs.install();
-    let (cabinets, duration_s) = trajectory_shape(scale);
-    let run = run_telemetry(cabinets, duration_s, Some(FaultConfig::light(7)));
-
-    let index = AllocationIndex::build(&synthetic_allocations(
-        run.windows_by_node.len(),
-        duration_s,
-    ));
-    let (job_rows, component_rows) = join_jobs(&run.windows_by_node, &index);
-
-    let cluster = cluster_power(&run.windows_by_node);
-    let (xs, ys): (Vec<f64>, Vec<f64>) =
-        cluster.iter().map(|r| (r.window_start, r.sum_inp)).unzip();
-    let means: Vec<f64> = cluster.iter().map(|r| r.mean_inp).collect();
-    let maxes: Vec<f64> = cluster.iter().map(|r| r.max_inp).collect();
-    let vars = [xs.clone(), ys.clone(), means, maxes];
-    // The kernels are deterministic, so every repetition returns the
-    // same values; only the per-stage histogram sums accumulate.
-    let mut spectrum = Vec::new();
-    let (mut kde, mut kde2, mut cdf, mut corr) = (None, None, None, None);
-    for _ in 0..KERNEL_REPS {
-        spectrum = fft_padded(&ys);
-        kde = Kde1d::fit(&ys, Bandwidth::Scott);
-        kde2 = Kde2d::fit(&xs, &ys, Bandwidth::Scott);
-        cdf = Ecdf::new(&ys);
-        corr = Some(CorrelationMatrix::compute(&vars, 0.05));
-    }
-    drop(guard);
-
-    let Some(corr) = corr else {
-        return Err("bench trajectory ran zero kernel repetitions".into());
-    };
-    if kde.is_none() || kde2.is_none() || cdf.is_none() {
-        return Err("bench trajectory produced too few cluster windows for the kernels".into());
-    }
-    let fingerprint = job_rows.len() + component_rows.len() + spectrum.len() + corr.pairs.len();
-
-    let frame_bytes = (METRIC_COUNT * std::mem::size_of::<f32>()) as u64;
-    let frames = run.stats.frames;
-    let accepted = run.stats.health.accepted;
-    let windows: u64 = run.windows_by_node.iter().map(|w| w.len() as u64).sum();
-    let window_bytes = (METRIC_COUNT * std::mem::size_of::<WindowStats>()) as u64;
-    let reps = KERNEL_REPS as u64;
-    let series = ys.len() as u64;
-    let f64s = std::mem::size_of::<f64>() as u64;
-    let work = vec![
-        StageWork {
-            name: "engine_tick",
-            elements: frames,
-            bytes: frames * frame_bytes,
-        },
-        StageWork {
-            name: "frame_generation",
-            elements: frames,
-            bytes: frames * frame_bytes,
-        },
-        StageWork {
-            name: "coarsen",
-            elements: accepted,
-            bytes: accepted * frame_bytes,
-        },
-        StageWork {
-            name: "jobjoin",
-            elements: windows,
-            bytes: windows * window_bytes,
-        },
-        StageWork {
-            name: "fft",
-            elements: spectrum.len() as u64 * reps,
-            bytes: spectrum.len() as u64 * reps * 2 * f64s,
-        },
-        StageWork {
-            name: "kde_fit",
-            elements: series * reps,
-            bytes: series * reps * f64s,
-        },
-        StageWork {
-            name: "kde2_fit",
-            elements: 2 * series * reps,
-            bytes: 2 * series * reps * f64s,
-        },
-        StageWork {
-            name: "cdf_build",
-            elements: series * reps,
-            bytes: series * reps * f64s,
-        },
-        StageWork {
-            name: "correlation",
-            elements: corr.pairs.len() as u64 * series * reps,
-            bytes: corr.pairs.len() as u64 * series * reps * 2 * f64s,
-        },
-    ];
-    Ok((obs.snapshot(), fingerprint, work))
-}
-
-/// FNV-1a over every bit of every window — node ids, window starts and
-/// the full statistic quintuples (NaN bit patterns included). Two
-/// layouts that coarsen identically produce equal digests; any
-/// single-bit divergence changes the hash. Digesting instead of
-/// holding both outputs keeps the leg's resident set to one window set
-/// at a time, so neither layout is timed under the other's heap.
-fn windows_digest(windows: &[Vec<NodeWindow>]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(PRIME);
-        }
-    };
-    for node in windows {
-        eat(node.len() as u64);
-        for w in node {
-            eat(u64::from(w.node.0));
-            eat(w.window_start.to_bits());
-            eat(w.stats.len() as u64);
-            for s in &w.stats {
-                eat(s.count);
-                eat(s.min.to_bits());
-                eat(s.max.to_bits());
-                eat(s.mean.to_bits());
-                eat(s.std.to_bits());
-            }
-        }
-    }
-    h
-}
-
-/// The AoS-vs-SoA leg of `--bench`: generates one fault-free capture
-/// with the engine's columnar tick batches, then coarsens the identical
-/// per-node frame sequences once with the row-structured reference
-/// layout and once with the columnar hot path (best of two passes
-/// each). The two outputs are cross-checked to the bit before either
-/// time is reported — a columnar layout that wins by computing
-/// something different fails the bench instead of shipping the win.
-fn layout_leg(scale: f64) -> Result<LayoutBench, String> {
-    let obs = summit_obs::registry::Registry::new();
-    let _guard = obs.install();
-    let (cabinets, duration_s) = trajectory_shape(scale);
-    // Long-stream shape: the same frame volume as the trajectory leg,
-    // carried by fewer nodes over a proportionally longer capture.
-    // Coarsening serves multi-hour per-node streams (the paper's
-    // telemetry is a year of 10 s windows per node), so the leg
-    // measures the steady-state window cadence rather than the
-    // 24-windows-per-node startup transient a 240 s burst would time.
-    let shrink = (cabinets / 2).clamp(1, 16);
-    let cabinets = cabinets.div_ceil(shrink);
-    let duration_s = duration_s * shrink as f64;
-    let config = EngineConfig::small(cabinets);
-    let dt = config.dt_s;
-    let mut engine = Engine::new(config, 0.0);
-    let node_count = engine.topology().node_count();
-    let n_ticks = (duration_s / dt).ceil() as usize;
-    let mut frames_by_node: Vec<Vec<NodeFrame>> = vec![Vec::with_capacity(n_ticks); node_count];
-    let opts = StepOptions {
-        frames: true,
-        ..StepOptions::default()
-    };
-    let mut tick = FrameBatch::with_capacity(node_count);
-    for _ in 0..n_ticks {
-        let _ = engine.step_batch(&opts, &mut tick);
-        for row in 0..tick.len() {
-            let f = tick.read_frame(row);
-            if let Some(node) = frames_by_node.get_mut(f.node.index()) {
-                node.push(f);
-            }
-        }
-    }
-
-    // Best of four passes per layout, interleaved rows/columns so a
-    // slow scheduling epoch lands on both layouts instead of skewing
-    // whichever happened to run during it — the A/B ratio gate needs
-    // tighter minima than a pass/fail wall-clock check does. Each
-    // pass is digested (outside the timed region) and dropped before
-    // the next starts, so no layout is ever timed while the other
-    // layout's 100+ MB window set is still resident.
-    struct LegState {
-        layout: CoarsenLayout,
-        secs: f64,
-        digest: u64,
-        health: IngestHealth,
-        emitted: usize,
-    }
-    let mut legs = [CoarsenLayout::Rows, CoarsenLayout::Columns].map(|layout| LegState {
-        layout,
-        secs: f64::INFINITY,
-        digest: 0,
-        health: IngestHealth::default(),
-        emitted: 0,
-    });
-    for pass in 0..4 {
-        for leg in &mut legs {
-            let started = std::time::Instant::now();
-            let (windows, pass_health) =
-                coarsen_parallel_layout(&frames_by_node, PAPER_WINDOW_S, leg.layout);
-            leg.secs = leg.secs.min(started.elapsed().as_secs_f64());
-            let pass_digest = windows_digest(&windows);
-            if pass == 0 {
-                leg.digest = pass_digest;
-                leg.health = pass_health;
-                leg.emitted = windows.iter().map(Vec::len).sum();
-            } else if pass_digest != leg.digest {
-                return Err(format!(
-                    "AoS-vs-SoA bench leg is nondeterministic: two {:?} passes \
-                     over the same capture disagree",
-                    leg.layout
-                ));
-            }
-        }
-    }
-    let [rows, columns] = legs;
-    if rows.health != columns.health || rows.digest != columns.digest {
-        return Err(
-            "AoS-vs-SoA bench leg diverged: the columnar coarsener is not bit-identical \
-             to the row-structured reference"
-                .into(),
-        );
-    }
-    Ok(LayoutBench {
-        rows_s: rows.secs,
-        columns_s: columns.secs,
-        windows: rows.emitted,
-    })
-}
-
-/// The streaming leg of `--bench`: one smoke-scale online pass timed
-/// end-to-end, reporting the sustained frame rate and the live
-/// frame-to-alert p99. Before any number is reported the leg re-runs
-/// the same capture through the batch replay and demands bit-identical
-/// results — a diverging streaming refactor fails the bench instead of
-/// shipping wrong numbers with good latency.
-fn streaming_leg() -> Result<StreamingBench, String> {
-    let (cabinets, _) = trajectory_shape(SMOKE_SCALE);
-    let duration_s = 120.0;
-    let faults = Some(FaultConfig::light(7));
-    let started = std::time::Instant::now();
-    let stream = run_streaming(StreamConfig::new(cabinets, duration_s, faults));
-    let wall_s = started.elapsed().as_secs_f64();
-
-    let obs = summit_obs::registry::Registry::new();
-    let guard = obs.install();
-    let batch = run_telemetry(cabinets, duration_s, faults);
-    drop(guard);
-    let windows = |w: &[Vec<NodeWindow>]| w.iter().map(Vec::len).sum::<usize>();
-    if stream.stats.frames != batch.stats.frames
-        || stream.stats.total_delay_s.to_bits() != batch.stats.total_delay_s.to_bits()
-        || stream.stats.health != batch.stats.health
-        || windows(&stream.windows_by_node) != windows(&batch.windows_by_node)
-    {
-        return Err(
-            "streaming bench leg diverged from the batch replay (bit-identity violated)".into(),
-        );
-    }
-
-    let offered = stream
-        .obs
-        .counter("summit_core_frames_offered_total")
-        .unwrap_or(0);
-    let p99 = stream
-        .obs
-        .gauge("summit_core_frame_to_alert_p99_seconds")
-        .unwrap_or(f64::NAN);
-    Ok(StreamingBench {
-        wall_s,
-        frames_per_s: offered as f64 / wall_s.max(f64::MIN_POSITIVE),
-        frame_to_alert_p99_s: p99,
-        backpressure_stalls: stream.backpressure_stalls,
-        peak_resident_frames: stream.peak_resident_frames,
-    })
-}
-
-/// Times the bench trajectory twice — pool pinned to one thread, then
-/// on the default pool — and assembles the per-stage table from the
-/// two legs' registry snapshots.
-///
-/// An untimed warm-up pass runs first: the initial pass in a process
-/// pays one-time costs (heap growth and page faults for the frame
-/// buffers, worker spawning) that would otherwise be billed entirely
-/// to the sequential leg and inflate the measured speedup.
-pub fn run_bench(scale: f64) -> Result<BenchOutcome, String> {
-    // Best of two repetitions per leg: the min discards transient
-    // noise (residual allocator growth, scheduler hiccups) that a
-    // single sample would fold straight into the gate verdict.
-    let time_leg =
-        |f: &dyn Fn() -> Result<TrajectoryLeg, String>| -> Result<(f64, TrajectoryLeg), String> {
-            let started = std::time::Instant::now();
-            let mut out = f()?;
-            let mut wall = started.elapsed().as_secs_f64();
-            let started = std::time::Instant::now();
-            let rerun = f()?;
-            let rerun_wall = started.elapsed().as_secs_f64();
-            if rerun_wall < wall {
-                wall = rerun_wall;
-                out = rerun;
-            }
-            Ok((wall, out))
-        };
-    trajectory_leg(scale)?;
-    let (sequential_s, (seq_obs, seq_fp, seq_work)) =
-        time_leg(&|| rayon::with_thread_count(1, || trajectory_leg(scale)))?;
-    let (parallel_s, (par_obs, par_fp, par_work)) = time_leg(&|| trajectory_leg(scale))?;
-    if seq_fp != par_fp || seq_work != par_work {
-        return Err(format!(
-            "bench legs diverged: sequential fingerprint {seq_fp} != parallel {par_fp} \
-             (thread-count determinism violated)"
-        ));
-    }
-    let aos_soa = layout_leg(scale)?;
-    let streaming = streaming_leg()?;
-    Ok(BenchOutcome {
-        sequential_s,
-        parallel_s,
-        threads: rayon::current_num_threads(),
-        host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        summit_threads: std::env::var("SUMMIT_THREADS").ok(),
-        speedup: sequential_s / parallel_s.max(f64::MIN_POSITIVE),
-        pool_generation: rayon::pool_generation(),
-        stages: stage_table(&seq_obs, &par_obs, &par_work),
-        aos_soa,
-        streaming,
-    })
-}
-
-/// True when writing a `"skip"` `BENCH_perf.json` would mask a
-/// misconfiguration: nothing pinned the pool (`SUMMIT_THREADS` unset)
-/// and the host has cores to parallelize on, so "no parallelism to
-/// measure" cannot be the real story. CI requires `"pass"`; refusing
-/// to write the artifact turns a silent inconsistency into a loud one.
-pub fn refuse_skip(gate: &str, summit_threads_set: bool, cpus: usize) -> bool {
-    gate == "skip" && !summit_threads_set && cpus >= 2
-}
-
-/// Renders the human-readable `--bench` summary (one line per stage,
-/// then the end-to-end verdict).
-pub fn render_bench(b: &BenchOutcome) -> String {
-    let mut s = String::new();
-    for stage in &b.stages {
-        s.push_str(&format!(
-            "[bench] {:<16} sequential {:>8.3}s, parallel {:>8.3}s -> {:.2}x ({:.2} Melem/s, {:.1} MB/s)\n",
-            stage.name,
-            stage.sequential_s,
-            stage.parallel_s,
-            stage.speedup(),
-            stage.elements_per_s() / 1e6,
-            stage.bytes_per_s() / 1e6,
-        ));
-    }
-    s.push_str(&format!(
-        "[bench] aos-vs-soa       rows {:.3}s, columns {:.3}s -> {:.2}x columnar over {} windows (threshold {:.1}x)\n",
-        b.aos_soa.rows_s,
-        b.aos_soa.columns_s,
-        b.aos_soa.ratio(),
-        b.aos_soa.windows,
-        AOS_SOA_THRESHOLD,
-    ));
-    if let Some(reason) = b.skip_reason() {
-        s.push_str(&format!("[bench] gate skipped: {reason}\n"));
-    }
-    s.push_str(&format!(
-        "[bench] streaming leg    {:.3}s wall, {:.0} frames/s sustained, frame->alert p99 {:.2}s, {} stalls, {} peak resident frames\n",
-        b.streaming.wall_s,
-        b.streaming.frames_per_s,
-        b.streaming.frame_to_alert_p99_s,
-        b.streaming.backpressure_stalls,
-        b.streaming.peak_resident_frames,
-    ));
-    s.push_str(&format!(
-        "[bench] end-to-end sequential {:.3}s, parallel {:.3}s on {} threads -> {:.2}x speedup (gate: {}, threshold {:.2}x)",
-        b.sequential_s,
-        b.parallel_s,
-        b.threads,
-        b.speedup,
-        b.gate(),
-        SPEEDUP_THRESHOLD
-    ));
-    s
-}
-
 /// Runs the telemetry pipeline at `scale` and writes its coarsened
 /// 10 s windows as CSV to `path`, streaming when `stream` is set.
 /// Floats print with Rust's shortest round-trip representation, so the
@@ -1077,7 +277,8 @@ pub fn render_bench(b: &BenchOutcome) -> String {
 /// `--stream` and batch files to prove the online pipeline's output is
 /// bit-identical end to end. Returns the summary line to print.
 fn export_windows(path: &str, scale: f64, stream: bool) -> Result<String, String> {
-    let (cabinets, _) = trajectory_shape(scale);
+    // A cabinet slice of the paper's 257-cabinet machine.
+    let cabinets = ((257.0 * scale).round() as usize).clamp(2, 257);
     let duration_s = 120.0;
     let faults = Some(FaultConfig::light(7));
     let windows_by_node = if stream {
@@ -1130,44 +331,6 @@ pub fn run(inv: &Invocation) -> Result<(), String> {
         return Ok(());
     }
     let scale = inv.effective_scale();
-    if inv.bench && (inv.trace.is_some() || inv.trace_folded.is_some()) {
-        return Err(
-            "--trace cannot be combined with --bench: trace hooks would \
-             perturb the timing legs"
-                .into(),
-        );
-    }
-    if inv.bench && (inv.stream || inv.export_windows.is_some()) {
-        return Err(
-            "--stream/--export-windows cannot be combined with --bench: the \
-             bench already times a dedicated streaming leg"
-                .into(),
-        );
-    }
-    if inv.bench {
-        let outcome = run_bench(scale)?;
-        if refuse_skip(
-            outcome.gate(),
-            outcome.summit_threads.is_some(),
-            outcome.host_cpus,
-        ) {
-            return Err(format!(
-                "refusing to write a \"skip\" {BENCH_PERF_PATH}: SUMMIT_THREADS is \
-                 unset and {} CPUs are available, so the pool resolving to one \
-                 thread is a bug, not a one-core host",
-                outcome.host_cpus
-            ));
-        }
-        let json = outcome.to_json(scale);
-        std::fs::write(BENCH_PERF_PATH, &json)
-            .map_err(|e| format!("failed to write {BENCH_PERF_PATH}: {e}"))?;
-        emit(&format!(
-            "{}\nwrote {BENCH_PERF_PATH} ({} bytes)\n",
-            render_bench(&outcome),
-            json.len()
-        ));
-        return Ok(());
-    }
     // A bare `--export-windows` invocation is complete on its own; with
     // study names (or --all) the export rides along after the reports.
     let export_only = inv.export_windows.is_some() && inv.names.is_empty() && !inv.all;
@@ -1284,6 +447,7 @@ mod tests {
         let inv = parse(&["--all", "--scale", "0.2", "--json"]).unwrap();
         assert!(inv.all && inv.json && !inv.list);
         assert!((inv.effective_scale() - 0.2).abs() < 1e-12);
+        assert_eq!(parse(&["--all"]).unwrap().effective_scale(), SMOKE_SCALE);
 
         let inv = parse(&["fig08", "table4", "--full"]).unwrap();
         assert_eq!(inv.names, vec!["fig08", "table4"]);
@@ -1294,228 +458,19 @@ mod tests {
     }
 
     #[test]
-    fn scale_defaults_track_the_mode() {
-        // No explicit scale: smoke for normal runs, the heavier bench
-        // scale under --bench (where parallelism must matter)...
-        assert_eq!(parse(&["--all"]).unwrap().effective_scale(), SMOKE_SCALE);
-        assert_eq!(parse(&["--bench"]).unwrap().effective_scale(), BENCH_SCALE);
-        // ...but an explicit scale always wins.
-        let inv = parse(&["--bench", "--scale", "0.1"]).unwrap();
-        assert!((inv.effective_scale() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
     fn rejects_bad_arguments() {
         assert!(parse(&["--scale"]).is_err());
         assert!(parse(&["--scale", "2.0"]).is_err());
         assert!(parse(&["--scale", "x"]).is_err());
         assert!(parse(&["--config", "[1]"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
+        assert!(parse(&["--bench"]).is_err());
         assert!(select(&parse(&[]).unwrap()).is_err());
         assert!(select(&parse(&["fig99"]).unwrap()).is_err());
     }
 
     #[test]
-    fn bench_flag_parses_and_selects_everything() {
-        let inv = parse(&["--bench"]).unwrap();
-        assert!(inv.bench && !inv.all);
-        // Bare --bench implies the full suite...
-        assert_eq!(select(&inv).unwrap().len(), REGISTRY.len());
-        // ...but explicit names narrow it.
-        let inv = parse(&["--bench", "table4"]).unwrap();
-        assert_eq!(select(&inv).unwrap().len(), 1);
-    }
-
-    fn idle_streaming() -> StreamingBench {
-        StreamingBench {
-            wall_s: 0.5,
-            frames_per_s: 4000.0,
-            frame_to_alert_p99_s: 12.5,
-            backpressure_stalls: 0,
-            peak_resident_frames: 1000,
-        }
-    }
-
-    fn healthy_aos_soa() -> LayoutBench {
-        LayoutBench {
-            rows_s: 2.0,
-            columns_s: 1.0,
-            windows: 500,
-        }
-    }
-
-    fn outcome(threads: usize, seq: f64, par: f64) -> BenchOutcome {
-        BenchOutcome {
-            sequential_s: seq,
-            parallel_s: par,
-            threads,
-            host_cpus: threads.max(1),
-            summit_threads: None,
-            speedup: seq / par,
-            pool_generation: 1,
-            stages: Vec::new(),
-            aos_soa: healthy_aos_soa(),
-            streaming: idle_streaming(),
-        }
-    }
-
-    #[test]
-    fn bench_gate_verdicts() {
-        assert_eq!(outcome(1, 1.0, 1.0).gate(), "skip");
-        assert_eq!(outcome(4, 2.0, 1.0).gate(), "pass");
-        assert_eq!(outcome(4, 1.0, 2.0).gate(), "fail");
-        // The gate now ratchets: merely not-slower is below threshold.
-        assert_eq!(outcome(4, 1.0, 1.0).gate(), "fail");
-        assert_eq!(outcome(4, SPEEDUP_THRESHOLD, 1.0).gate(), "pass");
-    }
-
-    #[test]
-    fn gate_fails_on_a_per_kernel_regression() {
-        let stage = |seq: f64, par: f64| StageTiming {
-            name: "correlation",
-            sequential_s: seq,
-            parallel_s: par,
-            elements: 1000,
-            bytes: 16_000,
-        };
-        // A kernel 2x slower on the pool fails even when the end-to-end
-        // speedup passes.
-        let mut bad = outcome(4, 2.0, 1.0);
-        bad.stages = vec![stage(0.1, 0.2)];
-        assert_eq!(bad.gate(), "fail");
-        // At or above the floor passes...
-        let mut ok = outcome(4, 2.0, 1.0);
-        ok.stages = vec![stage(0.095, 0.1)];
-        assert_eq!(ok.gate(), "pass");
-        // ...and sub-noise-floor timings abstain rather than judge.
-        let mut noisy = outcome(4, 2.0, 1.0);
-        noisy.stages = vec![stage(STAGE_NOISE_FLOOR_S / 2.0, STAGE_NOISE_FLOOR_S)];
-        assert_eq!(noisy.gate(), "pass");
-    }
-
-    #[test]
-    fn gate_fails_when_the_columnar_layout_stops_winning() {
-        let mut slow = outcome(4, 2.0, 1.0);
-        slow.aos_soa = LayoutBench {
-            rows_s: 1.0,
-            columns_s: 1.0,
-            windows: 500,
-        };
-        assert_eq!(slow.gate(), "fail");
-        // On a one-core host the layout ratio still reports but the
-        // gate stays "skip".
-        let mut single = outcome(1, 1.0, 1.0);
-        single.aos_soa = slow.aos_soa;
-        assert_eq!(single.gate(), "skip");
-    }
-
-    #[test]
-    fn skip_reason_distinguishes_pin_from_single_core() {
-        let mut pinned = outcome(1, 1.0, 1.0);
-        pinned.summit_threads = Some("1".into());
-        pinned.host_cpus = 8;
-        assert!(pinned.skip_reason().unwrap().contains("SUMMIT_THREADS=1"));
-        let mut one_core = outcome(1, 1.0, 1.0);
-        one_core.host_cpus = 1;
-        assert!(one_core.skip_reason().unwrap().contains("single-core"));
-        assert!(outcome(4, 2.0, 1.0).skip_reason().is_none());
-    }
-
-    #[test]
-    fn stage_throughput_is_computed_from_the_parallel_leg() {
-        let s = StageTiming {
-            name: "coarsen",
-            sequential_s: 4.0,
-            parallel_s: 2.0,
-            elements: 1_000_000,
-            bytes: 424_000_000,
-        };
-        assert_eq!(s.elements_per_s(), 500_000.0);
-        assert_eq!(s.bytes_per_s(), 212_000_000.0);
-        let never_ran = StageTiming {
-            parallel_s: 0.0,
-            ..s
-        };
-        assert_eq!(never_ran.elements_per_s(), 0.0);
-        assert_eq!(never_ran.bytes_per_s(), 0.0);
-        assert!(!never_ran.gated());
-    }
-
-    #[test]
-    fn bench_json_round_trips() {
-        let mut out = outcome(4, 2.5, 1.25);
-        out.pool_generation = 3;
-        out.stages = vec![StageTiming {
-            name: "engine_tick",
-            sequential_s: 1.5,
-            parallel_s: 0.5,
-            elements: 1000,
-            bytes: 424_000,
-        }];
-        let json = out.to_json(0.05);
-        let doc = Json::parse(&json).unwrap();
-        let Json::Obj(fields) = &doc else {
-            panic!("expected object")
-        };
-        let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        assert_eq!(get("schema"), Some(&Json::from("summit-perf/3")));
-        assert_eq!(get("gate"), Some(&Json::from("pass")));
-        assert_eq!(get("threads"), Some(&Json::from(4usize)));
-        assert_eq!(get("host_cpus"), Some(&Json::from(4usize)));
-        // Unpinned pool and a passing gate serialize as explicit nulls.
-        assert_eq!(get("summit_threads"), Some(&Json::Null));
-        assert_eq!(get("skip_reason"), Some(&Json::Null));
-        assert_eq!(
-            get("speedup_threshold"),
-            Some(&Json::Num(SPEEDUP_THRESHOLD))
-        );
-        assert_eq!(get("per_kernel_floor"), Some(&Json::Num(PER_KERNEL_FLOOR)));
-        assert_eq!(get("pool_generation"), Some(&Json::Num(3.0)));
-        let Some(Json::Arr(stages)) = get("stages") else {
-            panic!("expected stages array")
-        };
-        assert_eq!(stages.len(), 1);
-        let Json::Obj(stage) = &stages[0] else {
-            panic!("expected stage object")
-        };
-        assert!(stage
-            .iter()
-            .any(|(k, v)| k == "name" && *v == Json::from("engine_tick")));
-        assert!(stage
-            .iter()
-            .any(|(k, v)| k == "speedup" && *v == Json::Num(3.0)));
-        assert!(stage
-            .iter()
-            .any(|(k, v)| k == "elements" && *v == Json::Num(1000.0)));
-        assert!(stage
-            .iter()
-            .any(|(k, v)| k == "elements_per_second" && *v == Json::Num(2000.0)));
-        assert!(stage
-            .iter()
-            .any(|(k, v)| k == "bytes_per_second" && *v == Json::Num(848_000.0)));
-        // The AoS-vs-SoA leg rides in the same schema.
-        let Some(Json::Obj(aos)) = get("aos_soa") else {
-            panic!("expected aos_soa object")
-        };
-        let aget = |name: &str| aos.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        assert_eq!(aget("rows_seconds"), Some(&Json::Num(2.0)));
-        assert_eq!(aget("columns_seconds"), Some(&Json::Num(1.0)));
-        assert_eq!(aget("ratio"), Some(&Json::Num(2.0)));
-        assert_eq!(aget("ratio_threshold"), Some(&Json::Num(AOS_SOA_THRESHOLD)));
-        assert_eq!(aget("windows"), Some(&Json::from(500usize)));
-        // The streaming leg rides in the same schema.
-        let Some(Json::Obj(streaming)) = get("streaming") else {
-            panic!("expected streaming object")
-        };
-        let sget = |name: &str| streaming.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        assert_eq!(sget("frames_per_second"), Some(&Json::Num(4000.0)));
-        assert_eq!(sget("frame_to_alert_p99_seconds"), Some(&Json::Num(12.5)));
-        assert_eq!(sget("backpressure_stalls"), Some(&Json::Num(0.0)));
-        assert_eq!(sget("peak_resident_frames"), Some(&Json::from(1000usize)));
-    }
-
-    #[test]
-    fn stream_and_export_flags_parse_and_reject_bench() {
+    fn stream_and_export_flags_parse() {
         let inv = parse(&["table2", "--stream"]).unwrap();
         assert!(inv.stream && inv.export_windows.is_none());
         let inv = parse(&["--stream", "--export-windows", "w.csv"]).unwrap();
@@ -1524,65 +479,16 @@ mod tests {
         // A bare export needs no study names to be a complete run.
         let inv = parse(&["--export-windows", "w.csv"]).unwrap();
         assert!(inv.names.is_empty() && !inv.all);
-        // --bench runs its own streaming leg; mixing modes is an error.
-        let inv = parse(&["--bench", "--stream"]).unwrap();
-        assert!(run(&inv).unwrap_err().contains("--bench"));
-        let inv = parse(&["--bench", "--export-windows", "w.csv"]).unwrap();
-        assert!(run(&inv).unwrap_err().contains("--bench"));
     }
 
     #[test]
-    fn stage_table_keeps_stages_that_ran_in_either_leg() {
-        let record = |metric: &str, seconds: f64| {
-            let r = summit_obs::registry::Registry::new();
-            r.histogram(metric).observe(seconds);
-            r.snapshot()
-        };
-        let seq = record("summit_core_engine_tick_seconds", 2.0);
-        let par = record("summit_analysis_fft_seconds", 0.5);
-        let work = [StageWork {
-            name: "fft",
-            elements: 100,
-            bytes: 1600,
-        }];
-        let table = stage_table(&seq, &par, &work);
-        let names: Vec<&str> = table.iter().map(|s| s.name).collect();
-        assert_eq!(names, vec!["engine_tick", "fft"]);
-        // engine_tick ran only sequentially, fft only in parallel;
-        // stages absent from both legs are dropped.
-        assert_eq!(table[0].sequential_s, 2.0);
-        assert_eq!(table[0].parallel_s, 0.0);
-        assert_eq!(table[1].speedup(), 0.0);
-        // Work joins by stage name; untracked stages report zero.
-        assert_eq!(table[0].elements, 0);
-        assert_eq!(table[1].elements, 100);
-        assert_eq!(table[1].elements_per_s(), 200.0);
-    }
-
-    #[test]
-    fn trace_flags_parse_and_reject_bench() {
+    fn trace_flags_parse() {
         let inv = parse(&["table2", "--trace", "out.trace.json"]).unwrap();
         assert_eq!(inv.trace.as_deref(), Some("out.trace.json"));
         assert!(inv.trace_folded.is_none());
         let inv = parse(&["table2", "--trace-folded", "out.folded"]).unwrap();
         assert_eq!(inv.trace_folded.as_deref(), Some("out.folded"));
         assert!(parse(&["--trace"]).is_err());
-        // --bench + --trace is a run()-time error, not a parse error.
-        let inv = parse(&["--bench", "--trace", "x.json"]).unwrap();
-        assert!(run(&inv).unwrap_err().contains("--bench"));
-    }
-
-    #[test]
-    fn skip_refusal_requires_unpinned_multicore() {
-        // The inconsistency: skip artifact, nothing pinned, cores idle.
-        assert!(refuse_skip("skip", false, 2));
-        assert!(refuse_skip("skip", false, 48));
-        // Legitimate skips: one core, or the user pinned the pool.
-        assert!(!refuse_skip("skip", false, 1));
-        assert!(!refuse_skip("skip", true, 8));
-        // Non-skip gates always write.
-        assert!(!refuse_skip("pass", false, 8));
-        assert!(!refuse_skip("fail", false, 8));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Shared plumbing for the experiment driver, the remaining standalone
-//! binaries and the Criterion benchmarks.
+//! Shared plumbing for the experiment driver and the remaining standalone
+//! binaries.
 //!
 //! Figure/table regeneration goes through the unified [`driver`] (the
 //! `experiments` binary); `--full` selects paper-fidelity runs (full

@@ -675,14 +675,15 @@ fn streaming_summary(snap: &summit_obs::Snapshot, stalls: u64, wall_s: f64) -> S
 /// channel counts a `summit_core_stream_backpressure_stalls_total`
 /// stall, then blocks until a slot frees — backpressure, never loss.
 /// `consume` receives each batch with the channel depth observed right
-/// after the receive. The producer thread inherits the caller's
-/// observability registry; under a wall-clock trace it also joins the
-/// trace as a worker (virtual-clock traces decline workers so traces
-/// stay byte-stable).
+/// after the receive; a panic on the producer thread resumes on the
+/// caller once the channel is drained. The producer thread inherits
+/// the caller's observability registry; under a wall-clock trace it
+/// also joins the trace as a worker (virtual-clock traces decline
+/// workers so traces stay byte-stable).
 pub fn stream_batches<T, R, P, C>(capacity: usize, produce: P, mut consume: C) -> R
 where
     T: Send,
-    R: Send + Default,
+    R: Send,
     P: FnOnce(&dyn Fn(T) -> bool) -> R + Send,
     C: FnMut(T, usize),
 {
@@ -709,7 +710,13 @@ where
             let depth = rx.len();
             consume(batch, depth);
         }
-        producer.join().unwrap_or_default()
+        // A panicking producer closes the channel like a finished one;
+        // re-raise its panic so the caller never mistakes the windows
+        // received so far for the whole run.
+        match producer.join() {
+            Ok(result) => result,
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
     })
 }
 
@@ -1247,6 +1254,31 @@ mod tests {
                 > 0
         );
         assert!(run.summary.contains("run_streaming"), "{}", run.summary);
+    }
+
+    #[test]
+    fn panicking_producer_is_not_silently_truncated() {
+        let mut received = Vec::new();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            stream_batches(
+                4,
+                |send: &dyn Fn(u32) -> bool| -> usize {
+                    send(1);
+                    send(2);
+                    panic!("producer failed mid-run");
+                },
+                |batch, _depth| received.push(batch),
+            )
+        }));
+        assert!(
+            outcome.is_err(),
+            "the producer's panic must reach the caller"
+        );
+        assert_eq!(
+            received,
+            vec![1, 2],
+            "batches sent before the panic are consumed"
+        );
     }
 
     #[test]

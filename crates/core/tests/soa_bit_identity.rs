@@ -1,23 +1,22 @@
 //! Cross-layer bit-identity for the columnar (SoA) hot path.
 //!
-//! The columnar refactor promises that layout changes memory and
-//! instruction scheduling only, never results: the SoA coarsener must
-//! match the row-structured reference to the bit, on the same frames,
-//! for every thread count, in both the batch replay and the streaming
-//! pipeline. These tests drive the full pipeline (engine → delivery →
-//! coarsening) rather than unit inputs, so a divergence anywhere along
-//! the hot path fails here even if each layer's own tests still pass.
+//! The columnar coarsener's memory layout and instruction scheduling
+//! must never change results: it must match a scalar per-metric
+//! [`Welford`] fold to the bit, on the same frames, for every thread
+//! count, in both the batch replay and the streaming pipeline. These
+//! tests drive the full pipeline (engine → delivery → coarsening)
+//! rather than unit inputs, so a divergence anywhere along the hot path
+//! fails here even if each layer's own tests still pass.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use summit_analysis::stats::Welford;
 use summit_core::pipeline::{run_streaming, run_telemetry, StreamConfig};
 use summit_sim::engine::{Engine, EngineConfig, StepOptions};
 use summit_telemetry::batch::FrameBatch;
 use summit_telemetry::records::NodeFrame;
 use summit_telemetry::stream::FaultConfig;
-use summit_telemetry::window::{
-    coarsen_parallel_layout, CoarsenLayout, NodeWindow, PAPER_WINDOW_S,
-};
+use summit_telemetry::window::{coarsen_parallel_with_health, NodeWindow, PAPER_WINDOW_S};
 
 fn assert_windows_bitwise_eq(a: &[Vec<NodeWindow>], b: &[Vec<NodeWindow>], context: &str) {
     assert_eq!(a.len(), b.len(), "{context}: node count differs");
@@ -79,20 +78,49 @@ fn engine_frames(cabinets: usize, duration_s: f64) -> Vec<Vec<NodeFrame>> {
     frames_by_node
 }
 
+/// Scalar reference for a fault-free, in-order capture: each node's
+/// frames cut into 10 s windows and folded metric by metric with
+/// [`Welford::push`].
+fn scalar_oracle(frames_by_node: &[Vec<NodeFrame>]) -> Vec<Vec<NodeWindow>> {
+    let window_start = |f: &NodeFrame| (f.t_sample / PAPER_WINDOW_S).floor() * PAPER_WINDOW_S;
+    frames_by_node
+        .iter()
+        .map(|frames| {
+            frames
+                .chunk_by(|a, b| window_start(a) == window_start(b))
+                .map(|window| {
+                    let mut acc = vec![Welford::new(); window[0].values.len()];
+                    for f in window {
+                        for (w, &v) in acc.iter_mut().zip(&f.values) {
+                            w.push(f64::from(v));
+                        }
+                    }
+                    NodeWindow {
+                        node: window[0].node,
+                        window_start: window_start(&window[0]),
+                        stats: acc.iter().map(Welford::finish).collect(),
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
 #[test]
-fn columnar_coarsening_matches_rows_reference_across_thread_counts() {
+fn columnar_coarsening_matches_scalar_oracle_across_thread_counts() {
     let frames = engine_frames(2, 120.0);
-    let (rows_ref, rows_health) =
-        coarsen_parallel_layout(&frames, PAPER_WINDOW_S, CoarsenLayout::Rows);
+    let oracle = scalar_oracle(&frames);
+    let frame_count: usize = frames.iter().map(Vec::len).sum();
     for threads in [1usize, 2, 4] {
-        let (cols, cols_health) = rayon::with_thread_count(threads, || {
-            coarsen_parallel_layout(&frames, PAPER_WINDOW_S, CoarsenLayout::Columns)
+        let (cols, health) = rayon::with_thread_count(threads, || {
+            coarsen_parallel_with_health(&frames, PAPER_WINDOW_S)
         });
-        assert_eq!(cols_health, rows_health, "threads={threads}");
+        assert_eq!(health.accepted, frame_count as u64, "threads={threads}");
+        assert_eq!(health.dropped(), 0, "threads={threads}");
         assert_windows_bitwise_eq(
-            &rows_ref,
+            &oracle,
             &cols,
-            &format!("columns vs rows, threads={threads}"),
+            &format!("columns vs oracle, threads={threads}"),
         );
     }
 }

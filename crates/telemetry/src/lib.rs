@@ -12,7 +12,7 @@
 //! Data flows exactly as in the paper's Figure 3:
 //!
 //! ```text
-//! node models (summit-sim) --1 Hz frames--> [stream::Collector]
+//! node models (summit-sim) --1 Hz frames--> [stream::fan_in_batches]
 //!     --> [store::TelemetryStore] (lossless archive, codec)
 //!     --> [window::WindowAggregator] (10 s coarsening)
 //!     --> [cluster] / [jobjoin] collapses --> analysis datasets
@@ -52,10 +52,6 @@ pub mod prelude {
         CepRecord, JobRecord, NodeAllocation, NodeFrame, ScienceDomain, XidErrorKind, XidEvent,
     };
     pub use crate::store::TelemetryStore;
-    pub use crate::stream::{
-        Collector, FaultConfig, FaultInjector, FrameFate, FrameSender, IngestStats, InjectedFaults,
-    };
-    pub use crate::window::{
-        CoarsenLayout, NodeWindow, StreamingCoarsener, WindowAggregator, PAPER_WINDOW_S,
-    };
+    pub use crate::stream::{FaultConfig, FaultInjector, FrameFate, IngestStats, InjectedFaults};
+    pub use crate::window::{NodeWindow, StreamingCoarsener, WindowAggregator, PAPER_WINDOW_S};
 }

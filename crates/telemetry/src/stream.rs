@@ -4,19 +4,17 @@
 //! network through a websocket-based 288:1 fan-in into the monitoring
 //! cluster, reaching the point of analysis with an average 4.1-second
 //! delay at a 460k metrics/sec ingest rate. This module models that
-//! path without any dedicated threads: many producers (node BMC
-//! emitters) share one collector that timestamps frames at ingest,
-//! tracks rate/delay statistics, and forwards each frame to a sink.
-//! Batch fan-in parallelises the producer side through the
-//! deterministic [`rayon`] facade and sorts arrivals into a canonical
-//! ingest order, so replays are bit-identical at every thread count.
+//! path without any dedicated threads: [`fan_in_batches`] timestamps
+//! the frames of many producers (node BMC emitters) at ingest, tracks
+//! rate/delay statistics in [`IngestStats`], parallelises the producer
+//! side through the deterministic [`rayon`] facade and sorts arrivals
+//! into a canonical ingest order, so replays are bit-identical at every
+//! thread count.
 
 use crate::ingest::IngestHealth;
 use crate::records::NodeFrame;
-use parking_lot::Mutex;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// The paper's maximum propagation delay (s): payloads reach the
 /// aggregation point "after an average 2.5-second delay (max. 5
@@ -377,78 +375,6 @@ impl FaultInjector {
     }
 }
 
-/// Shared state behind a collector: statistics plus the consumer sink.
-struct CollectorShared {
-    stats: IngestStats,
-    sink: Box<dyn FnMut(NodeFrame) + Send>,
-    open: bool,
-}
-
-/// Handle used by producers (BMC emitters) to push frames into the fan-in.
-#[derive(Clone)]
-pub struct FrameSender {
-    shared: Arc<Mutex<CollectorShared>>,
-}
-
-impl FrameSender {
-    /// Sends a frame, stamping its ingest time from the delay model.
-    /// The frame is observed and forwarded to the sink synchronously.
-    /// Returns `false` if the collector has shut down.
-    pub fn send(&self, mut frame: NodeFrame) -> bool {
-        frame.t_ingest = frame.t_sample + propagation_delay_s(frame.node.0, frame.t_sample);
-        let mut shared = self.shared.lock();
-        if !shared.open {
-            return false;
-        }
-        shared.stats.observe(&frame);
-        (shared.sink)(frame);
-        true
-    }
-}
-
-/// The fan-in collector: frames pushed through any [`FrameSender`] are
-/// observed into the ingest statistics and forwarded to the supplied
-/// sink under one lock — no dedicated thread, no channel, no shutdown
-/// race. Producers see `send` fail once [`Collector::join`] closes the
-/// intake.
-pub struct Collector {
-    shared: Arc<Mutex<CollectorShared>>,
-}
-
-impl Collector {
-    /// Opens a collector. `sink` is invoked for every frame, on
-    /// whichever caller pushed it.
-    pub fn start<F>(sink: F) -> (FrameSender, Collector)
-    where
-        F: FnMut(NodeFrame) + Send + 'static,
-    {
-        let shared = Arc::new(Mutex::new(CollectorShared {
-            stats: IngestStats::default(),
-            sink: Box::new(sink),
-            open: true,
-        }));
-        (
-            FrameSender {
-                shared: Arc::clone(&shared),
-            },
-            Collector { shared },
-        )
-    }
-
-    /// Snapshot of the ingest statistics.
-    pub fn stats(&self) -> IngestStats {
-        self.shared.lock().stats
-    }
-
-    /// Closes the intake (subsequent `send` calls return `false`) and
-    /// returns the final statistics.
-    pub fn join(self) -> IngestStats {
-        let mut shared = self.shared.lock();
-        shared.open = false;
-        shared.stats
-    }
-}
-
 /// Canonical arrival order: ingest time, ties broken by node then
 /// sample time. Total for the frames one fan-in produces, so the sort
 /// below is a permutation fixed by frame content alone.
@@ -597,32 +523,6 @@ mod tests {
         assert_eq!(stats.max_delay_s, 3.0);
         let per_s = stats.metrics_per_second();
         assert!((per_s - (2.0 * crate::catalog::METRIC_COUNT as f64 / 10.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn join_closes_the_intake() {
-        let (sender, collector) = Collector::start(|_frame| {});
-        assert!(sender.send(NodeFrame::empty(NodeId(0), 0.0)));
-        assert_eq!(collector.stats().frames, 1);
-        let stats = collector.join();
-        assert_eq!(stats.frames, 1);
-        // The collector is gone: further sends are rejected.
-        assert!(!sender.send(NodeFrame::empty(NodeId(0), 1.0)));
-    }
-
-    #[test]
-    fn sink_sees_every_accepted_frame() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let seen_sink = Arc::clone(&seen);
-        let (sender, collector) = Collector::start(move |frame| {
-            seen_sink.lock().push(frame.t_sample);
-        });
-        for t in 0..5 {
-            assert!(sender.send(NodeFrame::empty(NodeId(0), t as f64)));
-        }
-        let stats = collector.join();
-        assert_eq!(stats.frames, 5);
-        assert_eq!(*seen.lock(), vec![0.0, 1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::ingest::{IngestError, IngestHealth, IngestPolicy};
 use crate::records::NodeFrame;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use summit_analysis::stats::{Welford, WelfordColumns, WindowStats};
 
 /// The paper's coarsening window in seconds.
@@ -78,7 +78,6 @@ pub struct WindowAggregator {
     node: NodeId,
     window_s: f64,
     policy: IngestPolicy,
-    layout: CoarsenLayout,
     health: IngestHealth,
     /// Newest accepted sample timestamp.
     watermark: Option<f64>,
@@ -89,163 +88,75 @@ pub struct WindowAggregator {
     /// Start of the most recently closed window, for gap emission when
     /// the next frame opens a non-adjacent window.
     last_closed: Option<f64>,
-    acc: Accum,
+    /// Open-window accumulator: a structure-of-arrays Welford bank that
+    /// updates all 106 metric lanes in one vectorizable pass per frame.
+    /// Reset keeps the allocations, so a steady-state window touches no
+    /// allocator at all.
+    acc: WelfordColumns,
     out: Vec<NodeWindow>,
 }
 
-/// Memory layout of the coarsener's accumulation path.
-///
-/// Both layouts share every admission decision (lateness, dedup,
-/// watermark, window and gap arithmetic) and produce bit-identical
-/// statistics: every lane of the columnar bank replays the exact
-/// per-sample update sequence of the row path's [`Welford::push`].
-/// [`CoarsenLayout::Columns`] is the default hot path;
-/// [`CoarsenLayout::Rows`] is the row-structured reference kept for the
-/// bench AoS leg and the bit-identity tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CoarsenLayout {
-    /// Row-structured reference: one boxed value row per buffered frame
-    /// and [`METRIC_COUNT`] branchy Welford pushes per accumulated
-    /// frame (the pre-columnar layout).
-    Rows,
-    /// Columnar hot path: buffered rows live in a recycled slab arena
-    /// and the open window accumulates in a structure-of-arrays
-    /// [`WelfordColumns`] bank — one vectorizable pass across the
-    /// metric lanes per frame — so steady-state ingest performs no
-    /// heap allocation.
-    #[default]
-    Columns,
-}
-
-/// Reorder-buffer storage, chosen by [`CoarsenLayout`].
-#[derive(Debug)]
-enum PendingStore {
-    /// One heap allocation per buffered frame (reference layout).
-    Boxes(BTreeMap<i64, Box<[f32]>>),
-    /// Slab arena: value rows live in one contiguous `Vec<f32>` and
-    /// freed rows are recycled through a free list, so the buffer
-    /// reaches a steady state with zero allocation per frame. The key
-    /// order lives in a sorted ring: frames almost always arrive in
-    /// time order, so insertion is an O(1) `push_back` (binary
-    /// insertion for the rare out-of-order frame) and dedup lookup is
-    /// a binary search over contiguous memory — far cheaper than
-    /// B-tree node hops at reorder-buffer sizes.
-    Slab {
-        order: VecDeque<(i64, u32)>,
-        slab: Vec<f32>,
-        free: Vec<u32>,
-    },
-}
-
-impl Default for PendingStore {
-    /// An empty store — the placeholder left behind while
-    /// [`WindowAggregator::flush_ready`] borrows the real one.
-    fn default() -> Self {
-        Self::Boxes(BTreeMap::new())
-    }
+/// Reorder-buffer storage: a slab arena. Value rows live in one
+/// contiguous `Vec<f32>` and freed rows are recycled through a free
+/// list, so the buffer reaches a steady state with zero allocation per
+/// frame. The key order lives in a sorted ring: frames almost always
+/// arrive in time order, so insertion is an O(1) `push_back` (binary
+/// insertion for the rare out-of-order frame) and dedup lookup is a
+/// binary search over contiguous memory — far cheaper than B-tree node
+/// hops at reorder-buffer sizes.
+#[derive(Debug, Default)]
+struct PendingStore {
+    order: VecDeque<(i64, u32)>,
+    slab: Vec<f32>,
+    free: Vec<u32>,
 }
 
 impl PendingStore {
-    fn for_layout(layout: CoarsenLayout) -> Self {
-        match layout {
-            CoarsenLayout::Rows => Self::Boxes(BTreeMap::new()),
-            CoarsenLayout::Columns => Self::Slab {
-                order: VecDeque::new(),
-                slab: Vec::new(),
-                free: Vec::new(),
-            },
-        }
-    }
-
     fn contains_key(&self, key: i64) -> bool {
-        match self {
-            Self::Boxes(map) => map.contains_key(&key),
-            Self::Slab { order, .. } => match order.back() {
-                // In-order streams land past the newest buffered key,
-                // so the common case never searches the ring.
-                Some(&(back, _)) if key > back => false,
-                Some(_) => order.binary_search_by_key(&key, |&(k, _)| k).is_ok(),
-                None => false,
-            },
+        match self.order.back() {
+            // In-order streams land past the newest buffered key, so the
+            // common case never searches the ring.
+            Some(&(back, _)) if key > back => false,
+            Some(_) => self.order.binary_search_by_key(&key, |&(k, _)| k).is_ok(),
+            None => false,
         }
     }
 
     /// Inserts a new entry. The caller has already rejected duplicate
     /// keys via [`PendingStore::contains_key`].
     fn insert(&mut self, key: i64, values: &[f32; METRIC_COUNT]) {
-        match self {
-            Self::Boxes(map) => {
-                map.insert(key, Box::from(&values[..]));
+        let row = match self.free.pop() {
+            Some(row) => {
+                let at = row as usize * METRIC_COUNT;
+                self.slab[at..at + METRIC_COUNT].copy_from_slice(values);
+                row
             }
-            Self::Slab { order, slab, free } => {
-                let row = match free.pop() {
-                    Some(row) => {
-                        let at = row as usize * METRIC_COUNT;
-                        slab[at..at + METRIC_COUNT].copy_from_slice(values);
-                        row
-                    }
-                    None => {
-                        let row = crate::convert::count_u32((slab.len() / METRIC_COUNT) as u64);
-                        slab.extend_from_slice(values);
-                        row
-                    }
-                };
-                match order.back() {
-                    Some(&(back, _)) if back < key => order.push_back((key, row)),
-                    _ => {
-                        let pos = order.partition_point(|&(k, _)| k < key);
-                        order.insert(pos, (key, row));
-                    }
-                }
+            None => {
+                let row = crate::convert::count_u32((self.slab.len() / METRIC_COUNT) as u64);
+                self.slab.extend_from_slice(values);
+                row
+            }
+        };
+        match self.order.back() {
+            Some(&(back, _)) if back < key => self.order.push_back((key, row)),
+            _ => {
+                let pos = self.order.partition_point(|&(k, _)| k < key);
+                self.order.insert(pos, (key, row));
             }
         }
     }
 
     /// Removes the oldest entry, copying its values into `row`.
     fn pop_first_into(&mut self, row: &mut [f32; METRIC_COUNT]) -> Option<i64> {
-        match self {
-            Self::Boxes(map) => {
-                let (k, values) = map.pop_first()?;
-                row.copy_from_slice(&values);
-                Some(k)
-            }
-            Self::Slab { order, slab, free } => {
-                let (k, idx) = order.pop_front()?;
-                let at = idx as usize * METRIC_COUNT;
-                row.copy_from_slice(&slab[at..at + METRIC_COUNT]);
-                free.push(idx);
-                Some(k)
-            }
-        }
+        let (k, idx) = self.order.pop_front()?;
+        let at = idx as usize * METRIC_COUNT;
+        row.copy_from_slice(&self.slab[at..at + METRIC_COUNT]);
+        self.free.push(idx);
+        Some(k)
     }
 
     fn len(&self) -> usize {
-        match self {
-            Self::Boxes(map) => map.len(),
-            Self::Slab { order, .. } => order.len(),
-        }
-    }
-}
-
-/// Open-window accumulator, chosen by [`CoarsenLayout`].
-#[derive(Debug)]
-enum Accum {
-    /// Per-metric Welford states updated on every accumulated frame.
-    Rows(Vec<Welford>),
-    /// Structure-of-arrays Welford bank: count/mean/m2/min/max live in
-    /// parallel `f64` arrays and every frame updates all 106 lanes in
-    /// one branch-free, vectorizable pass ([`WelfordColumns`]). Reset
-    /// keeps the allocations, so a steady-state window touches no
-    /// allocator at all.
-    Columns(WelfordColumns),
-}
-
-impl Accum {
-    fn for_layout(layout: CoarsenLayout) -> Self {
-        match layout {
-            CoarsenLayout::Rows => Self::Rows(vec![Welford::new(); METRIC_COUNT]),
-            CoarsenLayout::Columns => Self::Columns(WelfordColumns::new(METRIC_COUNT)),
-        }
+        self.order.len()
     }
 }
 
@@ -265,19 +176,6 @@ impl WindowAggregator {
 
     /// Creates a coarsener with an explicit ingest policy.
     pub fn with_policy(node: NodeId, window_s: f64, policy: IngestPolicy) -> Self {
-        Self::with_layout(node, window_s, policy, CoarsenLayout::default())
-    }
-
-    /// Creates a coarsener with an explicit ingest policy and
-    /// accumulation layout. The layout only changes memory layout and
-    /// instruction scheduling, never results: both layouts are
-    /// bit-identical on every input.
-    pub fn with_layout(
-        node: NodeId,
-        window_s: f64,
-        policy: IngestPolicy,
-        layout: CoarsenLayout,
-    ) -> Self {
         debug_assert!(
             window_s.is_finite() && window_s > 0.0,
             "window length must be positive"
@@ -295,13 +193,12 @@ impl WindowAggregator {
             node,
             window_s,
             policy,
-            layout,
             health: IngestHealth::default(),
             watermark: None,
-            pending: PendingStore::for_layout(layout),
+            pending: PendingStore::default(),
             current_start: None,
             last_closed: None,
-            acc: Accum::for_layout(layout),
+            acc: WelfordColumns::new(METRIC_COUNT),
             out: Vec::new(),
         }
     }
@@ -321,11 +218,6 @@ impl WindowAggregator {
         &self.policy
     }
 
-    /// The accumulation layout this aggregator runs.
-    pub fn layout(&self) -> CoarsenLayout {
-        self.layout
-    }
-
     /// Ingest-health counters accumulated so far.
     pub fn health(&self) -> IngestHealth {
         self.health
@@ -337,23 +229,8 @@ impl WindowAggregator {
 
     fn flush_current(&mut self) {
         if let Some(start) = self.current_start.take() {
-            let stats: Vec<WindowStats> = match &mut self.acc {
-                Accum::Rows(acc) => {
-                    let stats = acc.iter().map(Welford::finish).collect();
-                    for a in acc.iter_mut() {
-                        *a = Welford::new();
-                    }
-                    stats
-                }
-                Accum::Columns(bank) => {
-                    // Each lane replayed the row path's per-frame
-                    // pushes exactly, so the columnar freeze finishes
-                    // to the same bits as per-lane Welford reads.
-                    let mut stats = Vec::new();
-                    bank.finish_reset_into(&mut stats);
-                    stats
-                }
-            };
+            let mut stats = Vec::new();
+            self.acc.finish_reset_into(&mut stats);
             self.out.push(NodeWindow {
                 node: self.node,
                 window_start: start,
@@ -400,16 +277,9 @@ impl WindowAggregator {
             }
             self.current_start = Some(ws);
         }
-        match &mut self.acc {
-            Accum::Rows(acc) => {
-                for (a, &v) in acc.iter_mut().zip(values) {
-                    a.push(v as f64); // Welford ignores NaN (missing sensors)
-                }
-            }
-            // One vectorized pass over the 106 lanes; NaN handling is
-            // branch-free (masked selects) inside the bank.
-            Accum::Columns(bank) => bank.push_row(values),
-        }
+        // One vectorized pass over the 106 lanes; missing sensors (NaN)
+        // are masked out inside the bank.
+        self.acc.push_row(values);
     }
 
     /// Moves every buffered frame whose window is complete — its end is
@@ -424,25 +294,14 @@ impl WindowAggregator {
         // `accumulate` call without a per-frame row copy. Nothing on
         // the accumulate path touches `self.pending`.
         let mut pending = std::mem::take(&mut self.pending);
-        match &mut pending {
-            PendingStore::Boxes(map) => {
-                while map.first_key_value().is_some_and(|(&k, _)| k < cutoff) {
-                    if let Some((k, values)) = map.pop_first() {
-                        self.accumulate(k as f64 / 1000.0, &values);
-                    }
-                }
+        while let Some(&(k, idx)) = pending.order.front() {
+            if k >= cutoff {
+                break;
             }
-            PendingStore::Slab { order, slab, free } => {
-                while let Some(&(k, idx)) = order.front() {
-                    if k >= cutoff {
-                        break;
-                    }
-                    order.pop_front();
-                    let at = idx as usize * METRIC_COUNT;
-                    self.accumulate(k as f64 / 1000.0, &slab[at..at + METRIC_COUNT]);
-                    free.push(idx);
-                }
-            }
+            pending.order.pop_front();
+            let at = idx as usize * METRIC_COUNT;
+            self.accumulate(k as f64 / 1000.0, &pending.slab[at..at + METRIC_COUNT]);
+            pending.free.push(idx);
         }
         self.pending = pending;
         if let Some(cur) = self.current_start {
@@ -551,7 +410,6 @@ impl WindowAggregator {
 pub struct StreamingCoarsener {
     window_s: f64,
     policy: IngestPolicy,
-    layout: CoarsenLayout,
     slots: Vec<Option<WindowAggregator>>,
 }
 
@@ -564,23 +422,11 @@ impl StreamingCoarsener {
 
     /// Creates a coarsener with an explicit ingest policy.
     pub fn with_policy(slots: usize, window_s: f64, policy: IngestPolicy) -> Self {
-        Self::with_layout(slots, window_s, policy, CoarsenLayout::default())
-    }
-
-    /// Creates a coarsener with an explicit ingest policy and
-    /// per-slot accumulation layout.
-    pub fn with_layout(
-        slots: usize,
-        window_s: f64,
-        policy: IngestPolicy,
-        layout: CoarsenLayout,
-    ) -> Self {
         let mut v = Vec::new();
         v.resize_with(slots, || None);
         Self {
             window_s,
             policy,
-            layout,
             slots: v,
         }
     }
@@ -593,7 +439,7 @@ impl StreamingCoarsener {
             self.slots.resize_with(slot + 1, || None);
         }
         let agg = self.slots[slot].get_or_insert_with(|| {
-            WindowAggregator::with_layout(frame.node, self.window_s, self.policy, self.layout)
+            WindowAggregator::with_policy(frame.node, self.window_s, self.policy)
         });
         agg.push(frame)
     }
@@ -660,18 +506,6 @@ pub fn coarsen_parallel_with_health(
     frames_by_node: &[Vec<NodeFrame>],
     window_s: f64,
 ) -> (Vec<Vec<NodeWindow>>, IngestHealth) {
-    coarsen_parallel_layout(frames_by_node, window_s, CoarsenLayout::default())
-}
-
-/// Like [`coarsen_parallel_with_health`] with an explicit accumulation
-/// layout — the bench AoS-vs-SoA leg and the bit-identity tests call
-/// this with [`CoarsenLayout::Rows`] to compare the row-structured
-/// reference against the columnar default.
-pub fn coarsen_parallel_layout(
-    frames_by_node: &[Vec<NodeFrame>],
-    window_s: f64,
-    layout: CoarsenLayout,
-) -> (Vec<Vec<NodeWindow>>, IngestHealth) {
     let _obs = summit_obs::span("summit_telemetry_coarsen");
     // Fold each worker chunk into (windows, health) directly and merge
     // the per-chunk accumulators in chunk order: no barrier collect of
@@ -683,12 +517,7 @@ pub fn coarsen_parallel_layout(
             let Some(first) = frames.first() else {
                 return (Vec::new(), IngestHealth::default());
             };
-            let mut agg = WindowAggregator::with_layout(
-                first.node,
-                window_s,
-                IngestPolicy::default(),
-                layout,
-            );
+            let mut agg = WindowAggregator::new(first.node, window_s);
             for f in frames {
                 let _ = agg.push(f); // faults are counted in health
             }
@@ -1077,6 +906,7 @@ mod tests {
             for (x, y) in wa.iter().zip(wb) {
                 assert_eq!(x.node, y.node);
                 assert_eq!(x.window_start.to_bits(), y.window_start.to_bits());
+                assert_eq!(x.stats.len(), y.stats.len());
                 for (sx, sy) in x.stats.iter().zip(&y.stats) {
                     assert_eq!(sx.count, sy.count);
                     assert_eq!(sx.mean.to_bits(), sy.mean.to_bits());
@@ -1103,6 +933,11 @@ mod tests {
                             catalog::cpu_power(crate::ids::Socket::P0),
                             ((i * 13) % 29) as f64 * 1e6,
                         );
+                        // Twelve orders of magnitude within one window.
+                        f.set(
+                            catalog::gpu_power(crate::ids::GpuSlot(0)),
+                            ((i * 7919) % 1000) as f64 * 10f64.powi((i % 13) as i32 - 6),
+                        );
                         f
                     })
                     .collect();
@@ -1118,39 +953,83 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn columns_layout_matches_rows_reference_bitwise() {
-        let batches = adversarial_batches(5);
-        let (rows, rows_health) = coarsen_parallel_layout(&batches, 10.0, CoarsenLayout::Rows);
-        let (cols, cols_health) = coarsen_parallel_layout(&batches, 10.0, CoarsenLayout::Columns);
-        assert_eq!(rows_health, cols_health);
-        assert_windows_bitwise_eq(&rows, &cols);
+    /// Scalar reference for the columnar coarsener: each node's admitted
+    /// frames sorted by sample time, grouped into `floor(t/10)*10`
+    /// windows and folded metric by metric with [`Welford::push`]. The
+    /// inputs it serves are gap-free, so it emits no gap windows.
+    fn scalar_oracle(admitted: &[&[NodeFrame]]) -> Vec<Vec<NodeWindow>> {
+        admitted
+            .iter()
+            .map(|frames| {
+                let mut sorted = frames.to_vec();
+                sorted.sort_by(|a, b| a.t_sample.total_cmp(&b.t_sample));
+                let mut windows: std::collections::BTreeMap<i64, Vec<Welford>> =
+                    std::collections::BTreeMap::new();
+                for f in &sorted {
+                    let k = (f.t_sample / PAPER_WINDOW_S).floor() as i64;
+                    let acc = windows
+                        .entry(k)
+                        .or_insert_with(|| vec![Welford::new(); METRIC_COUNT]);
+                    for (w, &v) in acc.iter_mut().zip(&f.values) {
+                        w.push(f64::from(v));
+                    }
+                }
+                windows
+                    .into_iter()
+                    .map(|(k, acc)| NodeWindow {
+                        node: sorted[0].node,
+                        window_start: k as f64 * PAPER_WINDOW_S,
+                        stats: acc.iter().map(Welford::finish).collect(),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The oracle over [`adversarial_batches`] minus each node's two
+    /// trailing faulty frames, plus the health every node must report:
+    /// with the 5 s horizon and the watermark at 89 s, both trailing
+    /// frames are late (the `t=42` copy fails the lateness check before
+    /// dedup ever sees it).
+    fn adversarial_reference(batches: &[Vec<NodeFrame>]) -> (Vec<Vec<NodeWindow>>, u64, u64) {
+        let admitted: Vec<&[NodeFrame]> = batches.iter().map(|b| &b[..90]).collect();
+        let nodes = batches.len() as u64;
+        (scalar_oracle(&admitted), 90 * nodes, 2 * nodes)
     }
 
     #[test]
-    fn streaming_layouts_match_bitwise() {
+    fn batch_coarsening_matches_scalar_oracle_bitwise() {
+        let batches = adversarial_batches(5);
+        let (oracle, accepted, late) = adversarial_reference(&batches);
+        let (windows, health) = coarsen_parallel_with_health(&batches, PAPER_WINDOW_S);
+        assert_eq!(health.accepted, accepted);
+        assert_eq!(health.late_dropped, late);
+        assert_eq!(health.duplicates, 0);
+        assert_windows_bitwise_eq(&oracle, &windows);
+    }
+
+    #[test]
+    fn streaming_coarsening_matches_scalar_oracle_bitwise() {
         let batches = adversarial_batches(3);
-        let run = |layout: CoarsenLayout| {
-            let mut sc = StreamingCoarsener::with_layout(3, 10.0, IngestPolicy::default(), layout);
-            let mut drained: Vec<Vec<NodeWindow>> = vec![Vec::new(); 3];
-            for i in 0..batches[0].len() {
-                for (n, node_frames) in batches.iter().enumerate() {
-                    let _ = sc.push(n, &node_frames[i]);
-                }
-                for w in sc.drain_completed() {
-                    drained[w.node.index()].push(w);
-                }
+        let (oracle, accepted, late) = adversarial_reference(&batches);
+        let mut sc = StreamingCoarsener::new(3, PAPER_WINDOW_S);
+        let mut drained: Vec<Vec<NodeWindow>> = vec![Vec::new(); 3];
+        for i in 0..batches[0].len() {
+            for (n, node_frames) in batches.iter().enumerate() {
+                let _ = sc.push(n, &node_frames[i]);
             }
-            let (tail, health) = sc.finish_with_health();
-            for (n, t) in tail.into_iter().enumerate() {
-                drained[n].extend(t);
+            for w in sc.drain_completed() {
+                drained[w.node.index()].push(w);
             }
-            (drained, health)
-        };
-        let (rows, rows_health) = run(CoarsenLayout::Rows);
-        let (cols, cols_health) = run(CoarsenLayout::Columns);
-        assert_eq!(rows_health, cols_health);
-        assert_windows_bitwise_eq(&rows, &cols);
+        }
+        let (tail, health) = sc.finish_with_health();
+        for (n, t) in tail.into_iter().enumerate() {
+            drained[n].extend(t);
+        }
+        assert_eq!(health.accepted, accepted);
+        assert_eq!(health.late_dropped, late);
+        assert_eq!(health.duplicates, 0);
+        assert_windows_bitwise_eq(&oracle, &drained);
     }
 
     #[test]
@@ -1161,13 +1040,10 @@ mod tests {
         for i in 0..200 {
             agg.push(&frame(0, i as f64, i as f64)).unwrap();
         }
-        let PendingStore::Slab { slab, .. } = &agg.pending else {
-            panic!("columns layout must use the slab store");
-        };
+        let rows = agg.pending.slab.len() / METRIC_COUNT;
         assert!(
-            slab.len() / METRIC_COUNT <= 32,
-            "slab rows must stay bounded by horizon + window, got {}",
-            slab.len() / METRIC_COUNT
+            rows <= 32,
+            "slab rows must stay bounded by horizon + window, got {rows}"
         );
     }
 

@@ -6,7 +6,6 @@
 //! fires. See `src/main.rs` for the CLI.
 
 pub mod ast;
-pub mod bench_compare;
 pub mod expr;
 pub mod json_report;
 pub mod lex;

@@ -61,7 +61,6 @@ const USAGE: &str = "\
 usage: cargo xtask lint [--rule <name>]... [--strict-indexing] [--json]
        cargo xtask ratchet
        cargo xtask trace-validate <trace.json>
-       cargo xtask bench-compare <baseline.json> <fresh.json>
 
 rules: determinism | panic-freedom | spec-constants | registry | obs-coverage
        | parallelism | hash-order | float-reduction | lossy-cast
@@ -79,11 +78,6 @@ trace-validate     parse a summit-trace/1 Chrome trace with core::json and
                    check phases, pid/tid/ts fields, per-tid B/E balance and
                    thread_name track metadata
 
-bench-compare      diff a fresh summit-perf/3 BENCH_perf.json against the
-                   committed baseline on dimensionless per-stage speedups:
-                   fail any stage regressing >10%, skip sub-noise-floor
-                   stages, tolerate a skipped gate (one-core host)
-
 exit codes: 0 clean · 1 violations · 2 internal lint error
 ";
 
@@ -97,11 +91,6 @@ fn main() -> ExitCode {
         Some("lint") => {}
         Some("ratchet") => return run_ratchet(),
         Some("trace-validate") => return run_trace_validate(iter.next().map(String::as_str)),
-        Some("bench-compare") => {
-            let baseline = iter.next().map(String::as_str);
-            let fresh = iter.next().map(String::as_str);
-            return run_bench_compare(baseline, fresh);
-        }
         Some("--help" | "-h" | "help") | None => {
             print!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -286,44 +275,6 @@ fn run_trace_validate(path: Option<&str>) -> ExitCode {
                 println!("error: [trace] {path}: {e}");
             }
             println!("xtask trace-validate: {} error(s)", errors.len());
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `cargo xtask bench-compare` — the per-stage perf-regression gate.
-fn run_bench_compare(baseline: Option<&str>, fresh: Option<&str>) -> ExitCode {
-    let (Some(baseline), Some(fresh)) = (baseline, fresh) else {
-        eprintln!("bench-compare requires <baseline.json> <fresh.json>\n{USAGE}");
-        return ExitCode::from(EXIT_INTERNAL);
-    };
-    let read = |path: &str| -> Result<String, ExitCode> {
-        std::fs::read_to_string(path).map_err(|e| {
-            eprintln!("xtask bench-compare: cannot read {path}: {e}");
-            ExitCode::from(EXIT_INTERNAL)
-        })
-    };
-    let base_text = match read(baseline) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-    let fresh_text = match read(fresh) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-    match xtask::bench_compare::compare(&base_text, &fresh_text) {
-        Ok(report) => {
-            println!(
-                "xtask bench-compare: {baseline} vs {fresh}: {}",
-                xtask::bench_compare::summary(&report)
-            );
-            ExitCode::SUCCESS
-        }
-        Err(errors) => {
-            for e in &errors {
-                println!("error: [bench-compare] {e}");
-            }
-            println!("xtask bench-compare: {} error(s)", errors.len());
             ExitCode::FAILURE
         }
     }
