@@ -46,7 +46,8 @@ fn main() -> std::io::Result<()> {
     }
 
     let nodes = engine.topology().node_count();
-    let mut frames_by_node = vec![Vec::with_capacity(duration); nodes];
+    let mut frames_by_node: Vec<Vec<_>> =
+        (0..nodes).map(|_| Vec::with_capacity(duration)).collect();
     let mut ceps = Vec::with_capacity(duration);
     for _ in 0..duration {
         let out = engine.step_opts(&StepOptions {

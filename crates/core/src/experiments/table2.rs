@@ -92,7 +92,8 @@ pub struct Table2Result {
 /// emitted frames by node. Shared by the batch loop and the streaming
 /// producer thread so both modes generate identical frames.
 fn generate_minute(engine: &mut Engine, nodes: usize) -> Vec<Vec<NodeFrame>> {
-    let mut frames_by_node: Vec<Vec<NodeFrame>> = vec![Vec::with_capacity(60); nodes];
+    let mut frames_by_node: Vec<Vec<NodeFrame>> =
+        (0..nodes).map(|_| Vec::with_capacity(60)).collect();
     {
         let _obs = summit_obs::span("summit_core_frame_generation");
         for _ in 0..60 {
@@ -130,7 +131,7 @@ fn process_minute(
     all_stats.merge(&stats);
     // Re-shard by node for archival + coarsening.
     let _obs = summit_obs::span("summit_core_archive_coarsen");
-    let mut by_node: Vec<Vec<NodeFrame>> = vec![Vec::with_capacity(60); nodes];
+    let mut by_node: Vec<Vec<NodeFrame>> = (0..nodes).map(|_| Vec::with_capacity(60)).collect();
     for f in collected {
         by_node[f.node.index()].push(f);
     }

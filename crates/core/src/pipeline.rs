@@ -13,6 +13,7 @@
 use crate::monitoring::{Alert, OpsConsole};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use summit_analysis::series::Series;
 use summit_sim::engine::{Engine, EngineConfig, StepOptions, TickOutput};
@@ -23,11 +24,10 @@ use summit_sim::power::PowerModel;
 use summit_sim::spec;
 use summit_telemetry::batch::FrameBatch;
 use summit_telemetry::delivery::NodeDelivery;
+use summit_telemetry::ingest::{IngestHealth, IngestPolicy};
 use summit_telemetry::records::{NodeFrame, XidEvent};
-use summit_telemetry::stream::{FaultConfig, FaultInjector, IngestStats, InjectedFaults};
-use summit_telemetry::window::{
-    coarsen_parallel_with_health, NodeWindow, StreamingCoarsener, PAPER_WINDOW_S,
-};
+use summit_telemetry::stream::{FaultConfig, IngestStats, InjectedFaults};
+use summit_telemetry::window::{NodeWindow, WindowAggregator, PAPER_WINDOW_S};
 
 /// The scaled statistical-year scenario.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -323,8 +323,8 @@ pub fn quick_dynamics(cabinets: usize, duration_s: f64) -> DynamicsRun {
 }
 
 /// A completed telemetry-path run: frames generated by the engine,
-/// delivered through the (optionally faulty) simulated fabric in
-/// arrival order, and coarsened fault-tolerantly.
+/// delivered per node through the (optionally faulty) simulated fabric
+/// in arrival order, and coarsened fault-tolerantly.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TelemetryRun {
     /// Coarsened 10 s windows per node.
@@ -340,12 +340,13 @@ pub struct TelemetryRun {
     pub summary: String,
 }
 
-/// Builds the end-of-run summary line from registry counters. All
+/// Builds the end-of-run summary line of the executor `entry` from
+/// registry counters; `extra` is appended before the wall time. All
 /// values except wall time are deterministic for a fixed seed.
-fn telemetry_summary(snap: &summit_obs::Snapshot, wall_s: f64) -> String {
+fn run_summary(entry: &str, snap: &summit_obs::Snapshot, extra: &str, wall_s: f64) -> String {
     let c = |name: &str| snap.counter(name).unwrap_or(0);
     format!(
-        "[obs] run_telemetry: jobs={} frames offered={} admitted={} dropped={} windows={} wall={:.3}s",
+        "[obs] {entry}: jobs={} frames offered={} admitted={} dropped={} windows={}{extra} wall={:.3}s",
         c("summit_core_jobs_generated_total"),
         c("summit_core_frames_offered_total"),
         c("summit_telemetry_frames_accepted_total"),
@@ -355,36 +356,17 @@ fn telemetry_summary(snap: &summit_obs::Snapshot, wall_s: f64) -> String {
     )
 }
 
-/// Frame→window→alert latencies (seconds) of a delivered frame stream.
+/// Incremental per-node frame→window→alert latency accounting (seconds),
+/// fed one delivered frame at a time.
 ///
 /// An alert can fire no earlier than the moment its 10 s window closes,
 /// and the coarsener closes a window once the per-node watermark (max
-/// `t_sample` seen) has advanced `horizon_s` past the window's end. This
-/// replays each node's batch in delivery order and, for every window,
-/// records `t_close - window_start`, where `t_close` is the ingest time
-/// of the frame whose arrival closed the window (windows still open at
-/// end of stream close at the node's last ingest time). Deterministic
-/// for a fixed seed: only simulated timestamps enter the computation.
-fn frame_to_alert_latencies(
-    delivered: &[Vec<NodeFrame>],
-    window_s: f64,
-    horizon_s: f64,
-) -> Vec<f64> {
-    let mut out = Vec::new();
-    for batch in delivered {
-        let mut tracker = AlertLatencyTracker::new(window_s, horizon_s);
-        for f in batch {
-            tracker.observe(f);
-        }
-        out.extend(tracker.finish());
-    }
-    out
-}
-
-/// Incremental per-node frame→alert latency accounting: the exact loop
-/// body of [`frame_to_alert_latencies`], fed one delivered frame at a
-/// time so the streaming pipeline records the same latency multiset the
-/// batch replay would, live.
+/// `t_sample` seen) has advanced `horizon_s` past the window's end. For
+/// every window this records `t_close - window_start`, where `t_close`
+/// is the ingest time of the frame whose arrival closed the window
+/// (windows still open at end of stream close at the node's last ingest
+/// time). Deterministic for a fixed seed: only simulated timestamps
+/// enter the computation.
 struct AlertLatencyTracker {
     window_s: f64,
     horizon_s: f64,
@@ -445,11 +427,249 @@ impl AlertLatencyTracker {
     }
 }
 
+/// Engine ticks per consumer group: the streaming channel's default
+/// batch shape, which the batch executor steps in as well.
+const TICKS_PER_GROUP: usize = 16;
+
+/// The frame→alert latency histogram both executors record.
+const LATENCY_HISTOGRAM: &str = "summit_core_frame_to_alert_latency_seconds";
+
+/// Engine options that fill the tick's columnar frame batch.
+fn frame_options() -> StepOptions {
+    StepOptions {
+        frames: true,
+        ..StepOptions::default()
+    }
+}
+
+/// One node's consumer state: its delivery through the fabric, the
+/// stages behind it and the buffer between them. Lane `i` consumes row
+/// `i` of every tick batch, so a pool worker keeps one node's state
+/// cache-hot across a whole group of ticks.
+struct NodeLane {
+    delivery: NodeDelivery,
+    /// Frames the fabric released, on their way to the stages (reused).
+    released: Vec<NodeFrame>,
+    stages: NodeStages,
+}
+
+/// The per-node stages behind the fabric. Every delivered frame passes
+/// them in this order: latency tracker, ingest stats, coarsener.
+struct NodeStages {
+    tracker: AlertLatencyTracker,
+    stats: IngestStats,
+    /// Created from the first delivered frame, keyed to its node.
+    coarsener: Option<WindowAggregator>,
+    /// Closed latencies the calling thread has already recorded.
+    latencies_seen: usize,
+}
+
+impl NodeStages {
+    fn ingest(&mut self, f: &NodeFrame) {
+        self.tracker.observe(f);
+        self.stats.observe(f);
+        let coarsener = self
+            .coarsener
+            .get_or_insert_with(|| WindowAggregator::new(f.node, PAPER_WINDOW_S));
+        let _ = coarsener.push(f); // faults are counted in its health
+    }
+}
+
+impl NodeLane {
+    fn new(faults: FaultConfig) -> Self {
+        let horizon_s = IngestPolicy::default().lateness_horizon_s;
+        Self {
+            delivery: NodeDelivery::new(faults),
+            released: Vec::new(),
+            stages: NodeStages {
+                tracker: AlertLatencyTracker::new(PAPER_WINDOW_S, horizon_s),
+                stats: IngestStats::default(),
+                coarsener: None,
+                latencies_seen: 0,
+            },
+        }
+    }
+
+    /// Offers this lane's row of each tick batch, in tick order, and
+    /// runs every frame the fabric releases through the stages.
+    fn consume(&mut self, row: usize, group: &[FrameBatch]) {
+        for batch in group {
+            self.delivery
+                .offer(batch.read_frame(row), &mut self.released);
+            for f in self.released.drain(..) {
+                self.stages.ingest(&f);
+            }
+        }
+    }
+
+    /// Frames held between the fabric and closed windows.
+    fn resident(&self) -> usize {
+        let pending = self.stages.coarsener.as_ref();
+        self.delivery.resident() + pending.map_or(0, WindowAggregator::pending_len)
+    }
+
+    /// Windows closed since the last drain.
+    fn drain_windows(&mut self) -> Vec<NodeWindow> {
+        let coarsener = self.stages.coarsener.as_mut();
+        coarsener.map_or_else(Vec::new, WindowAggregator::drain_completed)
+    }
+}
+
+/// Consumes one group of tick batches and returns the frames offered.
+/// Lane `i` reads row `i` of each batch on the pool; then the calling
+/// thread records the newly closed alert latencies in node-index order.
+/// Lanes share no state and the chunk grid depends only on the lane
+/// count, so no thread count or schedule can change a bit.
+fn consume_group(lanes: &mut [NodeLane], group: &[FrameBatch]) -> u64 {
+    debug_assert!(group.iter().all(|b| b.len() == lanes.len()));
+    {
+        let _obs = summit_obs::span("summit_telemetry_coarsen");
+        let _: Vec<()> = lanes
+            .iter_mut()
+            .enumerate()
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .map(|(row, lane)| lane.consume(row, group))
+            .collect();
+    }
+    let histogram = summit_obs::histogram(LATENCY_HISTOGRAM);
+    for lane in lanes.iter_mut() {
+        let stages = &mut lane.stages;
+        for &lat in &stages.tracker.closed()[stages.latencies_seen..] {
+            histogram.observe(lat);
+        }
+        stages.latencies_seen = stages.tracker.closed().len();
+    }
+    group.iter().map(|b| b.len() as u64).sum()
+}
+
+/// What a finished run's lanes add up to.
+struct LaneTotals {
+    windows_by_node: Vec<Vec<NodeWindow>>,
+    stats: IngestStats,
+    injected: InjectedFaults,
+    /// Every closed window's frame→alert latency.
+    latencies: Vec<f64>,
+}
+
+/// The tail both executors share, run on the calling thread in
+/// node-index order. Each lane drains its fabric (reorder heap and
+/// swap hold) through its stages and closes its coarsener; the node's
+/// tail windows go to `on_tail`, when there are any, and then onto its
+/// entry of `windows_by_node` (one entry per lane). Stats, health and
+/// injected faults merge in node order, so the float delay sum always
+/// has the same association, and the run's ingest counters are
+/// published.
+fn finish_lanes(
+    lanes: Vec<NodeLane>,
+    mut windows_by_node: Vec<Vec<NodeWindow>>,
+    mut on_tail: impl FnMut(&[NodeWindow]),
+) -> LaneTotals {
+    windows_by_node.resize_with(lanes.len(), Vec::new);
+    let histogram = summit_obs::histogram(LATENCY_HISTOGRAM);
+    let mut stats = IngestStats::default();
+    let mut health = IngestHealth::default();
+    let mut injected = InjectedFaults::default();
+    let mut latencies = Vec::new();
+    for (lane, windows) in lanes.into_iter().zip(&mut windows_by_node) {
+        let NodeLane {
+            delivery,
+            mut released,
+            mut stages,
+        } = lane;
+        injected.merge(&delivery.finish(&mut released));
+        for f in &released {
+            stages.ingest(f);
+        }
+        let node_latencies = stages.tracker.finish();
+        for &lat in &node_latencies[stages.latencies_seen..] {
+            histogram.observe(lat);
+        }
+        latencies.extend(node_latencies);
+        stats.merge(&stages.stats);
+        if let Some(coarsener) = stages.coarsener {
+            let (tail, node_health) = coarsener.finish_with_health();
+            health.merge(&node_health);
+            if !tail.is_empty() {
+                on_tail(&tail);
+                windows.extend(tail);
+            }
+        }
+    }
+    stats.health = health;
+    stats.publish_obs();
+    let windows: usize = windows_by_node.iter().map(Vec::len).sum();
+    summit_obs::counter("summit_telemetry_windows_total").inc_by(windows as u64);
+    summit_obs::counter("summit_telemetry_frames_accepted_total").inc_by(health.accepted);
+    summit_obs::counter("summit_telemetry_frames_dropped_total").inc_by(health.dropped());
+    LaneTotals {
+        windows_by_node,
+        stats,
+        injected,
+        latencies,
+    }
+}
+
+/// Publishes the frame→alert SLO gauges, p50 and p99 of the run's
+/// closed-window latencies, plus their trace counter tracks when a
+/// trace is live. Sorting first makes the percentiles independent of
+/// the order the latencies were collected in.
+fn publish_alert_latency(latencies: &mut [f64], stats: &IngestStats) {
+    let _obs = summit_obs::span("summit_core_alert_latency");
+    latencies.sort_by(f64::total_cmp);
+    let pct = |q: f64| {
+        if latencies.is_empty() {
+            f64::NAN
+        } else {
+            let idx = ((latencies.len() - 1) as f64 * q).round() as usize;
+            latencies.get(idx).copied().unwrap_or(f64::NAN)
+        }
+    };
+    let (p50, p99) = (pct(0.50), pct(0.99));
+    summit_obs::gauge("summit_core_frame_to_alert_p50_seconds").set(p50);
+    summit_obs::gauge("summit_core_frame_to_alert_p99_seconds").set(p99);
+    if let Some(tc) = summit_obs::trace::current() {
+        // Simulated-time values: deterministic under any clock.
+        tc.counter("summit_core_frame_to_alert_p50_seconds", p50);
+        tc.counter("summit_core_frame_to_alert_p99_seconds", p99);
+        tc.counter(
+            "summit_telemetry_ingest_mean_delay_seconds",
+            stats.mean_delay_s(),
+        );
+    }
+}
+
+/// Publishes the run's frames and windows per wall second.
+fn publish_wall_rates(offered: u64, windows_by_node: &[Vec<NodeWindow>], wall_s: f64) {
+    if wall_s <= 0.0 {
+        return;
+    }
+    let windows: usize = windows_by_node.iter().map(Vec::len).sum();
+    summit_obs::gauge("summit_core_frames_per_wall_second").set(offered as f64 / wall_s);
+    summit_obs::gauge("summit_core_windows_per_wall_second").set(windows as f64 / wall_s);
+    if let Some(tc) = summit_obs::trace::current() {
+        // Wall-derived rate: only meaningful (and only allowed —
+        // byte-identity would break) under the wall clock.
+        if tc.clock() == summit_obs::trace::TraceClock::Wall {
+            tc.counter(
+                "summit_core_frames_per_wall_second",
+                offered as f64 / wall_s,
+            );
+        }
+    }
+}
+
 /// Runs the telemetry path end to end on a scaled floor: engine frames
 /// at 1 Hz, per-node delivery through the propagation-delay model (plus
 /// the given fault profile, if any), then fault-tolerant 10 s
 /// coarsening. Even a clean run delivers frames in arrival order, so
 /// the coarsener's reorder buffer is always exercised.
+///
+/// The engine steps 16-tick groups into a reused set of columnar
+/// batches, and one lane per node consumes each group on the pool (see
+/// [`run_streaming`], which shares the consumer): no frame outlives
+/// its group, so memory is bounded by the reorder buffers and the
+/// windows, not by the frame count.
 ///
 /// The run installs a private [`summit_obs`] registry so its metrics
 /// are isolated per run; the resulting [`TelemetryRun::obs`] snapshot
@@ -463,129 +683,58 @@ pub fn run_telemetry(
 ) -> TelemetryRun {
     let parent = summit_obs::current();
     let registry = summit_obs::registry::Registry::new();
-    let (windows_by_node, stats, injected, wall_s) = {
+    let (totals, wall_s) = {
         let _scope = registry.install();
         let run_span = summit_obs::span("summit_core_run_telemetry");
 
         let config = EngineConfig::small(cabinets);
-        let dt = config.dt_s;
+        let n_ticks = (duration_s / config.dt_s).ceil() as usize;
         let mut engine = Engine::new(config, 0.0);
         let node_count = engine.topology().node_count();
-        let n_ticks = (duration_s / dt).ceil() as usize;
-        let mut frames_by_node: Vec<Vec<NodeFrame>> = vec![Vec::with_capacity(n_ticks); node_count];
+        let faults = faults.unwrap_or_default();
+        let mut lanes: Vec<NodeLane> = (0..node_count).map(|_| NodeLane::new(faults)).collect();
+        let mut offered = 0u64;
         {
             let _obs = summit_obs::span("summit_core_frame_generation");
-            let opts = StepOptions {
-                frames: true,
-                ..StepOptions::default()
-            };
-            // One columnar tick batch, reset (never reallocated) every
-            // tick: the engine writes metric columns in place and the
-            // router reads back the exact row frames the old path
-            // built — the steady-state tick loop touches no allocator.
-            let mut tick_batch = FrameBatch::with_capacity(node_count);
-            for _ in 0..n_ticks {
-                {
+            let opts = frame_options();
+            // One group of columnar tick batches, reset (never
+            // reallocated) every group: the engine writes metric columns
+            // in place and the lanes read their rows straight back out.
+            let mut group: Vec<FrameBatch> = (0..TICKS_PER_GROUP.min(n_ticks))
+                .map(|_| FrameBatch::with_capacity(node_count))
+                .collect();
+            for start in (0..n_ticks).step_by(TICKS_PER_GROUP) {
+                let group = &mut group[..TICKS_PER_GROUP.min(n_ticks - start)];
+                for batch in group.iter_mut() {
                     let _tick_obs = summit_obs::span("summit_core_engine_tick");
-                    let _ = engine.step_batch(&opts, &mut tick_batch);
+                    let _ = engine.step_batch(&opts, batch);
                 }
-                for row in 0..tick_batch.len() {
-                    let f = tick_batch.read_frame(row);
-                    if let Some(batch) = frames_by_node.get_mut(f.node.index()) {
-                        batch.push(f);
-                    }
-                }
+                offered += consume_group(&mut lanes, group);
             }
         }
         summit_obs::counter("summit_core_engine_ticks_total").inc_by(n_ticks as u64);
         let sched = engine.scheduler_ref();
         let jobs = sched.running().len() + sched.completed().len();
         summit_obs::counter("summit_core_jobs_generated_total").inc_by(jobs as u64);
-        let offered: usize = frames_by_node.iter().map(Vec::len).sum();
-        summit_obs::counter("summit_core_frames_offered_total").inc_by(offered as u64);
+        summit_obs::counter("summit_core_frames_offered_total").inc_by(offered);
 
-        let mut injector = FaultInjector::new(faults.unwrap_or_default());
-        let delivered: Vec<Vec<NodeFrame>> = {
+        let mut totals = {
             let _obs = summit_obs::span("summit_core_fault_injection");
-            frames_by_node
-                .into_iter()
-                .map(|batch| injector.deliver(batch))
-                .collect()
+            finish_lanes(lanes, Vec::new(), |_| {})
         };
-        // Canonical stats association: accumulate per node, merge in
-        // node-index order. The streaming pipeline uses the same
-        // grouping, so the float delay sums agree to the bit.
-        let mut stats = IngestStats::default();
-        for batch in &delivered {
-            let mut node_stats = IngestStats::default();
-            for f in batch {
-                node_stats.observe(f);
-            }
-            stats.merge(&node_stats);
-        }
-        let (windows_by_node, health) = coarsen_parallel_with_health(&delivered, PAPER_WINDOW_S);
-        stats.health = health;
-        stats.publish_obs();
-
-        {
-            // ROADMAP item 2: SLO-style frame→alert latency, recorded as
-            // both a histogram and (when a trace is live) counter tracks.
-            let _obs = summit_obs::span("summit_core_alert_latency");
-            let horizon_s = summit_telemetry::ingest::IngestPolicy::default().lateness_horizon_s;
-            let mut latencies = frame_to_alert_latencies(&delivered, PAPER_WINDOW_S, horizon_s);
-            let histogram = summit_obs::histogram("summit_core_frame_to_alert_latency_seconds");
-            for &v in &latencies {
-                histogram.observe(v);
-            }
-            latencies.sort_by(f64::total_cmp);
-            let pct = |q: f64| {
-                if latencies.is_empty() {
-                    f64::NAN
-                } else {
-                    let idx = ((latencies.len() - 1) as f64 * q).round() as usize;
-                    latencies.get(idx).copied().unwrap_or(f64::NAN)
-                }
-            };
-            let (p50, p99) = (pct(0.50), pct(0.99));
-            summit_obs::gauge("summit_core_frame_to_alert_p50_seconds").set(p50);
-            summit_obs::gauge("summit_core_frame_to_alert_p99_seconds").set(p99);
-            if let Some(tc) = summit_obs::trace::current() {
-                // Simulated-time values: deterministic under any clock.
-                tc.counter("summit_core_frame_to_alert_p50_seconds", p50);
-                tc.counter("summit_core_frame_to_alert_p99_seconds", p99);
-                tc.counter(
-                    "summit_telemetry_ingest_mean_delay_seconds",
-                    stats.mean_delay_s(),
-                );
-            }
-        }
-
+        publish_alert_latency(&mut totals.latencies, &totals.stats);
         let wall_s = run_span.elapsed_s();
-        let windows: usize = windows_by_node.iter().map(Vec::len).sum();
-        if wall_s > 0.0 {
-            summit_obs::gauge("summit_core_frames_per_wall_second").set(offered as f64 / wall_s);
-            summit_obs::gauge("summit_core_windows_per_wall_second").set(windows as f64 / wall_s);
-            if let Some(tc) = summit_obs::trace::current() {
-                // Wall-derived rate: only meaningful (and only allowed —
-                // byte-identity would break) under the wall clock.
-                if tc.clock() == summit_obs::trace::TraceClock::Wall {
-                    tc.counter(
-                        "summit_core_frames_per_wall_second",
-                        offered as f64 / wall_s,
-                    );
-                }
-            }
-        }
-        (windows_by_node, stats, injector.injected(), wall_s)
+        publish_wall_rates(offered, &totals.windows_by_node, wall_s);
+        (totals, wall_s)
     };
     let obs = registry.snapshot();
     parent.absorb(&obs);
-    let summary = telemetry_summary(&obs, wall_s);
+    let summary = run_summary("run_telemetry", &obs, "", wall_s);
     println!("{summary}");
     TelemetryRun {
-        windows_by_node,
-        stats,
-        injected,
+        windows_by_node: totals.windows_by_node,
+        stats: totals.stats,
+        injected: totals.injected,
         obs,
         summary,
     }
@@ -605,7 +754,8 @@ pub struct StreamConfig {
     /// Bounded channel capacity (tick batches) between the producer and
     /// the consumer; the producer blocks when the consumer lags.
     pub channel_capacity: usize,
-    /// Engine ticks per channel batch.
+    /// Engine ticks per channel batch: the group of ticks the node
+    /// lanes consume in one pool dispatch.
     pub ticks_per_batch: usize,
 }
 
@@ -619,7 +769,7 @@ impl StreamConfig {
             faults,
             cabinet_outages: Vec::new(),
             channel_capacity: 8,
-            ticks_per_batch: 16,
+            ticks_per_batch: TICKS_PER_GROUP,
         }
     }
 }
@@ -653,20 +803,6 @@ pub struct StreamingRun {
     pub obs: summit_obs::Snapshot,
     /// One-line run summary (also printed).
     pub summary: String,
-}
-
-/// Builds the end-of-run summary line for a streaming run.
-fn streaming_summary(snap: &summit_obs::Snapshot, stalls: u64, wall_s: f64) -> String {
-    let c = |name: &str| snap.counter(name).unwrap_or(0);
-    format!(
-        "[obs] run_streaming: jobs={} frames offered={} admitted={} dropped={} windows={} stalls={stalls} wall={:.3}s",
-        c("summit_core_jobs_generated_total"),
-        c("summit_core_frames_offered_total"),
-        c("summit_telemetry_frames_accepted_total"),
-        c("summit_telemetry_frames_dropped_total"),
-        c("summit_telemetry_windows_total"),
-        wall_s,
-    )
 }
 
 /// Runs `produce` on a dedicated producer thread shipping batches over
@@ -723,10 +859,11 @@ where
 /// Runs the telemetry path as a long-running online pipeline: a
 /// producer thread steps the engine and ships tick batches over a
 /// bounded channel (blocking when the consumer lags — backpressure,
-/// not loss), while the consumer routes each node's frames through the
-/// incremental fault fabric ([`NodeDelivery`]), the incremental
-/// coarsener ([`StreamingCoarsener`]), live frame→alert latency
-/// accounting and the continuously-updating [`OpsConsole`].
+/// not loss), while the consumer hands each channel batch to the same
+/// node lanes [`run_telemetry`] uses — incremental fault fabric
+/// ([`NodeDelivery`]), live frame→alert latency accounting, ingest
+/// stats and the incremental coarsener — on the pool, then shows the
+/// windows that closed to the continuously-updating [`OpsConsole`].
 ///
 /// **Determinism:** every data output is computed from simulated
 /// timestamps in a fixed per-node order, so the run is bit-identical
@@ -750,21 +887,16 @@ pub fn run_streaming(config: StreamConfig) -> StreamingRun {
 
         let mut engine_config = EngineConfig::small(config.cabinets);
         engine_config.cabinet_outages = config.cabinet_outages.clone();
-        let dt = engine_config.dt_s;
-        let n_ticks = (config.duration_s / dt).ceil() as usize;
+        let n_ticks = (config.duration_s / engine_config.dt_s).ceil() as usize;
         let ticks_per_batch = config.ticks_per_batch.max(1);
+        let mut engine = Engine::new(engine_config, 0.0);
+        let node_count = engine.topology().node_count();
 
-        let fault_cfg = config.faults.unwrap_or_default();
-        let horizon_s = summit_telemetry::ingest::IngestPolicy::default().lateness_horizon_s;
-
-        let mut deliveries: Vec<NodeDelivery> = Vec::new();
-        let mut trackers: Vec<AlertLatencyTracker> = Vec::new();
-        let mut node_stats: Vec<IngestStats> = Vec::new();
-        let mut coarsener = StreamingCoarsener::new(0, PAPER_WINDOW_S);
+        let faults = config.faults.unwrap_or_default();
+        let mut lanes: Vec<NodeLane> = (0..node_count).map(|_| NodeLane::new(faults)).collect();
         let mut console = OpsConsole::with_defaults();
         let mut windows_by_node: Vec<Vec<NodeWindow>> = Vec::new();
-        let mut scratch: Vec<NodeFrame> = Vec::new();
-        let histogram = summit_obs::histogram("summit_core_frame_to_alert_latency_seconds");
+        windows_by_node.resize_with(node_count, Vec::new);
         let mut offered = 0u64;
         let mut live_windows = 0u64;
         let mut peak_resident = 0usize;
@@ -772,36 +904,30 @@ pub fn run_streaming(config: StreamConfig) -> StreamingRun {
 
         let jobs = stream_batches(
             config.channel_capacity,
-            move |send: &dyn Fn(Vec<(TickOutput, FrameBatch)>) -> bool| {
+            move |send: &dyn Fn((Vec<TickOutput>, Vec<FrameBatch>)) -> bool| {
                 let _gen = summit_obs::span("summit_core_frame_generation");
-                let opts = StepOptions {
-                    frames: true,
-                    ..StepOptions::default()
-                };
-                let mut engine = Engine::new(engine_config, 0.0);
-                let node_count = engine.topology().node_count();
-                let mut sent = 0usize;
-                while sent < n_ticks {
-                    let n = ticks_per_batch.min(n_ticks - sent);
-                    let mut batch = Vec::with_capacity(n);
+                let opts = frame_options();
+                for start in (0..n_ticks).step_by(ticks_per_batch) {
+                    let n = ticks_per_batch.min(n_ticks - start);
+                    let mut ticks = Vec::with_capacity(n);
+                    let mut frames = Vec::with_capacity(n);
                     for _ in 0..n {
                         let _tick_obs = summit_obs::span("summit_core_engine_tick");
                         // Ownership of each tick's columns crosses the
                         // channel, so the buffer is per tick here; the
                         // engine still writes columns, not row frames.
-                        let mut frames = FrameBatch::with_capacity(node_count);
-                        let tick = engine.step_batch(&opts, &mut frames);
-                        batch.push((tick, frames));
+                        let mut batch = FrameBatch::with_capacity(node_count);
+                        ticks.push(engine.step_batch(&opts, &mut batch));
+                        frames.push(batch);
                     }
-                    sent += n;
-                    if !send(batch) {
+                    if !send((ticks, frames)) {
                         break;
                     }
                 }
                 let sched = engine.scheduler_ref();
                 sched.running().len() + sched.completed().len()
             },
-            |batch, depth| {
+            |(ticks, frames), depth| {
                 // `depth + 1` counts the just-received batch back in,
                 // but the producer may already have refilled its slot
                 // by the time `depth` was read; the channel itself
@@ -809,49 +935,22 @@ pub fn run_streaming(config: StreamConfig) -> StreamingRun {
                 peak_depth = peak_depth.max((depth + 1).min(config.channel_capacity.max(1)));
                 summit_obs::gauge("summit_core_stream_channel_depth").set(depth as f64);
                 let _obs = summit_obs::span("summit_core_stream_consume");
-                for (tick, frames) in batch {
-                    console.observe(&tick);
-                    for row in 0..frames.len() {
-                        let f = frames.read_frame(row);
-                        offered += 1;
-                        let idx = f.node.index();
-                        if deliveries.len() <= idx {
-                            deliveries.resize_with(idx + 1, || NodeDelivery::new(fault_cfg));
-                            trackers.resize_with(idx + 1, || {
-                                AlertLatencyTracker::new(PAPER_WINDOW_S, horizon_s)
-                            });
-                            node_stats.resize_with(idx + 1, IngestStats::default);
-                        }
-                        scratch.clear();
-                        deliveries[idx].offer(f, &mut scratch);
-                        for df in scratch.drain(..) {
-                            let before = trackers[idx].closed().len();
-                            trackers[idx].observe(&df);
-                            for &lat in &trackers[idx].closed()[before..] {
-                                histogram.observe(lat);
-                            }
-                            node_stats[idx].observe(&df);
-                            if coarsener.push(idx, &df).is_err() {
-                                summit_obs::counter("summit_core_stream_frames_rejected_total")
-                                    .inc();
-                            }
-                        }
-                    }
+                for tick in &ticks {
+                    console.observe(tick);
                 }
-                let closed = coarsener.drain_completed();
+                offered += consume_group(&mut lanes, &frames);
+                let closed: Vec<NodeWindow> =
+                    lanes.iter_mut().flat_map(NodeLane::drain_windows).collect();
                 if !closed.is_empty() {
                     live_windows += closed.len() as u64;
                     console.observe_windows(&closed);
                     for w in closed {
-                        let idx = w.node.index();
-                        if windows_by_node.len() <= idx {
-                            windows_by_node.resize_with(idx + 1, Vec::new);
+                        if let Some(windows) = windows_by_node.get_mut(w.node.index()) {
+                            windows.push(w);
                         }
-                        windows_by_node[idx].push(w);
                     }
                 }
-                let resident = coarsener.resident_frames()
-                    + deliveries.iter().map(NodeDelivery::resident).sum::<usize>();
+                let resident: usize = lanes.iter().map(NodeLane::resident).sum();
                 peak_resident = peak_resident.max(resident);
             },
         );
@@ -859,115 +958,29 @@ pub fn run_streaming(config: StreamConfig) -> StreamingRun {
         summit_obs::counter("summit_core_jobs_generated_total").inc_by(jobs as u64);
         summit_obs::counter("summit_core_frames_offered_total").inc_by(offered);
 
-        // Tail: drain the reorder heaps and swap holds, then close the
-        // remaining windows — per node, in node-index order, exactly
-        // the batch association.
-        let mut injected = InjectedFaults::default();
-        let mut stats = IngestStats::default();
-        let mut latencies: Vec<f64> = Vec::new();
-        {
+        let mut totals = {
             let _obs = summit_obs::span("summit_core_stream_finish");
-            let trackers_tail = trackers;
-            for (idx, (delivery, (mut tracker, nstats))) in deliveries
-                .into_iter()
-                .zip(trackers_tail.into_iter().zip(node_stats))
-                .enumerate()
-            {
-                let mut nstats = nstats;
-                scratch.clear();
-                let counts = delivery.finish(&mut scratch);
-                injected.merge(&counts);
-                for df in scratch.drain(..) {
-                    let before = tracker.closed().len();
-                    tracker.observe(&df);
-                    for &lat in &tracker.closed()[before..] {
-                        histogram.observe(lat);
-                    }
-                    nstats.observe(&df);
-                    if coarsener.push(idx, &df).is_err() {
-                        summit_obs::counter("summit_core_stream_frames_rejected_total").inc();
-                    }
-                }
-                let before = tracker.closed().len();
-                let node_latencies = tracker.finish();
-                for &lat in &node_latencies[before..] {
-                    histogram.observe(lat);
-                }
-                latencies.extend(node_latencies);
-                stats.merge(&nstats);
-            }
-            let (tail_windows, health) = coarsener.finish_with_health();
-            for (idx, ws) in tail_windows.into_iter().enumerate() {
-                if ws.is_empty() {
-                    continue;
-                }
-                live_windows += ws.len() as u64;
-                console.observe_windows(&ws);
-                if windows_by_node.len() <= idx {
-                    windows_by_node.resize_with(idx + 1, Vec::new);
-                }
-                windows_by_node[idx].extend(ws);
-            }
+            let totals = finish_lanes(lanes, windows_by_node, |tail| {
+                live_windows += tail.len() as u64;
+                console.observe_windows(tail);
+            });
             console.finish_windows();
-            stats.health = health;
-        }
-        stats.publish_obs();
-        let windows: usize = windows_by_node.iter().map(Vec::len).sum();
-        summit_obs::counter("summit_telemetry_windows_total").inc_by(windows as u64);
-        summit_obs::counter("summit_telemetry_frames_accepted_total").inc_by(stats.health.accepted);
-        summit_obs::counter("summit_telemetry_frames_dropped_total").inc_by(stats.health.dropped());
-        console.observe_ingest(&stats);
-
-        {
-            // Live SLO gauges from the actual streaming path: the
-            // latency multiset equals the batch one, so the sorted
-            // percentiles agree to the bit.
-            let _obs = summit_obs::span("summit_core_alert_latency");
-            latencies.sort_by(f64::total_cmp);
-            let pct = |q: f64| {
-                if latencies.is_empty() {
-                    f64::NAN
-                } else {
-                    let idx = ((latencies.len() - 1) as f64 * q).round() as usize;
-                    latencies.get(idx).copied().unwrap_or(f64::NAN)
-                }
-            };
-            let (p50, p99) = (pct(0.50), pct(0.99));
-            summit_obs::gauge("summit_core_frame_to_alert_p50_seconds").set(p50);
-            summit_obs::gauge("summit_core_frame_to_alert_p99_seconds").set(p99);
-            if let Some(tc) = summit_obs::trace::current() {
-                tc.counter("summit_core_frame_to_alert_p50_seconds", p50);
-                tc.counter("summit_core_frame_to_alert_p99_seconds", p99);
-                tc.counter(
-                    "summit_telemetry_ingest_mean_delay_seconds",
-                    stats.mean_delay_s(),
-                );
-            }
-        }
-
+            totals
+        };
+        console.observe_ingest(&totals.stats);
+        publish_alert_latency(&mut totals.latencies, &totals.stats);
         summit_obs::gauge("summit_core_stream_peak_channel_depth").set(peak_depth as f64);
         summit_obs::gauge("summit_core_stream_peak_resident_frames").set(peak_resident as f64);
         let wall_s = run_span.elapsed_s();
-        if wall_s > 0.0 {
-            summit_obs::gauge("summit_core_frames_per_wall_second").set(offered as f64 / wall_s);
-            summit_obs::gauge("summit_core_windows_per_wall_second").set(windows as f64 / wall_s);
-            if let Some(tc) = summit_obs::trace::current() {
-                if tc.clock() == summit_obs::trace::TraceClock::Wall {
-                    tc.counter(
-                        "summit_core_frames_per_wall_second",
-                        offered as f64 / wall_s,
-                    );
-                }
-            }
-        }
+        publish_wall_rates(offered, &totals.windows_by_node, wall_s);
         let stalls = registry
             .snapshot()
             .counter("summit_core_stream_backpressure_stalls_total")
             .unwrap_or(0);
         let run = StreamingRun {
-            windows_by_node,
-            stats,
-            injected,
+            windows_by_node: totals.windows_by_node,
+            stats: totals.stats,
+            injected: totals.injected,
             alerts: console.drain_alerts(),
             live_windows,
             peak_resident_frames: peak_resident,
@@ -980,7 +993,7 @@ pub fn run_streaming(config: StreamConfig) -> StreamingRun {
     };
     let obs = registry.snapshot();
     parent.absorb(&obs);
-    let summary = streaming_summary(&obs, stalls, wall_s);
+    let summary = run_summary("run_streaming", &obs, &format!(" stalls={stalls}"), wall_s);
     println!("{summary}");
     run.obs = obs;
     run.summary = summary;
@@ -1095,6 +1108,25 @@ mod tests {
         assert_eq!(h.wrong_node, 0);
         // The pipeline still produces a full window grid per node.
         assert!(run.windows_by_node.iter().all(|w| !w.is_empty()));
+    }
+
+    /// Frame→alert latencies of delivered per-node frame streams,
+    /// replayed node by node in delivery order: the oracle for the
+    /// latencies the node lanes record live.
+    fn frame_to_alert_latencies(
+        delivered: &[Vec<NodeFrame>],
+        window_s: f64,
+        horizon_s: f64,
+    ) -> Vec<f64> {
+        let mut out = Vec::new();
+        for batch in delivered {
+            let mut tracker = AlertLatencyTracker::new(window_s, horizon_s);
+            for f in batch {
+                tracker.observe(f);
+            }
+            out.extend(tracker.finish());
+        }
+        out
     }
 
     #[test]
@@ -1214,6 +1246,130 @@ mod tests {
             ..FaultConfig::default()
         };
         assert_stream_matches_batch(2, 120.0, Some(faults));
+    }
+
+    /// One run's outputs as the layer APIs compute them when composed
+    /// the way the batch executor once did: every node's full row
+    /// sequence, `FaultInjector::deliver`, a node-ordered stats merge,
+    /// `coarsen_parallel_with_health` and the latency replay.
+    struct Reference {
+        windows: Vec<Vec<NodeWindow>>,
+        stats: IngestStats,
+        injected: InjectedFaults,
+        p50: f64,
+        p99: f64,
+    }
+
+    fn reference(cabinets: usize, duration_s: f64, faults: FaultConfig) -> Reference {
+        use summit_telemetry::stream::FaultInjector;
+        use summit_telemetry::window::coarsen_parallel_with_health;
+        let config = EngineConfig::small(cabinets);
+        let n_ticks = (duration_s / config.dt_s).ceil() as usize;
+        let mut engine = Engine::new(config, 0.0);
+        let node_count = engine.topology().node_count();
+        let mut rows: Vec<Vec<NodeFrame>> = (0..node_count).map(|_| Vec::new()).collect();
+        let mut batch = FrameBatch::with_capacity(node_count);
+        for _ in 0..n_ticks {
+            let _ = engine.step_batch(&frame_options(), &mut batch);
+            for row in 0..batch.len() {
+                let f = batch.read_frame(row);
+                rows[f.node.index()].push(f);
+            }
+        }
+        let mut injector = FaultInjector::new(faults);
+        let delivered: Vec<Vec<NodeFrame>> =
+            rows.into_iter().map(|r| injector.deliver(r)).collect();
+        let mut stats = IngestStats::default();
+        for frames in &delivered {
+            let mut node_stats = IngestStats::default();
+            for f in frames {
+                node_stats.observe(f);
+            }
+            stats.merge(&node_stats);
+        }
+        let (windows, health) = coarsen_parallel_with_health(&delivered, PAPER_WINDOW_S);
+        stats.health = health;
+        let horizon_s = IngestPolicy::default().lateness_horizon_s;
+        let mut latencies = frame_to_alert_latencies(&delivered, PAPER_WINDOW_S, horizon_s);
+        latencies.sort_by(f64::total_cmp);
+        let pct = |q: f64| latencies[((latencies.len() - 1) as f64 * q).round() as usize];
+        Reference {
+            windows,
+            stats,
+            injected: injector.injected(),
+            p50: pct(0.50),
+            p99: pct(0.99),
+        }
+    }
+
+    fn assert_matches_reference(
+        label: &str,
+        windows: &[Vec<NodeWindow>],
+        stats: &IngestStats,
+        injected: InjectedFaults,
+        obs: &summit_obs::Snapshot,
+        r: &Reference,
+    ) {
+        assert_windows_bitwise_eq(windows, &r.windows);
+        assert_eq!(injected, r.injected, "{label}: fault accounting");
+        let s = &r.stats;
+        assert_eq!(stats.frames, s.frames, "{label}: frames");
+        assert_eq!(stats.metrics, s.metrics, "{label}: metrics");
+        for (got, want) in [
+            (stats.total_delay_s, s.total_delay_s),
+            (stats.max_delay_s, s.max_delay_s),
+            (stats.t_first, s.t_first),
+            (stats.t_last, s.t_last),
+        ] {
+            assert_eq!(got.to_bits(), want.to_bits(), "{label}: stats float");
+        }
+        assert_eq!(stats.health, s.health, "{label}: health");
+        for (gauge, want) in [
+            ("summit_core_frame_to_alert_p50_seconds", r.p50),
+            ("summit_core_frame_to_alert_p99_seconds", r.p99),
+        ] {
+            let got = obs.gauge(gauge).expect("latency gauge");
+            assert_eq!(got.to_bits(), want.to_bits(), "{label}: {gauge}");
+        }
+    }
+
+    /// Both executors against the layer composition, not just each
+    /// other. 54 lanes make 4 pool chunks, so lanes straddle chunk
+    /// boundaries; the hostile profile drives every fault path.
+    #[test]
+    fn both_executors_match_the_layer_composition_bit_for_bit() {
+        let faults = FaultConfig {
+            drop_p: 0.02,
+            duplicate_p: 0.05,
+            delay_p: 0.05,
+            reorder_p: 0.10,
+            seed: 2020,
+            ..FaultConfig::default()
+        };
+        let r = reference(3, 120.0, faults);
+        assert!(r.injected.dropped > 0 && r.injected.reordered > 0);
+        for threads in [1, 2] {
+            rayon::with_thread_count(threads, || {
+                let b = run_telemetry(3, 120.0, Some(faults));
+                assert_matches_reference(
+                    "batch",
+                    &b.windows_by_node,
+                    &b.stats,
+                    b.injected,
+                    &b.obs,
+                    &r,
+                );
+                let s = run_streaming(StreamConfig::new(3, 120.0, Some(faults)));
+                assert_matches_reference(
+                    "stream",
+                    &s.windows_by_node,
+                    &s.stats,
+                    s.injected,
+                    &s.obs,
+                    &r,
+                );
+            });
+        }
     }
 
     #[test]

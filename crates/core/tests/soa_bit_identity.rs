@@ -62,7 +62,9 @@ fn engine_frames(cabinets: usize, duration_s: f64) -> Vec<Vec<NodeFrame>> {
     let mut engine = Engine::new(config, 0.0);
     let node_count = engine.topology().node_count();
     let n_ticks = (duration_s / dt).ceil() as usize;
-    let mut frames_by_node: Vec<Vec<NodeFrame>> = vec![Vec::with_capacity(n_ticks); node_count];
+    let mut frames_by_node: Vec<Vec<NodeFrame>> = (0..node_count)
+        .map(|_| Vec::with_capacity(n_ticks))
+        .collect();
     let opts = StepOptions {
         frames: true,
         ..StepOptions::default()

@@ -752,6 +752,35 @@ mod tests {
     }
 
     #[test]
+    fn step_batch_rows_are_indexed_by_node() {
+        // Telemetry consumers read row `i` as node `i`: every tick must
+        // fill one row per node in node order, including the all-NaN
+        // rows of a cabinet inside an outage window.
+        let mut cfg = EngineConfig::small(3);
+        cfg.cabinet_outages = vec![CabinetOutage {
+            cabinet: CabinetId(1),
+            start_s: 2.0,
+            end_s: 5.0,
+        }];
+        let mut e = Engine::new(cfg, 0.0);
+        let node_count = e.topology().node_count();
+        let opts = StepOptions {
+            frames: true,
+            ..StepOptions::default()
+        };
+        let mut batch = FrameBatch::new();
+        for tick in 0..8 {
+            e.step_batch(&opts, &mut batch);
+            assert_eq!(batch.len(), node_count, "tick {tick}");
+            for i in 0..node_count {
+                assert_eq!(batch.node(i), NodeId(i as u32), "tick {tick} row {i}");
+            }
+            let dark = (18..36).all(|i| batch.read_frame(i).values.iter().all(|v| v.is_nan()));
+            assert_eq!(dark, (2..5).contains(&tick), "tick {tick}");
+        }
+    }
+
+    #[test]
     fn msb_meters_cover_all_power() {
         let mut e = small_engine();
         let out = e.step();

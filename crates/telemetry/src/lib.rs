@@ -17,6 +17,17 @@
 //!     --> [window::WindowAggregator] (10 s coarsening)
 //!     --> [cluster] / [jobjoin] collapses --> analysis datasets
 //! ```
+//!
+//! The live pipeline (`summit-core`'s `run_telemetry` and
+//! `run_streaming`) skips the archive and feeds each node its own
+//! frames, one tick group at a time:
+//!
+//! ```text
+//! [batch::FrameBatch] tick groups --row i--> node lane i:
+//!     [delivery::NodeDelivery] (fault fabric, arrival order)
+//!     --> [stream::IngestStats] + [window::WindowAggregator]
+//!     --> windows, health and stats merged in node order
+//! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

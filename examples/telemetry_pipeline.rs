@@ -31,7 +31,7 @@ fn main() {
     let mut windows_total = 0usize;
     for minute in 0..minutes {
         // Generate one minute of frames per node.
-        let mut frames_by_node = vec![Vec::with_capacity(60); nodes];
+        let mut frames_by_node: Vec<Vec<_>> = (0..nodes).map(|_| Vec::with_capacity(60)).collect();
         for _ in 0..60 {
             let out = engine.step_opts(&StepOptions {
                 frames: true,
@@ -44,7 +44,7 @@ fn main() {
         // Fan them in through the 288:1-style collector.
         let (collected, stats) = fan_in_batches(frames_by_node, 8);
         // Archive + coarsen per node.
-        let mut by_node = vec![Vec::with_capacity(60); nodes];
+        let mut by_node: Vec<Vec<_>> = (0..nodes).map(|_| Vec::with_capacity(60)).collect();
         for f in collected {
             by_node[f.node.index()].push(f);
         }

@@ -37,7 +37,7 @@ fn simulate(
     engine.scheduler().submit(job);
 
     let nodes = engine.topology().node_count();
-    let mut frames_by_node = vec![Vec::with_capacity(seconds); nodes];
+    let mut frames_by_node: Vec<Vec<_>> = (0..nodes).map(|_| Vec::with_capacity(seconds)).collect();
     let mut true_power = Vec::with_capacity(seconds);
     for _ in 0..seconds {
         let out = engine.step_opts(&StepOptions {
