@@ -1,7 +1,7 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
 //! Provides `crossbeam::channel::{bounded, Sender, Receiver}` backed by
-//! [`std::sync::mpsc::sync_channel`]. The semantics the telemetry fan-in
+//! [`std::sync::mpsc::sync_channel`]. The semantics the streaming executor
 //! relies on hold: bounded capacity with blocking sends, cloneable
 //! senders, receiver iteration that ends when all senders disconnect.
 

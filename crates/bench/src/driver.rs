@@ -275,18 +275,21 @@ pub fn render_par(p: &ParTraffic) -> String {
 /// Floats print with Rust's shortest round-trip representation, so the
 /// file is a deterministic function of the data — CI byte-compares the
 /// `--stream` and batch files to prove the online pipeline's output is
-/// bit-identical end to end. Returns the summary line to print.
+/// bit-identical end to end. Returns the lines to print: the run's own
+/// summary, then the export's.
 fn export_windows(path: &str, scale: f64, stream: bool) -> Result<String, String> {
     // A cabinet slice of the paper's 257-cabinet machine.
     let cabinets = ((257.0 * scale).round() as usize).clamp(2, 257);
     let duration_s = 120.0;
     let faults = Some(FaultConfig::light(7));
-    let windows_by_node = if stream {
-        run_streaming(StreamConfig::new(cabinets, duration_s, faults)).windows_by_node
+    let (windows_by_node, summary) = if stream {
+        let run = run_streaming(StreamConfig::new(cabinets, duration_s, faults));
+        (run.windows_by_node, run.summary)
     } else {
         let obs = summit_obs::registry::Registry::new();
         let _guard = obs.install();
-        run_telemetry(cabinets, duration_s, faults).windows_by_node
+        let run = run_telemetry(cabinets, duration_s, faults);
+        (run.windows_by_node, run.summary)
     };
     let mut csv = String::from("node,window_start,metric,count,min,max,mean,std\n");
     let mut count = 0usize;
@@ -303,7 +306,7 @@ fn export_windows(path: &str, scale: f64, stream: bool) -> Result<String, String
     }
     std::fs::write(path, &csv).map_err(|e| format!("failed to write {path}: {e}"))?;
     Ok(format!(
-        "[stream-export] {count} windows ({} mode, {} bytes) -> {path}\n",
+        "{summary}\n[stream-export] {count} windows ({} mode, {} bytes) -> {path}\n",
         if stream { "streaming" } else { "batch" },
         csv.len()
     ))

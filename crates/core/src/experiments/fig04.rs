@@ -196,14 +196,14 @@ impl Experiment for Study {
     fn run(&self, _cache: &ScenarioCache, config: &Json) -> Result<String, ExperimentError> {
         let cfg = Cfg::new("fig04", config)?;
         let config = Config {
-            cabinets: cfg.usize("cabinets")?,
+            cabinets: cfg.cabinets()?,
             duration_s: cfg.usize("duration_s")?,
             busy_fraction: cfg.f64("busy_fraction")?,
         };
-        if config.cabinets == 0 || config.duration_s < 10 {
+        if config.duration_s < 10 {
             return Err(ExperimentError::invalid(
                 "fig04",
-                "cabinets must be positive and duration_s at least one 10 s window",
+                "duration_s must be at least one 10 s window",
             ));
         }
         if !(0.0..=1.0).contains(&config.busy_fraction) {

@@ -246,18 +246,15 @@ pub(crate) fn default_burst_json(scale: f64) -> Json {
 /// (shared with the Figure 12 registry adapter).
 pub(crate) fn burst_config_from(cfg: &Cfg<'_>) -> Result<Config, ExperimentError> {
     let config = Config {
-        cabinets: cfg.usize("cabinets")?,
+        cabinets: cfg.cabinets()?,
         amplitudes_mw: cfg.f64_list("amplitudes_mw")?,
         repeats: cfg.usize("repeats")?,
         burst_duration_s: cfg.f64("burst_duration_s")?,
         spacing_s: cfg.f64("spacing_s")?,
     };
     let name = cfg.experiment();
-    if config.cabinets == 0 || config.repeats == 0 {
-        return Err(ExperimentError::invalid(
-            name,
-            "cabinets and repeats must be positive",
-        ));
+    if config.repeats == 0 {
+        return Err(ExperimentError::invalid(name, "repeats must be positive"));
     }
     if config.amplitudes_mw.is_empty()
         || config

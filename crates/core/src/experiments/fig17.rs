@@ -328,18 +328,12 @@ impl Experiment for Study {
     fn run(&self, _cache: &ScenarioCache, config: &Json) -> Result<String, ExperimentError> {
         let cfg = Cfg::new("fig17", config)?;
         let config = Config {
-            cabinets: cfg.usize("cabinets")?,
+            cabinets: cfg.cabinets()?,
             job_duration_s: cfg.f64("job_duration_s")?,
             stride_s: cfg.f64("stride_s")?,
             missing_cabinet: cfg.opt_u16("missing_cabinet")?,
             seed: cfg.u64("seed")?,
         };
-        if config.cabinets == 0 {
-            return Err(ExperimentError::invalid(
-                "fig17",
-                "cabinets must be positive",
-            ));
-        }
         for (key, v) in [
             ("job_duration_s", config.job_duration_s),
             ("stride_s", config.stride_s),

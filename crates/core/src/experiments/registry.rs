@@ -17,6 +17,8 @@
 use crate::cache::ScenarioCache;
 use crate::json::Json;
 use std::fmt;
+use std::ops::RangeInclusive;
+use summit_sim::spec;
 
 /// A typed experiment failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,6 +128,9 @@ pub fn clamp_scale(scale: f64) -> f64 {
     }
 }
 
+/// The cabinet counts a scaled floor can have: one up to the full floor.
+pub(crate) const CABINETS: RangeInclusive<usize> = 1..=spec::TOTAL_CABINETS;
+
 /// Typed field access over a JSON config object; every failure carries
 /// the experiment name and offending key.
 pub(crate) struct Cfg<'a> {
@@ -176,6 +181,17 @@ impl<'a> Cfg<'a> {
             Ok(v as usize)
         } else {
             Err(self.bad(key, "a non-negative integer", &Json::Num(v)))
+        }
+    }
+
+    /// The required `cabinets` field, a floor size in [`CABINETS`].
+    pub fn cabinets(&self) -> Result<usize, ExperimentError> {
+        let v = self.usize("cabinets")?;
+        if CABINETS.contains(&v) {
+            Ok(v)
+        } else {
+            let want = format!("an integer in {}..={}", CABINETS.start(), CABINETS.end());
+            Err(self.bad("cabinets", &want, &Json::from(v)))
         }
     }
 

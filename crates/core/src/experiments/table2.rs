@@ -4,23 +4,19 @@
 //! The paper's anchors: the per-node OpenBMC stream carries 134 G rows
 //! per year in 8.5 TB compressed (about 1 MB/s sustained), ingested at
 //! 460 k metrics/s with a 2.5 s average propagation delay. This
-//! experiment runs the real pipeline (frame generation -> fan-in ->
-//! lossless archive -> 10 s coarsening) over a measured window on a
-//! configurable floor and extrapolates to the full machine-year.
+//! experiment measures the live telemetry pipeline ([`run_telemetry`],
+//! or [`run_streaming`] online) over a window on a configurable floor,
+//! archives the same frames losslessly, and extrapolates to the full
+//! machine-year.
 
 use crate::cache::ScenarioCache;
-use crate::experiments::registry::{clamp_scale, Cfg, Experiment, ExperimentError};
+use crate::experiments::registry::{clamp_scale, Cfg, Experiment, ExperimentError, CABINETS};
 use crate::json::Json;
-use crate::pipeline::stream_batches;
+use crate::pipeline::{archive_replay, run_streaming, run_telemetry, StreamConfig};
 use crate::report::{eng, Table};
 use serde::{Deserialize, Serialize};
-use summit_sim::engine::{Engine, EngineConfig, StepOptions};
 use summit_telemetry::catalog::METRIC_COUNT;
-use summit_telemetry::ids::NodeId;
 use summit_telemetry::ingest::IngestHealth;
-use summit_telemetry::records::NodeFrame;
-use summit_telemetry::store::TelemetryStore;
-use summit_telemetry::stream::{fan_in_batches, IngestStats};
 
 /// Experiment configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -29,10 +25,9 @@ pub struct Config {
     pub cabinets: usize,
     /// Measured window (s); must be a multiple of 60.
     pub duration_s: usize,
-    /// Fan-in producer threads.
-    pub producers: usize,
-    /// Run online: generate minutes on a producer thread and process
-    /// them as they arrive over a bounded channel (backpressured).
+    /// Run online: [`run_streaming`] steps the engine on a producer
+    /// thread behind a bounded channel (backpressured) instead of
+    /// [`run_telemetry`]'s inline producer.
     pub stream: bool,
 }
 
@@ -41,7 +36,6 @@ impl Default for Config {
         Self {
             cabinets: 40,
             duration_s: 120,
-            producers: 8,
             stream: false,
         }
     }
@@ -88,79 +82,29 @@ pub struct Table2Result {
     pub streamed: bool,
 }
 
-/// Steps the engine through one minute of simulated time and shards the
-/// emitted frames by node. Shared by the batch loop and the streaming
-/// producer thread so both modes generate identical frames.
-fn generate_minute(engine: &mut Engine, nodes: usize) -> Vec<Vec<NodeFrame>> {
-    let mut frames_by_node: Vec<Vec<NodeFrame>> =
-        (0..nodes).map(|_| Vec::with_capacity(60)).collect();
-    {
-        let _obs = summit_obs::span("summit_core_frame_generation");
-        for _ in 0..60 {
-            let out = engine.step_opts(&StepOptions {
-                frames: true,
-                ..Default::default()
-            });
-            for f in out.frames.unwrap_or_default() {
-                frames_by_node[f.node.index()].push(f);
-            }
-        }
-    }
-    summit_obs::counter("summit_core_engine_ticks_total").inc_by(60);
-    let offered: usize = frames_by_node.iter().map(Vec::len).sum();
-    summit_obs::counter("summit_core_frames_offered_total").inc_by(offered as u64);
-    frames_by_node
-}
-
-/// Fans one minute of frames through the collector, archives and
-/// coarsens it, and folds its accounting into `all_stats`; returns the
-/// windows closed. Both execution modes call this exact function, so
-/// streaming output is bit-identical to batch by construction.
-fn process_minute(
-    frames_by_node: Vec<Vec<NodeFrame>>,
-    producers: usize,
-    nodes: usize,
-    store: &TelemetryStore,
-    all_stats: &mut IngestStats,
-) -> usize {
-    // Fan-in through the collector (delay model + rate accounting).
-    let (collected, stats) = {
-        let _obs = summit_obs::span("summit_telemetry_fan_in");
-        fan_in_batches(frames_by_node, producers)
-    };
-    all_stats.merge(&stats);
-    // Re-shard by node for archival + coarsening.
-    let _obs = summit_obs::span("summit_core_archive_coarsen");
-    let mut by_node: Vec<Vec<NodeFrame>> = (0..nodes).map(|_| Vec::with_capacity(60)).collect();
-    for f in collected {
-        by_node[f.node.index()].push(f);
-    }
-    let mut minute_windows = 0usize;
-    for (n, frames) in by_node.into_iter().enumerate() {
-        // The store sorts internally and the aggregator reorders
-        // within its lateness horizon, so no pre-sort is needed.
-        store.archive_partition(NodeId(n as u32), &frames);
-        let mut agg = summit_telemetry::window::WindowAggregator::paper(NodeId(n as u32));
-        for f in &frames {
-            let _ = agg.push(f);
-        }
-        let (windows, health) = agg.finish_with_health();
-        minute_windows += windows.len();
-        all_stats.health.merge(&health);
-    }
-    summit_obs::counter("summit_telemetry_windows_total").inc_by(minute_windows as u64);
-    minute_windows
-}
-
 /// Runs the Table 2 pipeline measurement. Installs a private
 /// [`summit_obs`] registry for the duration so [`Table2Result::obs`]
 /// holds this run's stage timings in isolation; the snapshot is also
 /// absorbed into the caller's current registry.
 ///
+/// Frames, delays, windows and ingest health are the executor's run,
+/// unchanged; only the archive comes from [`archive_replay`].
+///
 /// Table 2 is a *measurement* of the live pipeline (throughput, wall
 /// time), so unlike the scenario-backed studies its acquisition is
 /// never cached — re-running it is the point.
 pub fn run(config: &Config) -> Result<Table2Result, ExperimentError> {
+    if !CABINETS.contains(&config.cabinets) {
+        return Err(ExperimentError::invalid(
+            "table2",
+            format!(
+                "cabinets must be in {}..={}, got {}",
+                CABINETS.start(),
+                CABINETS.end(),
+                config.cabinets
+            ),
+        ));
+    }
     if config.duration_s < 60 || !config.duration_s.is_multiple_of(60) {
         return Err(ExperimentError::invalid(
             "table2",
@@ -175,48 +119,18 @@ pub fn run(config: &Config) -> Result<Table2Result, ExperimentError> {
     let mut result = {
         let _scope = registry.install();
         let run_span = summit_obs::span("summit_core_table2");
-        let mut engine = Engine::new(EngineConfig::small(config.cabinets), 0.0);
-        let nodes = engine.topology().node_count();
-        let store = TelemetryStore::new();
-        let mut total_windows = 0usize;
-        let mut all_stats = IngestStats::default();
-
-        // Stream minute-by-minute: generate frames, fan them in, archive and
-        // coarsen, then drop — bounding memory like the real pipeline.
-        let minutes = config.duration_s / 60;
-        if config.stream {
-            // Online mode: a producer thread generates minutes and ships
-            // them over a bounded channel while the consumer runs the
-            // same per-minute processing inline — blocking backpressure
-            // keeps at most two minutes of frames in flight.
-            let producers = config.producers;
-            stream_batches(
-                2,
-                move |send: &dyn Fn(Vec<Vec<NodeFrame>>) -> bool| {
-                    for _ in 0..minutes {
-                        if !send(generate_minute(&mut engine, nodes)) {
-                            break;
-                        }
-                    }
-                },
-                |frames_by_node, _depth| {
-                    total_windows +=
-                        process_minute(frames_by_node, producers, nodes, &store, &mut all_stats);
-                },
-            );
+        let duration_s = config.duration_s as f64;
+        let (windows_by_node, stats) = if config.stream {
+            let run = run_streaming(StreamConfig::new(config.cabinets, duration_s, None));
+            (run.windows_by_node, run.stats)
         } else {
-            for _ in 0..minutes {
-                let frames_by_node = generate_minute(&mut engine, nodes);
-                total_windows += process_minute(
-                    frames_by_node,
-                    config.producers,
-                    nodes,
-                    &store,
-                    &mut all_stats,
-                );
-            }
-        }
-        all_stats.publish_obs();
+            let run = run_telemetry(config.cabinets, duration_s, None);
+            (run.windows_by_node, run.stats)
+        };
+        let nodes = windows_by_node.len();
+        let coarsened_windows: usize = windows_by_node.iter().map(Vec::len).sum();
+        drop(windows_by_node); // only counted: free them before the replay
+        let store = archive_replay(config.cabinets, config.duration_s / 60);
 
         let comp = store.compression_stats();
         let window_s = config.duration_s;
@@ -226,34 +140,27 @@ pub fn run(config: &Config) -> Result<Table2Result, ExperimentError> {
         let year_s = 366.0 * 86_400.0;
 
         let wall_s = run_span.elapsed_s();
-        let frames_per_wall_s = if wall_s > 0.0 {
-            all_stats.frames as f64 / wall_s
-        } else {
-            f64::NAN
-        };
-        let windows_per_wall_s = if wall_s > 0.0 {
-            total_windows as f64 / wall_s
-        } else {
-            f64::NAN
-        };
+        let per_wall_s = |n: f64| if wall_s > 0.0 { n / wall_s } else { f64::NAN };
+        let frames_per_wall_s = per_wall_s(stats.frames as f64);
+        let windows_per_wall_s = per_wall_s(coarsened_windows as f64);
         summit_obs::gauge("summit_core_frames_per_wall_second").set(frames_per_wall_s);
         summit_obs::gauge("summit_core_windows_per_wall_second").set(windows_per_wall_s);
 
         Table2Result {
             nodes,
             window_s,
-            frames: all_stats.frames,
-            metrics: all_stats.metrics,
-            mean_delay_s: all_stats.mean_delay_s(),
-            max_delay_s: all_stats.max_delay_s,
-            metrics_per_s: all_stats.metrics_per_second(),
+            frames: stats.frames,
+            metrics: stats.metrics,
+            mean_delay_s: stats.mean_delay_s(),
+            max_delay_s: stats.max_delay_s,
+            metrics_per_s: stats.metrics_per_second(),
             archive_bytes: bytes,
             compression_ratio: comp.ratio(),
             year_rows: full_nodes * year_s,
             year_bytes: bytes_per_node_s * full_nodes * year_s,
             full_floor_metrics_per_s: full_nodes * METRIC_COUNT as f64,
-            coarsened_windows: total_windows,
-            ingest_health: all_stats.health,
+            coarsened_windows,
+            ingest_health: stats.health,
             frames_per_wall_s,
             windows_per_wall_s,
             obs: summit_obs::Snapshot::default(),
@@ -282,7 +189,6 @@ impl Experiment for Study {
         Json::obj([
             ("cabinets", Json::from(((257.0 * s) as usize).max(2))),
             ("duration_s", Json::from(60 * ((5.0 * s) as usize).max(1))),
-            ("producers", Json::from(((16.0 * s) as usize).clamp(2, 16))),
             ("stream", Json::Bool(false)),
         ])
     }
@@ -292,7 +198,6 @@ impl Experiment for Study {
         let config = Config {
             cabinets: cfg.usize("cabinets")?,
             duration_s: cfg.usize("duration_s")?,
-            producers: cfg.usize("producers")?,
             stream: cfg.bool("stream")?,
         };
         Ok(run(&config)?.render())
@@ -396,7 +301,6 @@ mod tests {
         let cfg = Config {
             cabinets: 3,
             duration_s: 60,
-            producers: 4,
             stream: false,
         };
         let r = run(&cfg).unwrap();
@@ -442,7 +346,6 @@ mod tests {
         let cfg = Config {
             cabinets: 2,
             duration_s: 120,
-            producers: 2,
             stream: false,
         };
         let batch = run(&cfg).unwrap();
@@ -482,12 +385,38 @@ mod tests {
         assert!(!batch.render().contains("execution mode"));
     }
 
+    /// Table 2 reports the executor's run itself. 120 s crosses a
+    /// minute boundary, where frames are in flight across it.
+    #[test]
+    fn reports_the_executor_run() {
+        let exec = run_telemetry(2, 120.0, None);
+        let windows: usize = exec.windows_by_node.iter().map(Vec::len).sum();
+        for stream in [false, true] {
+            let r = run(&Config {
+                cabinets: 2,
+                duration_s: 120,
+                stream,
+            })
+            .unwrap();
+            let s = &exec.stats;
+            assert_eq!(r.frames, s.frames, "stream={stream}");
+            assert_eq!(r.metrics, s.metrics, "stream={stream}");
+            assert_eq!(r.mean_delay_s.to_bits(), s.mean_delay_s().to_bits());
+            assert_eq!(r.max_delay_s.to_bits(), s.max_delay_s.to_bits());
+            assert_eq!(r.ingest_health, s.health, "stream={stream}");
+            assert_eq!(r.coarsened_windows, windows, "stream={stream}");
+            // The run is counted once: the archive replay adds nothing.
+            let counter = |name: &str| r.obs.counter(name);
+            assert_eq!(counter("summit_core_frames_offered_total"), Some(36 * 120));
+            assert_eq!(counter("summit_core_engine_ticks_total"), Some(120));
+        }
+    }
+
     #[test]
     fn rejects_non_minute_window() {
         let err = run(&Config {
             cabinets: 1,
             duration_s: 90,
-            producers: 1,
             stream: false,
         })
         .unwrap_err();

@@ -7,8 +7,11 @@
 //!    closed-form job statistics (Figures 5-10, 14; Table 4).
 //! 2. **Dynamics path** — full time-domain engine runs at 1 Hz/10 s for
 //!    edge, snapshot and thermal-response studies (Figures 4, 11, 12, 17).
-//! 3. **Telemetry path** — frame generation, fan-in, compression and
-//!    coarsening measurements (Table 2).
+//! 3. **Telemetry path** — engine frames through the per-node fault
+//!    fabric into 10 s coarsening, run by two executors that share one
+//!    node-lane consumer: batch ([`run_telemetry`]) and online
+//!    ([`run_streaming`]). Table 2 reports their runs, with the same
+//!    frames archived losslessly by [`archive_replay`].
 
 use crate::monitoring::{Alert, OpsConsole};
 use rand::rngs::StdRng;
@@ -24,8 +27,10 @@ use summit_sim::power::PowerModel;
 use summit_sim::spec;
 use summit_telemetry::batch::FrameBatch;
 use summit_telemetry::delivery::NodeDelivery;
+use summit_telemetry::ids::NodeId;
 use summit_telemetry::ingest::{IngestHealth, IngestPolicy};
 use summit_telemetry::records::{NodeFrame, XidEvent};
+use summit_telemetry::store::TelemetryStore;
 use summit_telemetry::stream::{FaultConfig, IngestStats, InjectedFaults};
 use summit_telemetry::window::{NodeWindow, WindowAggregator, PAPER_WINDOW_S};
 
@@ -336,7 +341,7 @@ pub struct TelemetryRun {
     /// Per-run observability snapshot: every counter, gauge and stage
     /// timing the run recorded, isolated from other concurrent runs.
     pub obs: summit_obs::Snapshot,
-    /// One-line run summary built from the registry (also printed).
+    /// One-line run summary built from the registry.
     pub summary: String,
 }
 
@@ -675,7 +680,7 @@ fn publish_wall_rates(offered: u64, windows_by_node: &[Vec<NodeWindow>], wall_s:
 /// are isolated per run; the resulting [`TelemetryRun::obs`] snapshot
 /// is also absorbed into whatever registry was current at the call
 /// site (the process-global one by default), and a one-line summary is
-/// printed.
+/// returned in [`TelemetryRun::summary`].
 pub fn run_telemetry(
     cabinets: usize,
     duration_s: f64,
@@ -730,7 +735,6 @@ pub fn run_telemetry(
     let obs = registry.snapshot();
     parent.absorb(&obs);
     let summary = run_summary("run_telemetry", &obs, "", wall_s);
-    println!("{summary}");
     TelemetryRun {
         windows_by_node: totals.windows_by_node,
         stats: totals.stats,
@@ -738,6 +742,36 @@ pub fn run_telemetry(
         obs,
         summary,
     }
+}
+
+/// Archives losslessly, per node-minute, the frames a clean
+/// [`run_telemetry`] run of `cabinets` over `minutes` ingests. The
+/// archive is a function of the engine's frames alone (the store sorts
+/// and partitions them), not of the order the fabric delivers them in,
+/// so a replay of the run's seeded engine archives exactly those
+/// frames. One minute of rows is resident at a time.
+pub fn archive_replay(cabinets: usize, minutes: usize) -> TelemetryStore {
+    let _obs = summit_obs::span("summit_core_archive");
+    let mut engine = Engine::new(EngineConfig::small(cabinets), 0.0);
+    let node_count = engine.topology().node_count();
+    let opts = frame_options();
+    let mut batch = FrameBatch::with_capacity(node_count);
+    let mut minute: Vec<Vec<NodeFrame>> = (0..node_count).map(|_| Vec::with_capacity(60)).collect();
+    let store = TelemetryStore::new();
+    for _ in 0..minutes {
+        for _ in 0..60 {
+            let _ = engine.step_batch(&opts, &mut batch);
+            for row in 0..batch.len() {
+                let f = batch.read_frame(row);
+                minute[f.node.index()].push(f);
+            }
+        }
+        for (n, frames) in minute.iter_mut().enumerate() {
+            store.archive_partition(NodeId(n as u32), frames);
+            frames.clear();
+        }
+    }
+    store
 }
 
 /// Configuration of the streaming telemetry pipeline.
@@ -801,7 +835,7 @@ pub struct StreamingRun {
     pub backpressure_stalls: u64,
     /// Per-run observability snapshot.
     pub obs: summit_obs::Snapshot,
-    /// One-line run summary (also printed).
+    /// One-line run summary built from the registry.
     pub summary: String,
 }
 
@@ -816,7 +850,7 @@ pub struct StreamingRun {
 /// the caller's observability registry; under a wall-clock trace it
 /// also joins the trace as a worker (virtual-clock traces decline
 /// workers so traces stay byte-stable).
-pub fn stream_batches<T, R, P, C>(capacity: usize, produce: P, mut consume: C) -> R
+fn stream_batches<T, R, P, C>(capacity: usize, produce: P, mut consume: C) -> R
 where
     T: Send,
     R: Send,
@@ -994,7 +1028,6 @@ pub fn run_streaming(config: StreamConfig) -> StreamingRun {
     let obs = registry.snapshot();
     parent.absorb(&obs);
     let summary = run_summary("run_streaming", &obs, &format!(" stalls={stalls}"), wall_s);
-    println!("{summary}");
     run.obs = obs;
     run.summary = summary;
     run

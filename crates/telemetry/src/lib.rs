@@ -3,30 +3,23 @@
 //! The out-of-band telemetry pipeline of the SC '21 Summit power study,
 //! rebuilt as a library: per-node metric catalog (106 metrics, mirroring
 //! the paper's "over 100 metrics at 1 Hz"), 1 Hz frame records with the
-//! 2.5 s-average propagation-delay model, a thread-free deterministic
-//! fan-in collector, lossless delta/varint/RLE compression of the archived
-//! stream, the 10-second `count/min/max/mean/std` window coarsening, and
-//! the cluster-level and job-aware aggregations that produce the paper's
+//! 2.5 s-average propagation-delay model, a deterministic per-node fault
+//! fabric, lossless delta/varint/RLE compression of the archived stream,
+//! the 10-second `count/min/max/mean/std` window coarsening, and the
+//! cluster-level and job-aware aggregations that produce the paper's
 //! derived Datasets 0-7.
 //!
-//! Data flows exactly as in the paper's Figure 3:
+//! Data flows as in the paper's Figure 3. The live pipeline
+//! (`summit-core`'s `run_telemetry` and `run_streaming`) feeds each node
+//! its own frames, one tick group at a time, while the archive keeps the
+//! same frames losslessly:
 //!
 //! ```text
-//! node models (summit-sim) --1 Hz frames--> [stream::fan_in_batches]
-//!     --> [store::TelemetryStore] (lossless archive, codec)
-//!     --> [window::WindowAggregator] (10 s coarsening)
-//!     --> [cluster] / [jobjoin] collapses --> analysis datasets
-//! ```
-//!
-//! The live pipeline (`summit-core`'s `run_telemetry` and
-//! `run_streaming`) skips the archive and feeds each node its own
-//! frames, one tick group at a time:
-//!
-//! ```text
-//! [batch::FrameBatch] tick groups --row i--> node lane i:
+//! node models (summit-sim) --1 Hz [batch::FrameBatch] tick groups--> row i:
 //!     [delivery::NodeDelivery] (fault fabric, arrival order)
-//!     --> [stream::IngestStats] + [window::WindowAggregator]
-//!     --> windows, health and stats merged in node order
+//!     --> [stream::IngestStats] + [window::WindowAggregator] (10 s)
+//!     --> [cluster] / [jobjoin] collapses --> analysis datasets
+//!   the same frames --> [store::TelemetryStore] (lossless archive, codec)
 //! ```
 
 #![warn(missing_docs)]

@@ -1,19 +1,19 @@
-//! Out-of-band telemetry fan-in (paper Section 2, Figure 3).
+//! The simulated out-of-band fabric (paper Section 2, Figure 3).
 //!
 //! Summit's BMCs push metric changes over the out-of-band management
 //! network through a websocket-based 288:1 fan-in into the monitoring
-//! cluster, reaching the point of analysis with an average 4.1-second
-//! delay at a 460k metrics/sec ingest rate. This module models that
-//! path without any dedicated threads: [`fan_in_batches`] timestamps
-//! the frames of many producers (node BMC emitters) at ingest, tracks
-//! rate/delay statistics in [`IngestStats`], parallelises the producer
-//! side through the deterministic [`rayon`] facade and sorts arrivals
-//! into a canonical ingest order, so replays are bit-identical at every
-//! thread count.
+//! cluster, reaching the point of analysis after an average 2.5-second
+//! delay (max. 5 s) at a 460k metrics/sec ingest rate. This module
+//! models that fabric per node, as pure functions of the frame: the
+//! propagation delay ([`propagation_delay_s`]) and each frame's fault
+//! fate ([`FaultConfig::fate`]) are hashes of `(node, t_sample)`, so
+//! every replay is exact. [`FaultInjector`] delivers a whole per-node
+//! batch at once; [`crate::delivery::NodeDelivery`] applies the same
+//! draws incrementally, one frame at a time, for the live pipeline.
+//! [`IngestStats`] accounts the delivered stream's rate and delay.
 
 use crate::ingest::IngestHealth;
 use crate::records::NodeFrame;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// The paper's maximum propagation delay (s): payloads reach the
@@ -164,7 +164,7 @@ impl IngestStats {
     }
 }
 
-/// Delivery-fault probabilities for the simulated fan-in.
+/// Delivery-fault probabilities for the simulated fabric.
 ///
 /// Faults are mutually exclusive per frame (a single uniform draw picks
 /// at most one class), so the injected counts account exactly for every
@@ -330,7 +330,7 @@ impl FaultInjector {
     /// Delivers one node's frame batch through the faulty fabric:
     /// stamps arrival times from the propagation-delay model, applies
     /// drop / duplicate / extra-delay faults, and returns the surviving
-    /// frames in *arrival* order (the order the fan-in hands downstream),
+    /// frames in *arrival* order (the order the fabric hands downstream),
     /// with any local reorder swaps applied on top. Every decision is a
     /// pure [`FaultConfig::fate`] / [`FaultConfig::draws_reorder`] draw,
     /// the same hashes the incremental streaming stage consults.
@@ -375,55 +375,6 @@ impl FaultInjector {
     }
 }
 
-/// Canonical arrival order: ingest time, ties broken by node then
-/// sample time. Total for the frames one fan-in produces, so the sort
-/// below is a permutation fixed by frame content alone.
-fn arrival_order(a: &NodeFrame, b: &NodeFrame) -> std::cmp::Ordering {
-    a.t_ingest
-        .total_cmp(&b.t_ingest)
-        .then(a.node.0.cmp(&b.node.0))
-        .then(a.t_sample.total_cmp(&b.t_sample))
-}
-
-/// Runs a multi-producer fan-in over pre-generated per-node frame
-/// batches: the batches are sharded round-robin across `producers`
-/// logical producers (mimicking the 288:1 BMC fan-in) and stamped in
-/// parallel through the deterministic [`rayon`] facade, then sorted
-/// into the canonical arrival order and folded into the ingest
-/// statistics sequentially. Returns the collected frames (ingest
-/// order) and final statistics; both are bit-identical at every
-/// thread count. Used by the Table 2 ingest benchmark.
-pub fn fan_in_batches(
-    frames_by_node: Vec<Vec<NodeFrame>>,
-    producers: usize,
-) -> (Vec<NodeFrame>, IngestStats) {
-    let producers = producers.max(1); // zero producers degrades to one
-    let shards: Vec<Vec<Vec<NodeFrame>>> = {
-        let mut shards: Vec<Vec<Vec<NodeFrame>>> = (0..producers).map(|_| Vec::new()).collect();
-        for (i, batch) in frames_by_node.into_iter().enumerate() {
-            shards[i % producers].push(batch);
-        }
-        shards
-    };
-
-    let mut frames: Vec<NodeFrame> = shards
-        .into_par_iter()
-        .flat_map_iter(|shard| {
-            shard.into_iter().flatten().map(|mut frame| {
-                frame.t_ingest = frame.t_sample + propagation_delay_s(frame.node.0, frame.t_sample);
-                frame
-            })
-        })
-        .collect();
-    frames.sort_by(arrival_order);
-
-    let mut stats = IngestStats::default();
-    for frame in &frames {
-        stats.observe(frame);
-    }
-    (frames, stats)
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -463,53 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn collector_counts_everything() {
-        let frames_by_node: Vec<Vec<NodeFrame>> = (0..16)
-            .map(|n| {
-                (0..50)
-                    .map(|t| NodeFrame::empty(NodeId(n), t as f64))
-                    .collect()
-            })
-            .collect();
-        let (frames, stats) = fan_in_batches(frames_by_node, 4);
-        assert_eq!(frames.len(), 16 * 50);
-        assert_eq!(stats.frames, 800);
-        assert_eq!(stats.metrics, 800 * crate::catalog::METRIC_COUNT as u64);
-        assert!(stats.mean_delay_s() > 0.0 && stats.mean_delay_s() < 5.0);
-        assert!(stats.max_delay_s < 5.0);
-        assert_eq!(stats.t_first, 0.0);
-        assert_eq!(stats.t_last, 49.0);
-        // Canonical arrival order: ingest-time ascending.
-        assert!(frames.windows(2).all(|w| w[0].t_ingest <= w[1].t_ingest));
-    }
-
-    #[test]
-    fn fan_in_is_invariant_across_thread_counts() {
-        let frames_by_node: Vec<Vec<NodeFrame>> = (0..8)
-            .map(|n| {
-                (0..40)
-                    .map(|t| NodeFrame::empty(NodeId(n), t as f64))
-                    .collect()
-            })
-            .collect();
-        let fingerprint = |threads: Option<usize>| {
-            let run = || fan_in_batches(frames_by_node.clone(), 4);
-            let (frames, stats) = match threads {
-                Some(n) => rayon::with_thread_count(n, run),
-                None => run(),
-            };
-            let order: Vec<(u64, u32, u64)> = frames
-                .iter()
-                .map(|f| (f.t_ingest.to_bits(), f.node.0, f.t_sample.to_bits()))
-                .collect();
-            (order, stats.total_delay_s.to_bits(), stats.frames)
-        };
-        let one = fingerprint(Some(1));
-        assert_eq!(one, fingerprint(Some(2)));
-        assert_eq!(one, fingerprint(None));
-    }
-
-    #[test]
     fn ingest_rate_computation() {
         let mut stats = IngestStats::default();
         let mut f0 = NodeFrame::empty(NodeId(0), 0.0);
@@ -542,14 +446,6 @@ mod tests {
         stats.observe(&f);
         let per_s = stats.metrics_per_second();
         assert!((per_s - crate::catalog::METRIC_COUNT as f64).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_producers_degrades_to_one() {
-        let frames_by_node = vec![vec![NodeFrame::empty(NodeId(0), 0.0)]];
-        let (frames, stats) = fan_in_batches(frames_by_node, 0);
-        assert_eq!(frames.len(), 1);
-        assert_eq!(stats.frames, 1);
     }
 
     fn batch(node: u32, n: usize) -> Vec<NodeFrame> {

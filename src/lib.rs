@@ -12,7 +12,7 @@
 //! | Crate | Role |
 //! |---|---|
 //! | [`analysis`] | stats, KDE, FFT, edge detection, snapshots, correlation |
-//! | [`telemetry`] | metric catalog, 1 Hz frames, fan-in, codec, coarsening |
+//! | [`telemetry`] | metric catalog, 1 Hz frames, delivery fabric, codec, coarsening |
 //! | [`sim`] | node power/thermal models, facility, scheduler, failures |
 //! | [`core`] | per-figure experiment drivers and terminal rendering |
 //! | [`obs`] | self-observability: metric registry, spans, Prometheus text |

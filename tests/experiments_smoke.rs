@@ -111,17 +111,35 @@ fn config_validation_returns_typed_errors() {
     let err = table2::run(&table2::Config {
         cabinets: 2,
         duration_s: 0,
-        producers: 2,
         stream: false,
     })
     .unwrap_err();
     assert!(matches!(err, ExperimentError::InvalidConfig(_)));
+
+    // A floor holds 1..=257 cabinets.
+    for cabinets in [0, 258] {
+        let err = table2::run(&table2::Config {
+            cabinets,
+            duration_s: 60,
+            stream: false,
+        })
+        .unwrap_err();
+        assert!(matches!(err, ExperimentError::InvalidConfig(_)));
+        assert!(err.to_string().contains("cabinets"), "{err}");
+    }
 
     // Registry path: overrides are validated the same way.
     let cache = ScenarioCache::new();
     let overrides = Json::obj([("class", Json::Num(3.0))]);
     let err = run_by_name(&cache, "fig08", 0.01, Some(&overrides)).unwrap_err();
     assert!(matches!(err, ExperimentError::InvalidConfig(_)));
+
+    let overrides = Json::obj([("cabinets", Json::Num(258.0))]);
+    for name in ["table2", "fig04", "fig11", "fig17"] {
+        let err = run_by_name(&cache, name, 0.01, Some(&overrides)).unwrap_err();
+        assert!(matches!(err, ExperimentError::InvalidConfig(_)), "{name}");
+        assert!(err.to_string().contains("cabinets"), "{name}: {err}");
+    }
 
     let err = run_by_name(&cache, "fig99", 1.0, None).unwrap_err();
     assert!(matches!(err, ExperimentError::UnknownExperiment(_)));

@@ -1,4 +1,4 @@
-//! End-to-end pipeline integration: engine -> frames -> fan-in -> archive
+//! End-to-end pipeline integration: engine -> frames -> archive
 //! -> coarsening -> cluster/job aggregation, mirroring the paper's Figure 3
 //! data path.
 
