@@ -83,51 +83,6 @@ impl Welford {
         self.max = self.max.max(other.max);
     }
 
-    /// Folds a whole column of samples into the accumulator in one tight
-    /// loop — the batched form of calling [`Welford::push`] on every
-    /// element in order, bit-identical to that sequence for every input
-    /// (including NaN/±0.0/infinity patterns).
-    ///
-    /// The loop keeps the running state in locals and handles non-finite
-    /// samples branch-free: the update is always computed, and a
-    /// conditional select keeps the old state when the sample is not
-    /// finite. Selects compile to conditional moves, so a column with
-    /// scattered NaNs (missing sensors) costs the same as a clean one.
-    ///
-    /// ```
-    /// use summit_analysis::stats::Welford;
-    /// let xs = [2.0, f64::NAN, 4.0, 9.0];
-    /// let mut a = Welford::new();
-    /// a.merge_column(&xs);
-    /// let mut b = Welford::new();
-    /// for &x in &xs { b.push(x); }
-    /// assert_eq!(a, b);
-    /// ```
-    pub fn merge_column(&mut self, xs: &[f64]) {
-        let mut count = self.count;
-        let mut mean = self.mean;
-        let mut m2 = self.m2;
-        let mut min = self.min;
-        let mut max = self.max;
-        for &x in xs {
-            let finite = x.is_finite();
-            let n = count + u64::from(finite);
-            let delta = x - mean;
-            let mean_new = mean + delta / n.max(1) as f64;
-            let m2_new = m2 + delta * (x - mean_new);
-            count = n;
-            mean = if finite { mean_new } else { mean };
-            m2 = if finite { m2_new } else { m2 };
-            min = if finite && x < min { x } else { min };
-            max = if finite && x > max { x } else { max };
-        }
-        self.count = count;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = min;
-        self.max = max;
-    }
-
     /// Number of (finite) samples seen.
     pub fn count(&self) -> u64 {
         self.count
@@ -269,7 +224,7 @@ impl WelfordColumns {
     /// sample leaves every field of its lane unchanged, so skipping is
     /// exact), which makes sparsely-populated rows — telemetry frames
     /// where most catalog metrics have no sensor — as cheap as they
-    /// are in the branchy row path, while populated blocks take the
+    /// are in a branchy per-sample loop, while populated blocks take the
     /// vectorized select path.
     pub fn push_row(&mut self, row: &[f32]) {
         let w = self.count.len();
@@ -355,49 +310,17 @@ impl WelfordColumns {
         }
     }
 
-    /// Empties every lane, keeping the allocations.
-    pub fn reset(&mut self) {
-        self.count.fill(0.0);
-        self.mean.fill(0.0);
-        self.m2.fill(0.0);
-        self.min.fill(f64::INFINITY);
-        self.max.fill(f64::NEG_INFINITY);
-    }
-
-    /// Freezes every lane into its compact window record, appending
-    /// `width()` entries to `out` in lane order — one pass over the
-    /// bank, bit-identical to [`WelfordColumns::lane`] followed by
-    /// [`Welford::finish`] on each lane.
-    pub fn finish_into(&self, out: &mut Vec<WindowStats>) {
+    /// Freezes every lane into its compact window record and empties
+    /// it, in one traversal of the bank: appends `width()` entries to
+    /// `out` in lane order, each bit-identical to [`WelfordColumns::lane`]
+    /// followed by [`Welford::finish`], and leaves every lane as
+    /// [`WelfordColumns::new`] made it (keeping the allocations).
+    pub fn finish_reset_into(&mut self, out: &mut Vec<WindowStats>) {
         out.reserve(self.count.len());
         for m in 0..self.count.len() {
             // Counts are exact integers far below 2^53, so both the
             // u64 cast and the `count - 1.0` divisor match the u64
             // arithmetic in `Welford::finish` to the bit.
-            let count = self.count[m];
-            let empty = count == 0.0;
-            out.push(WindowStats {
-                count: count as u64,
-                min: if empty { f64::NAN } else { self.min[m] },
-                max: if empty { f64::NAN } else { self.max[m] },
-                mean: if empty { f64::NAN } else { self.mean[m] },
-                std: if count < 2.0 {
-                    0.0
-                } else {
-                    (self.m2[m] / (count - 1.0)).sqrt()
-                },
-            });
-        }
-    }
-
-    /// [`WelfordColumns::finish_into`] fused with
-    /// [`WelfordColumns::reset`]: each lane is frozen and emptied in
-    /// the same traversal, touching the five column arrays once
-    /// instead of twice. Identical output and post-state to calling
-    /// the two separately.
-    pub fn finish_reset_into(&mut self, out: &mut Vec<WindowStats>) {
-        out.reserve(self.count.len());
-        for m in 0..self.count.len() {
             let count = self.count[m];
             let empty = count == 0.0;
             out.push(WindowStats {
@@ -758,93 +681,6 @@ mod tests {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
-    }
-
-    fn assert_bitwise_eq(a: &Welford, b: &Welford, ctx: &str) {
-        let (fa, fb) = (a.finish(), b.finish());
-        assert_eq!(a.count(), b.count(), "count {ctx}");
-        assert_eq!(fa.mean.to_bits(), fb.mean.to_bits(), "mean {ctx}");
-        assert_eq!(fa.min.to_bits(), fb.min.to_bits(), "min {ctx}");
-        assert_eq!(fa.max.to_bits(), fb.max.to_bits(), "max {ctx}");
-        assert_eq!(fa.std.to_bits(), fb.std.to_bits(), "std {ctx}");
-        // finish() hides m2 behind std; compare the raw accumulator too.
-        assert_eq!(a.m2.to_bits(), b.m2.to_bits(), "m2 {ctx}");
-        assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "raw mean {ctx}");
-    }
-
-    #[test]
-    fn merge_column_is_bit_identical_to_push_sequence() {
-        // Columns mixing magnitudes, signs, NaN, infinities and ±0.0:
-        // the masked column loop must replay the branchy push exactly.
-        let specials = [
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            0.0,
-            -0.0,
-            f64::MIN_POSITIVE / 2.0, // subnormal
-            1e300,
-            -1e300,
-        ];
-        let mut state = 0x5EED_2021u64;
-        for round in 0..64 {
-            let len = (splitmix64(&mut state) % 40) as usize;
-            let col: Vec<f64> = (0..len)
-                .map(|_| {
-                    let r = splitmix64(&mut state);
-                    if r.is_multiple_of(5) {
-                        specials[(r / 5) as usize % specials.len()]
-                    } else {
-                        // Spread over ~12 orders of magnitude, both signs.
-                        let mag = (r % 1_000_000) as f64 * 1e-3;
-                        let exp = ((r >> 20) % 13) as i32 - 6;
-                        let sign = if (r >> 40) & 1 == 0 { 1.0 } else { -1.0 };
-                        sign * mag * 10f64.powi(exp)
-                    }
-                })
-                .collect();
-            let mut batched = Welford::new();
-            batched.merge_column(&col);
-            let mut reference = Welford::new();
-            for &x in &col {
-                reference.push(x);
-            }
-            assert_bitwise_eq(&batched, &reference, &format!("round {round}"));
-        }
-    }
-
-    #[test]
-    fn merge_column_resumes_from_nonempty_state() {
-        // Folding a column into an accumulator that already holds
-        // samples must equal continuing the push sequence.
-        let head = [3.5, -2.0, f64::NAN, 7.25];
-        let tail = [f64::NEG_INFINITY, 0.0, -0.0, 11.0, 1e-12];
-        let mut batched = Welford::new();
-        batched.merge_column(&head);
-        batched.merge_column(&tail);
-        let mut reference = Welford::new();
-        for &x in head.iter().chain(&tail) {
-            reference.push(x);
-        }
-        assert_bitwise_eq(&batched, &reference, "resume");
-    }
-
-    #[test]
-    fn merge_column_all_non_finite_stays_empty() {
-        let mut w = Welford::new();
-        w.merge_column(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
-        assert_eq!(w.count(), 0);
-        assert!(w.mean().is_nan());
-        assert!(w.finish().is_empty());
-    }
-
-    #[test]
-    fn merge_column_empty_is_identity() {
-        let mut w = Welford::new();
-        w.push(5.0);
-        let before = w;
-        w.merge_column(&[]);
-        assert_bitwise_eq(&w, &before, "empty column");
     }
 
     #[test]

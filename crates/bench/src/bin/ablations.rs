@@ -19,6 +19,7 @@ use summit_sim::engine::{Engine, EngineConfig, StepOptions};
 use summit_sim::facility::{Facility, FacilityConfig};
 use summit_sim::jobstats::job_power_series;
 use summit_sim::power::PowerModel;
+use summit_telemetry::batch::FrameBatch;
 use summit_telemetry::codec::{encode_column, encode_column_delta_only, encode_column_raw_varint};
 
 fn codec_ablation(cabinets: usize) {
@@ -26,14 +27,13 @@ fn codec_ablation(cabinets: usize) {
     let mut engine = Engine::new(EngineConfig::small(cabinets), 0.0);
     let mut engine_col: Vec<i64> = Vec::new();
     let mut temp_col: Vec<i64> = Vec::new();
+    let mut batch = FrameBatch::new();
     for _ in 0..600 {
-        let out = engine.step_opts(&StepOptions {
-            frames: true,
-            ..Default::default()
-        });
-        let Some(f) = out.frames.as_ref().and_then(|fs| fs.first()) else {
+        engine.step_batch(&StepOptions { frames: true }, &mut batch);
+        if batch.is_empty() {
             continue;
-        };
+        }
+        let f = batch.read_frame(0);
         engine_col.push(f.get(summit_telemetry::catalog::input_power()).round() as i64);
         temp_col.push(
             (f.get(summit_telemetry::catalog::gpu_core_temp(

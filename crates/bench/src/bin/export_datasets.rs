@@ -14,6 +14,7 @@ use std::path::PathBuf;
 use summit_sim::engine::{Engine, EngineConfig, StepOptions};
 use summit_sim::failures::FailureModel;
 use summit_sim::jobs::JobGenerator;
+use summit_telemetry::batch::FrameBatch;
 use summit_telemetry::cluster::cluster_power;
 use summit_telemetry::datasets::thermal_cluster;
 use summit_telemetry::export;
@@ -49,13 +50,12 @@ fn main() -> std::io::Result<()> {
     let mut frames_by_node: Vec<Vec<_>> =
         (0..nodes).map(|_| Vec::with_capacity(duration)).collect();
     let mut ceps = Vec::with_capacity(duration);
+    let mut batch = FrameBatch::new();
     for _ in 0..duration {
-        let out = engine.step_opts(&StepOptions {
-            frames: true,
-            ..Default::default()
-        });
+        let out = engine.step_batch(&StepOptions { frames: true }, &mut batch);
         ceps.push(out.cep);
-        for f in out.frames.unwrap_or_default() {
+        for row in 0..batch.len() {
+            let f = batch.read_frame(row);
             frames_by_node[f.node.index()].push(f);
         }
     }

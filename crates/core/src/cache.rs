@@ -3,7 +3,7 @@
 //!
 //! Before this layer each study privately regenerated its inputs — a
 //! full-suite run rebuilt the same 840k-job statistical year up to a
-//! dozen times. [`ScenarioCache`] memoizes the four artifact families
+//! dozen times. [`ScenarioCache`] memoizes the three artifact families
 //! behind the experiments:
 //!
 //! - **populations** — [`PopulationArtifact`]: the statistical-year job
@@ -11,7 +11,6 @@
 //!   14; power_aware);
 //! - **dynamics** — [`DynamicsRun`]: staged-burst engine runs
 //!   (Figures 11/12 share one run per burst schedule);
-//! - **telemetry** — [`TelemetryRun`]: end-to-end telemetry-path runs;
 //! - **failures** — [`FailureArtifact`]: the XID failure log plus the
 //!   job population it was drawn over (Table 4; Figures 13-16;
 //!   early_warning).
@@ -30,12 +29,10 @@
 //! wins and determinism makes the loser's artifact identical.
 
 use crate::pipeline::{
-    run_telemetry, DynamicsRun, FailureArtifact, FailureScenario, PopulationArtifact,
-    PopulationScenario, TelemetryRun,
+    DynamicsRun, FailureArtifact, FailureScenario, PopulationArtifact, PopulationScenario,
 };
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use summit_telemetry::stream::FaultConfig;
 
 /// Counter name for cache hits.
 pub const HITS_COUNTER: &str = "summit_core_scenario_cache_hits_total";
@@ -62,7 +59,6 @@ type Slot<T> = Mutex<BTreeMap<u64, Arc<T>>>;
 pub struct ScenarioCache {
     populations: Slot<PopulationArtifact>,
     dynamics: Slot<DynamicsRun>,
-    telemetry: Slot<TelemetryRun>,
     failures: Slot<FailureArtifact>,
 }
 
@@ -73,8 +69,6 @@ pub struct CacheStats {
     pub populations: usize,
     /// Cached dynamics runs.
     pub dynamics: usize,
-    /// Cached telemetry runs.
-    pub telemetry: usize,
     /// Cached failure artifacts.
     pub failures: usize,
 }
@@ -82,7 +76,7 @@ pub struct CacheStats {
 impl CacheStats {
     /// Total cached artifacts.
     pub fn total(&self) -> usize {
-        self.populations + self.dynamics + self.telemetry + self.failures
+        self.populations + self.dynamics + self.failures
     }
 }
 
@@ -128,20 +122,6 @@ impl ScenarioCache {
         memo(&self.dynamics, "dynamics", key, build)
     }
 
-    /// An end-to-end telemetry-path run (see
-    /// [`run_telemetry`]), generated on first use.
-    pub fn telemetry(
-        &self,
-        cabinets: usize,
-        duration_s: f64,
-        faults: Option<FaultConfig>,
-    ) -> Arc<TelemetryRun> {
-        let key = format!("cabinets={cabinets} duration_s={duration_s} faults={faults:?}");
-        memo(&self.telemetry, "telemetry", &key, || {
-            run_telemetry(cabinets, duration_s, faults)
-        })
-    }
-
     /// The failure log (and the job population it was drawn over) for
     /// `scenario`, generating it on first use.
     pub fn failures(&self, scenario: &FailureScenario) -> Arc<FailureArtifact> {
@@ -155,7 +135,6 @@ impl ScenarioCache {
         CacheStats {
             populations: lock(&self.populations).len(),
             dynamics: lock(&self.dynamics).len(),
-            telemetry: lock(&self.telemetry).len(),
             failures: lock(&self.failures).len(),
         }
     }

@@ -14,7 +14,7 @@ use crate::report::{pct, watts, Table};
 use serde::{Deserialize, Serialize};
 use summit_analysis::correlation::pearson;
 use summit_analysis::stats::Summary;
-use summit_sim::engine::{Engine, EngineConfig, StepOptions};
+use summit_sim::engine::{Engine, EngineConfig};
 use summit_telemetry::ids::Msb;
 
 /// Experiment configuration.
@@ -97,13 +97,6 @@ pub fn run(config: &Config) -> Fig04Result {
         }
     }
 
-    // Topology groups per MSB.
-    let topo = engine.topology().clone();
-    let msb_nodes: Vec<Vec<usize>> = Msb::ALL
-        .iter()
-        .map(|&m| topo.nodes_of_msb(m).iter().map(|n| n.index()).collect())
-        .collect();
-
     // Collect 10 s means of meter and summation per MSB.
     let windows = config.duration_s / 10;
     let mut meter_series: Vec<Vec<f64>> = (0..5).map(|_| Vec::with_capacity(windows)).collect();
@@ -112,20 +105,12 @@ pub fn run(config: &Config) -> Fig04Result {
         let mut meter_acc = [0.0f64; 5];
         let mut sum_acc = [0.0f64; 5];
         for _ in 0..10 {
-            let out = engine.step_opts(&StepOptions {
-                node_power: true,
-                ..Default::default()
-            });
-            let Some(node_power) = out.node_sensor_power_w.as_ref() else {
-                continue;
-            };
-            for (m, nodes) in msb_nodes.iter().enumerate() {
-                meter_acc[m] += out.msb_meter_w[m];
-                sum_acc[m] += nodes
-                    .iter()
-                    .map(|&i| node_power[i] as f64)
-                    .filter(|v| v.is_finite())
-                    .sum::<f64>();
+            let out = engine.step();
+            for (acc, w) in meter_acc.iter_mut().zip(out.msb_meter_w) {
+                *acc += w;
+            }
+            for (acc, w) in sum_acc.iter_mut().zip(out.msb_sensor_w) {
+                *acc += w;
             }
         }
         for m in 0..5 {

@@ -25,7 +25,9 @@ use summit_sim::engine::{Engine, EngineConfig, StepOptions};
 use summit_sim::jobs::JobGenerator;
 use summit_sim::topology::CABINETS_PER_ROW;
 use summit_sim::workload::AppProfile;
-use summit_telemetry::ids::CabinetId;
+use summit_telemetry::batch::FrameBatch;
+use summit_telemetry::catalog;
+use summit_telemetry::ids::{CabinetId, GpuSlot};
 
 /// Experiment configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -138,19 +140,17 @@ pub fn run(config: &Config) -> Fig17Result {
     let mut samples = Vec::new();
     let mut raw_samples: Vec<(f64, Vec<f32>, Vec<f32>)> = Vec::new();
     let mut power_series = Vec::with_capacity(n_ticks);
+    let mut batch = FrameBatch::new();
     for tick in 0..n_ticks {
         let want_gpu = tick % stride == 0;
-        let out = engine.step_opts(&StepOptions {
-            gpu_state: want_gpu,
-            ..Default::default()
-        });
+        let out = engine.step_batch(&StepOptions { frames: want_gpu }, &mut batch);
         power_series.push(out.true_compute_power_w);
-        if let (Some(pw), Some(tc)) = (out.gpu_power_w, out.gpu_temp_c) {
+        if want_gpu {
             // Restrict to the job's nodes (the first `job_nodes` ids are
-            // allocated first by the free-list scheduler).
-            let upto = (job_nodes as usize) * 6;
-            let p: Vec<f64> = pw[..upto].iter().map(|&v| v as f64).collect();
-            let t: Vec<f64> = tc[..upto].iter().map(|&v| v as f64).collect();
+            // allocated first by the free-list scheduler), node-major.
+            let (pw, tc) = job_gpu_state(&batch, job_nodes as usize);
+            let p: Vec<f64> = pw.iter().map(|&v| v as f64).collect();
+            let t: Vec<f64> = tc.iter().map(|&v| v as f64).collect();
             if let (Some(pb), Some(tb)) = (BoxStats::compute(&p), BoxStats::compute(&t)) {
                 let pairs: Vec<(f64, f64)> = p
                     .iter()
@@ -168,7 +168,7 @@ pub fn run(config: &Config) -> Fig17Result {
                     temp: tb,
                     power_temp_r: r,
                 });
-                raw_samples.push((out.t, pw[..upto].to_vec(), tc[..upto].to_vec()));
+                raw_samples.push((out.t, pw, tc));
             }
         }
     }
@@ -285,6 +285,22 @@ pub fn run(config: &Config) -> Fig17Result {
         transition_s,
         missing_cabinets: missing,
     }
+}
+
+/// Per-GPU power and core temperature of the first `nodes` rows of a
+/// tick batch, node-major (`node * 6 + slot`).
+fn job_gpu_state(batch: &FrameBatch, nodes: usize) -> (Vec<f32>, Vec<f32>) {
+    let power = GpuSlot::ALL.map(|g| batch.column(catalog::gpu_power(g)));
+    let temp = GpuSlot::ALL.map(|g| batch.column(catalog::gpu_core_temp(g)));
+    let mut pw = Vec::with_capacity(nodes * 6);
+    let mut tc = Vec::with_capacity(nodes * 6);
+    for node in 0..nodes {
+        for (p, t) in power.iter().zip(&temp) {
+            pw.push(p[node]);
+            tc.push(t[node]);
+        }
+    }
+    (pw, tc)
 }
 
 /// Registry adapter for the Figure 17 study.

@@ -8,8 +8,8 @@
 //! - [`pipeline`] — scenario presets (statistical year, burst dynamics,
 //!   telemetry measurement, failure year) shared across experiments.
 //! - [`cache`] — the shared [`cache::ScenarioCache`]: fingerprint-keyed
-//!   memoization of populations, dynamics runs, telemetry runs and
-//!   failure logs, so a full-suite run generates each artifact once.
+//!   memoization of populations, dynamics runs and failure logs, so a
+//!   full-suite run generates each artifact once.
 //! - [`experiments`] — one module per paper artifact (Tables 1-4,
 //!   Figures 4-17), each with a scalable `Config`, a typed result, and a
 //!   terminal rendering annotated with the paper's numbers; all studies

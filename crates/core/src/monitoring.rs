@@ -517,16 +517,6 @@ impl OpsConsole {
         }
         s
     }
-
-    /// Renders the dashboard plus the per-stage timing table from an
-    /// observability snapshot (typically `summit_obs::global().snapshot()`
-    /// or a [`crate::pipeline::TelemetryRun::obs`]).
-    pub fn render_with_obs(&self, snap: &summit_obs::Snapshot) -> String {
-        let mut s = self.render();
-        s.push('\n');
-        s.push_str(&render_stage_timings(snap));
-        s
-    }
 }
 
 /// Formats a duration in seconds with an auto-scaled unit.

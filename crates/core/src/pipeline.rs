@@ -436,15 +436,17 @@ impl AlertLatencyTracker {
 /// batch shape, which the batch executor steps in as well.
 const TICKS_PER_GROUP: usize = 16;
 
+/// Bounded channel capacity (tick batches) between the streaming
+/// producer and its consumer; the producer blocks when the consumer
+/// lags.
+const CHANNEL_CAPACITY: usize = 8;
+
 /// The frame→alert latency histogram both executors record.
 const LATENCY_HISTOGRAM: &str = "summit_core_frame_to_alert_latency_seconds";
 
 /// Engine options that fill the tick's columnar frame batch.
 fn frame_options() -> StepOptions {
-    StepOptions {
-        frames: true,
-        ..StepOptions::default()
-    }
+    StepOptions { frames: true }
 }
 
 /// One node's consumer state: its delivery through the fabric, the
@@ -785,9 +787,6 @@ pub struct StreamConfig {
     pub faults: Option<FaultConfig>,
     /// Scheduled whole-cabinet outage bursts (simulated seconds).
     pub cabinet_outages: Vec<CabinetOutage>,
-    /// Bounded channel capacity (tick batches) between the producer and
-    /// the consumer; the producer blocks when the consumer lags.
-    pub channel_capacity: usize,
     /// Engine ticks per channel batch: the group of ticks the node
     /// lanes consume in one pool dispatch.
     pub ticks_per_batch: usize,
@@ -802,7 +801,6 @@ impl StreamConfig {
             duration_s,
             faults,
             cabinet_outages: Vec::new(),
-            channel_capacity: 8,
             ticks_per_batch: TICKS_PER_GROUP,
         }
     }
@@ -859,7 +857,7 @@ where
 {
     let registry = summit_obs::current();
     let trace = summit_obs::trace::current();
-    let (tx, rx) = crossbeam::channel::bounded::<T>(capacity.max(1));
+    let (tx, rx) = crossbeam::channel::bounded::<T>(capacity);
     std::thread::scope(|s| {
         let producer = s.spawn(move || {
             let _install = registry.install();
@@ -911,7 +909,7 @@ where
 /// **Bounded memory:** resident state is the reorder heaps (bounded by
 /// the fabric's maximum delay), one held frame per node, the
 /// coarsener's in-horizon pending buffers and at most
-/// `channel_capacity` tick batches — independent of `duration_s`.
+/// [`CHANNEL_CAPACITY`] tick batches — independent of `duration_s`.
 pub fn run_streaming(config: StreamConfig) -> StreamingRun {
     let parent = summit_obs::current();
     let registry = summit_obs::registry::Registry::new();
@@ -937,7 +935,7 @@ pub fn run_streaming(config: StreamConfig) -> StreamingRun {
         let mut peak_depth = 0usize;
 
         let jobs = stream_batches(
-            config.channel_capacity,
+            CHANNEL_CAPACITY,
             move |send: &dyn Fn((Vec<TickOutput>, Vec<FrameBatch>)) -> bool| {
                 let _gen = summit_obs::span("summit_core_frame_generation");
                 let opts = frame_options();
@@ -966,7 +964,7 @@ pub fn run_streaming(config: StreamConfig) -> StreamingRun {
                 // but the producer may already have refilled its slot
                 // by the time `depth` was read; the channel itself
                 // never holds more than its capacity, so clamp.
-                peak_depth = peak_depth.max((depth + 1).min(config.channel_capacity.max(1)));
+                peak_depth = peak_depth.max((depth + 1).min(CHANNEL_CAPACITY));
                 summit_obs::gauge("summit_core_stream_channel_depth").set(depth as f64);
                 let _obs = summit_obs::span("summit_core_stream_consume");
                 for tick in &ticks {
@@ -1031,21 +1029,6 @@ pub fn run_streaming(config: StreamConfig) -> StreamingRun {
     run.obs = obs;
     run.summary = summary;
     run
-}
-
-/// Collects per-step detailed outputs for one engine run with options.
-pub fn run_detailed(
-    config: EngineConfig,
-    t0: f64,
-    n_ticks: usize,
-    opts: StepOptions,
-) -> (Vec<TickOutput>, f64) {
-    let _obs = summit_obs::span("summit_core_run_detailed");
-    let dt = config.dt_s;
-    let mut engine = Engine::new(config, t0);
-    let ticks = (0..n_ticks).map(|_| engine.step_opts(&opts)).collect();
-    summit_obs::counter("summit_core_engine_ticks_total").inc_by(n_ticks as u64);
-    (ticks, dt)
 }
 
 #[cfg(test)]
@@ -1418,8 +1401,7 @@ mod tests {
             short.peak_resident_frames,
             long.peak_resident_frames
         );
-        let cfg = StreamConfig::new(1, 480.0, None);
-        assert!(long.peak_channel_depth <= cfg.channel_capacity);
+        assert!(long.peak_channel_depth <= CHANNEL_CAPACITY);
         // The live console saw every closed window.
         let total: usize = long.windows_by_node.iter().map(Vec::len).sum();
         assert_eq!(long.live_windows, total as u64);

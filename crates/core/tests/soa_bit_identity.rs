@@ -65,10 +65,7 @@ fn engine_frames(cabinets: usize, duration_s: f64) -> Vec<Vec<NodeFrame>> {
     let mut frames_by_node: Vec<Vec<NodeFrame>> = (0..node_count)
         .map(|_| Vec::with_capacity(n_ticks))
         .collect();
-    let opts = StepOptions {
-        frames: true,
-        ..StepOptions::default()
-    };
+    let opts = StepOptions { frames: true };
     let mut tick = FrameBatch::with_capacity(node_count);
     for _ in 0..n_ticks {
         let _ = engine.step_batch(&opts, &mut tick);

@@ -10,8 +10,8 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use summit_telemetry::batch::FrameBatch;
 use summit_telemetry::catalog;
-use summit_telemetry::ids::{CabinetId, GpuSlot, NodeId, Socket};
-use summit_telemetry::records::{CepRecord, NodeFrame};
+use summit_telemetry::ids::{CabinetId, GpuSlot, Msb, NodeId, Socket};
+use summit_telemetry::records::{frame_value, CepRecord};
 
 use crate::facility::{Facility, FacilityConfig};
 use crate::failures::CabinetOutage;
@@ -83,15 +83,11 @@ impl EngineConfig {
     }
 }
 
-/// What to collect on a tick beyond the always-on summary.
+/// What [`Engine::step_batch`] collects beyond the always-on summary.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct StepOptions {
-    /// Emit full telemetry frames (one per node, ~106 metrics).
+    /// Fill the tick's frame batch (one row per node, ~106 metrics).
     pub frames: bool,
-    /// Collect the per-node sensor input power vector.
-    pub node_power: bool,
-    /// Collect per-GPU power and core temperature vectors (len nodes*6).
-    pub gpu_state: bool,
 }
 
 /// Output of one tick.
@@ -109,6 +105,10 @@ pub struct TickOutput {
     pub cep: CepRecord,
     /// Per-MSB physical meter readings (W).
     pub msb_meter_w: [f64; 5],
+    /// Per-MSB summation of the node sensor readings the frames carry
+    /// (f32-quantized, dark cabinets skipped; W) — what Figure 4
+    /// compares with the meter.
+    pub msb_sensor_w: [f64; 5],
     /// Cluster GPU core temperature mean/max (°C; NaN during outages).
     pub gpu_temp_mean_c: f64,
     /// Gpu temp max c.
@@ -121,14 +121,6 @@ pub struct TickOutput {
     pub running_jobs: usize,
     /// Busy nodes.
     pub busy_nodes: usize,
-    /// Optional payloads per [`StepOptions`].
-    pub frames: Option<Vec<NodeFrame>>,
-    /// Node sensor power w.
-    pub node_sensor_power_w: Option<Vec<f32>>,
-    /// Per-GPU power (len nodes*6), if requested.
-    pub gpu_power_w: Option<Vec<f32>>,
-    /// Per-GPU core temperature (len nodes*6), if requested.
-    pub gpu_temp_c: Option<Vec<f32>>,
 }
 
 /// The simulation engine.
@@ -261,31 +253,25 @@ impl Engine {
             .any(|o| o.cabinet == cab && o.is_active(self.t))
     }
 
-    /// Advances one tick and returns its output.
+    /// Advances one tick and returns its summary.
     pub fn step(&mut self) -> TickOutput {
-        self.step_opts(&StepOptions::default())
+        self.step_impl(None)
     }
 
-    /// Advances one tick collecting the requested detail.
-    pub fn step_opts(&mut self, opts: &StepOptions) -> TickOutput {
-        self.step_impl(opts, None)
-    }
-
-    /// Advances one tick like [`Engine::step_opts`], but writes this
-    /// tick's telemetry frames into the caller's columnar [`FrameBatch`]
-    /// (reset to the floor's node count) instead of allocating a
-    /// per-frame row vector; [`TickOutput::frames`] stays `None`. The
-    /// batch rows are bit-identical to the frames [`Engine::step_opts`]
-    /// would emit with `opts.frames` set.
+    /// Advances one tick like [`Engine::step`]. With `opts.frames` set
+    /// it also writes the tick's telemetry frames into the caller's
+    /// columnar [`FrameBatch`], reset to the floor's node count (row `i`
+    /// is node `i`); otherwise it leaves the batch empty.
     pub fn step_batch(&mut self, opts: &StepOptions, batch: &mut FrameBatch) -> TickOutput {
-        self.step_impl(opts, Some(batch))
+        if opts.frames {
+            self.step_impl(Some(batch))
+        } else {
+            batch.reset(0);
+            self.step_impl(None)
+        }
     }
 
-    fn step_impl(
-        &mut self,
-        opts: &StepOptions,
-        frame_batch: Option<&mut FrameBatch>,
-    ) -> TickOutput {
+    fn step_impl(&mut self, frame_batch: Option<&mut FrameBatch>) -> TickOutput {
         let dt = self.config.dt_s;
         let t = self.t;
         let tick = self.tick;
@@ -386,76 +372,41 @@ impl Engine {
         let cep = self.facility.step(t, it_power, wet_bulb, dt);
 
         // MSB meters read the true power plus distribution overheads
-        // (arena: the per-node power vector is reused across ticks).
+        // (arena: the per-node power vector is reused across ticks); the
+        // sensor summation adds up the readings the reporting nodes'
+        // frames carry, quantized as the frames store them.
         let mut true_node_power = std::mem::take(&mut self.node_power_scratch);
         true_node_power.clear();
         true_node_power.extend(results.iter().map(|r| r.true_power));
         let mut msb_meter_w = [0.0f64; 5];
-        for m in summit_telemetry::ids::Msb::ALL {
+        let mut msb_sensor_w = [0.0f64; 5];
+        for m in Msb::ALL {
             msb_meter_w[m.index()] =
                 self.msb_model
                     .meter_reading(&self.topology, m, &true_node_power);
+            msb_sensor_w[m.index()] = self
+                .topology
+                .nodes_of_msb(m)
+                .into_iter()
+                .filter(|&node| !self.cabinet_missing(node))
+                .filter_map(|node| results.get(node.index()))
+                .map(|r| f64::from(frame_value(r.sensor_power)))
+                .sum();
         }
         self.node_power_scratch = true_node_power;
 
-        // Optional payloads.
-        let frames = match frame_batch {
-            Some(batch) => {
-                batch.reset(node_count);
-                for (i, r) in results.iter().enumerate() {
-                    let node = NodeId(i as u32);
-                    let row = batch.push_row(node, self.t);
-                    if !self.cabinet_missing(node) {
-                        // All-NaN rows stay as reset left them: the
-                        // bright-green cabinet.
-                        write_frame_metrics(r, temps_ok, &mut |m, v| batch.set(row, m, v));
-                    }
-                }
-                None
-            }
-            None => opts.frames.then(|| {
-                results
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| self.build_frame(NodeId(i as u32), r, temps_ok))
-                    .collect()
-            }),
-        };
-        let node_sensor_power_w = opts.node_power.then(|| {
-            results
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    if self.cabinet_missing(NodeId(i as u32)) {
-                        f32::NAN
-                    } else {
-                        r.sensor_power as f32
-                    }
-                })
-                .collect()
-        });
-        let (gpu_power_w, gpu_temp_c) = if opts.gpu_state {
-            let mut pw = Vec::with_capacity(node_count * 6);
-            let mut tc = Vec::with_capacity(node_count * 6);
+        if let Some(batch) = frame_batch {
+            batch.reset(node_count);
             for (i, r) in results.iter().enumerate() {
-                let missing = self.cabinet_missing(NodeId(i as u32));
-                for s in 0..6 {
-                    pw.push(if missing {
-                        f32::NAN
-                    } else {
-                        r.gpu_power[s] as f32
-                    });
-                    tc.push(if missing || !temps_ok {
-                        f32::NAN
-                    } else {
-                        r.gpu_temp[s] as f32
-                    });
+                let node = NodeId(i as u32);
+                let row = batch.push_row(node, self.t);
+                if !self.cabinet_missing(node) {
+                    // All-NaN rows stay as reset left them: the
+                    // bright-green cabinet.
+                    write_frame_metrics(batch, row, r, temps_ok);
                 }
             }
-            (Some(pw), Some(tc))
-        } else {
-            (None, None)
-        };
+        }
 
         self.t += dt;
         self.tick += 1;
@@ -467,6 +418,7 @@ impl Engine {
             it_power_w: it_power,
             cep,
             msb_meter_w,
+            msb_sensor_w,
             gpu_temp_mean_c: if temps_ok && gpu_t_n > 0 {
                 gpu_t_sum / gpu_t_n as f64
             } else {
@@ -489,20 +441,7 @@ impl Engine {
             },
             running_jobs: self.scheduler.running().len(),
             busy_nodes,
-            frames,
-            node_sensor_power_w,
-            gpu_power_w,
-            gpu_temp_c,
         }
-    }
-
-    fn build_frame(&self, node: NodeId, r: &NodeTick, temps_ok: bool) -> NodeFrame {
-        let mut f = NodeFrame::empty(node, self.t);
-        if self.cabinet_missing(node) {
-            return f; // all-NaN frame: the bright-green cabinet
-        }
-        write_frame_metrics(r, temps_ok, &mut |m, v| f.set(m, v));
-        f
     }
 
     /// Runs `n` ticks, returning their outputs (summary level).
@@ -511,28 +450,28 @@ impl Engine {
     }
 }
 
-/// Writes one node tick's metric readings through `set` — the single
-/// source of frame content shared by the row path
-/// ([`Engine::step_opts`] building [`NodeFrame`]s) and the columnar
-/// path ([`Engine::step_batch`] filling a [`FrameBatch`]), so the two
-/// layouts cannot drift.
-fn write_frame_metrics(r: &NodeTick, temps_ok: bool, set: &mut dyn FnMut(catalog::MetricId, f64)) {
-    set(catalog::input_power(), r.sensor_power);
-    set(catalog::ps_input_power(0), r.sensor_power * 0.5);
-    set(catalog::ps_input_power(1), r.sensor_power * 0.5);
+/// Writes one reporting node's metric readings into its batch row.
+fn write_frame_metrics(batch: &mut FrameBatch, row: usize, r: &NodeTick, temps_ok: bool) {
+    batch.set(row, catalog::input_power(), r.sensor_power);
+    batch.set(row, catalog::ps_input_power(0), r.sensor_power * 0.5);
+    batch.set(row, catalog::ps_input_power(1), r.sensor_power * 0.5);
     for s in Socket::ALL {
-        set(catalog::cpu_power(s), r.cpu_power[s.index()]);
+        batch.set(row, catalog::cpu_power(s), r.cpu_power[s.index()]);
     }
     for g in GpuSlot::ALL {
-        set(catalog::gpu_power(g), r.gpu_power[g.index()]);
+        batch.set(row, catalog::gpu_power(g), r.gpu_power[g.index()]);
         if temps_ok {
-            set(catalog::gpu_core_temp(g), r.gpu_temp[g.index()]);
-            set(catalog::gpu_mem_temp(g), r.thermals.gpu_mem_c[g.index()]);
+            batch.set(row, catalog::gpu_core_temp(g), r.gpu_temp[g.index()]);
+            batch.set(
+                row,
+                catalog::gpu_mem_temp(g),
+                r.thermals.gpu_mem_c[g.index()],
+            );
         }
     }
     if temps_ok {
         for s in Socket::ALL {
-            set(catalog::cpu_pkg_temp(s), r.cpu_temp[s.index()]);
+            batch.set(row, catalog::cpu_pkg_temp(s), r.cpu_temp[s.index()]);
         }
     }
 }
@@ -635,16 +574,12 @@ mod tests {
         let mut cfg = EngineConfig::small(3);
         cfg.missing_cabinet = Some(CabinetId(1));
         let mut e = Engine::new(cfg, 0.0);
-        let out = e.step_opts(&StepOptions {
-            frames: true,
-            node_power: true,
-            gpu_state: true,
-        });
-        let frames = out.frames.as_ref().unwrap();
+        let mut batch = FrameBatch::new();
+        let out = e.step_batch(&StepOptions { frames: true }, &mut batch);
         // Nodes 18..36 are in cabinet 1: their frames are all-NaN.
-        assert!(frames[20].get(catalog::input_power()).is_nan());
-        assert!(!frames[2].get(catalog::input_power()).is_nan());
-        let np = out.node_sensor_power_w.as_ref().unwrap();
+        assert!(batch.read_frame(20).get(catalog::input_power()).is_nan());
+        assert!(!batch.read_frame(2).get(catalog::input_power()).is_nan());
+        let np = batch.column(catalog::input_power());
         assert!(np[20].is_nan() && !np[0].is_nan());
         // Sensor sum excludes the cabinet; true power includes it.
         assert!(out.sensor_compute_power_w < out.true_compute_power_w * 0.95);
@@ -659,22 +594,19 @@ mod tests {
             end_s: 5.0,
         }];
         let mut e = Engine::new(cfg, 0.0);
-        let opts = StepOptions {
-            frames: true,
-            ..StepOptions::default()
-        };
+        let opts = StepOptions { frames: true };
+        let mut batch = FrameBatch::new();
         let mut dark_ticks = 0;
         for tick in 0..8 {
-            let out = e.step_opts(&opts);
-            let frames = out.frames.as_ref().unwrap();
-            let dark = frames[20].get(catalog::input_power()).is_nan();
+            e.step_batch(&opts, &mut batch);
+            let dark = batch.read_frame(20).get(catalog::input_power()).is_nan();
             assert_eq!(
                 dark,
                 (2..5).contains(&tick),
                 "tick {tick}: outage window is [2, 5)"
             );
             // Other cabinets keep reporting throughout.
-            assert!(!frames[2].get(catalog::input_power()).is_nan());
+            assert!(!batch.read_frame(2).get(catalog::input_power()).is_nan());
             dark_ticks += dark as u32;
         }
         assert_eq!(dark_ticks, 3);
@@ -701,53 +633,50 @@ mod tests {
     #[test]
     fn frames_carry_catalog_metrics() {
         let mut e = Engine::new(EngineConfig::small(1), 0.0);
-        let out = e.step_opts(&StepOptions {
-            frames: true,
-            ..Default::default()
-        });
-        let frames = out.frames.unwrap();
-        assert_eq!(frames.len(), 18);
-        let f = &frames[0];
+        let mut batch = FrameBatch::new();
+        e.step_batch(&StepOptions { frames: true }, &mut batch);
+        assert_eq!(batch.len(), 18);
+        let f = batch.read_frame(0);
         assert!(f.get(catalog::input_power()) > 100.0);
         assert!(f.get(catalog::gpu_core_temp(GpuSlot(0))) > 15.0);
         assert!(f.get(catalog::gpu_power(GpuSlot(3))) > 10.0);
     }
 
     #[test]
-    fn step_batch_matches_step_opts_frames_bitwise() {
-        // The columnar tick path must reproduce the row path exactly,
-        // dark cabinet and all.
+    fn msb_sensor_sums_add_up_the_reporting_frames() {
+        // Each MSB's sensor summation is the frames' own input power
+        // over that board's nodes in topology order, dark cabinet
+        // skipped; a tick without frames leaves the batch empty.
         let mut cfg = EngineConfig::small(3);
         cfg.missing_cabinet = Some(CabinetId(1));
-        let mut rows_engine = Engine::new(cfg.clone(), 0.0);
-        let mut cols_engine = Engine::new(cfg, 0.0);
-        let opts = StepOptions {
-            frames: true,
-            ..StepOptions::default()
-        };
+        let mut e = Engine::new(cfg, 0.0);
+        let topology = e.topology().clone();
         let mut batch = FrameBatch::new();
-        for _ in 0..5 {
-            let row_out = rows_engine.step_opts(&opts);
-            let col_out = cols_engine.step_batch(&opts, &mut batch);
-            assert!(col_out.frames.is_none(), "batch path keeps frames out");
-            assert_eq!(
-                row_out.true_compute_power_w.to_bits(),
-                col_out.true_compute_power_w.to_bits()
-            );
-            assert_eq!(
-                row_out.sensor_compute_power_w.to_bits(),
-                col_out.sensor_compute_power_w.to_bits()
-            );
-            let frames = row_out.frames.unwrap();
-            assert_eq!(batch.len(), frames.len());
-            for (i, f) in frames.iter().enumerate() {
-                let g = batch.read_frame(i);
-                assert_eq!(g.node, f.node);
-                assert_eq!(g.t_sample.to_bits(), f.t_sample.to_bits());
-                for (a, b) in g.values.iter().zip(&f.values) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
+        for tick in 0..3 {
+            let out = e.step_batch(&StepOptions { frames: true }, &mut batch);
+            let power = batch.column(catalog::input_power());
+            for m in Msb::ALL {
+                let nodes = topology.nodes_of_msb(m);
+                let want: f64 = nodes
+                    .iter()
+                    .map(|n| f64::from(power[n.index()]))
+                    .filter(|v| !v.is_nan())
+                    .sum();
+                let (got, meter) = (out.msb_sensor_w[m.index()], out.msb_meter_w[m.index()]);
+                assert_eq!(got.to_bits(), want.to_bits(), "tick {tick} {m:?}");
+                // Three cabinets leave some boards without nodes: both
+                // readings are then zero.
+                assert!(
+                    got < meter || (nodes.is_empty() && got == 0.0 && meter == 0.0),
+                    "tick {tick} {m:?}: summation {got} vs meter {meter}"
+                );
             }
+            let total: f64 = out.msb_sensor_w.iter().sum();
+            let rel = (total - out.sensor_compute_power_w).abs() / out.sensor_compute_power_w;
+            assert!(rel < 1e-6, "tick {tick}: MSB sums {total} off by {rel}");
+
+            e.step_batch(&StepOptions { frames: false }, &mut batch);
+            assert!(batch.is_empty(), "tick {tick}");
         }
     }
 
@@ -764,10 +693,7 @@ mod tests {
         }];
         let mut e = Engine::new(cfg, 0.0);
         let node_count = e.topology().node_count();
-        let opts = StepOptions {
-            frames: true,
-            ..StepOptions::default()
-        };
+        let opts = StepOptions { frames: true };
         let mut batch = FrameBatch::new();
         for tick in 0..8 {
             e.step_batch(&opts, &mut batch);

@@ -1,15 +1,13 @@
 //! Columnar (struct-of-arrays) tick-batch of telemetry frames.
 //!
-//! [`FrameBatch`] is the hot-path counterpart of [`NodeFrame`]: one tick
-//! worth of frames stored as one contiguous column per catalog metric
-//! plus a node-id/timestamp index. The engine fills a batch in place
-//! every tick (the buffer is reset, never reallocated, in steady state)
-//! and both the batch and streaming pipelines read rows back out of it
-//! for routing. Column storage keeps per-metric sweeps — coarsening
-//! scratch fills, cluster reductions, Welford folds — as unit-stride
-//! loops the compiler can vectorize, while [`FrameBatch::read_frame`]
-//! reproduces the exact row-structured [`NodeFrame`] for every consumer
-//! that still wants rows, bit for bit.
+//! [`FrameBatch`] is the one form the engine emits telemetry in: one
+//! tick worth of frames stored as one contiguous column per catalog
+//! metric plus a node-id/timestamp index. The caller owns the batch and
+//! the engine refills it in place every tick (the buffer is reset, never
+//! reallocated, in steady state). Consumers sweep a metric's
+//! [`FrameBatch::column`] directly, or materialize one row as a
+//! [`NodeFrame`] with [`FrameBatch::read_frame`], as the pipelines'
+//! node lanes do for every frame they deliver.
 
 use crate::catalog::{MetricId, METRIC_COUNT};
 use crate::ids::NodeId;
@@ -124,10 +122,10 @@ impl FrameBatch {
         &self.values[at..at + self.len]
     }
 
-    /// Materializes one row as the exact [`NodeFrame`] the row path
-    /// would have produced: same node, timestamps and bit-identical
-    /// values (`t_ingest` starts at `t_sample`, as in
-    /// [`NodeFrame::empty`]; the delivery layer stamps it later).
+    /// Materializes one row as a [`NodeFrame`]: the row's node,
+    /// timestamp and metric values, bit for bit (`t_ingest` starts at
+    /// `t_sample`, as in [`NodeFrame::empty`]; the delivery layer stamps
+    /// it later).
     pub fn read_frame(&self, row: usize) -> NodeFrame {
         let mut f = NodeFrame::empty(self.nodes[row], self.t_sample[row]);
         for (m, v) in f.values.iter_mut().enumerate() {

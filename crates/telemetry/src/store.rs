@@ -2,16 +2,14 @@
 //!
 //! The paper archives the 1 Hz stream losslessly ("we have decided to
 //! store the high-frequency datasets in their original form") and serves
-//! coarsened views for analysis. This store mirrors that split: raw
-//! frames are archived as compressed column blocks per (node, partition),
-//! while coarsened windows are kept queryable by time range. Writers and
+//! coarsened views for analysis. This store holds the archive: raw
+//! frames as compressed column blocks per (node, partition). Writers and
 //! readers synchronize through `parking_lot` locks.
 
 use crate::catalog::{full_catalog, MetricDef, METRIC_COUNT};
 use crate::codec::{quant, ColumnBlock, CompressionStats};
 use crate::ids::NodeId;
 use crate::records::NodeFrame;
-use crate::window::NodeWindow;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 
@@ -37,7 +35,6 @@ pub struct ArchivedPartition {
 pub struct TelemetryStore {
     catalog: Vec<MetricDef>,
     raw: RwLock<BTreeMap<(u32, i64), ArchivedPartition>>,
-    windows: RwLock<BTreeMap<(i64, u32), NodeWindow>>,
     compression: RwLock<CompressionStats>,
 }
 
@@ -53,7 +50,6 @@ impl TelemetryStore {
         Self {
             catalog: full_catalog(),
             raw: RwLock::new(BTreeMap::new()),
-            windows: RwLock::new(BTreeMap::new()),
             compression: RwLock::new(CompressionStats::default()),
         }
     }
@@ -144,23 +140,6 @@ impl TelemetryStore {
         Some(frames)
     }
 
-    /// Inserts coarsened windows.
-    pub fn insert_windows(&self, windows: Vec<NodeWindow>) {
-        let mut map = self.windows.write();
-        for w in windows {
-            map.insert((w.window_start.round() as i64, w.node.0), w);
-        }
-    }
-
-    /// Queries coarsened windows with `t_start <= window_start < t_end`,
-    /// in (time, node) order.
-    pub fn query_windows(&self, t_start: f64, t_end: f64) -> Vec<NodeWindow> {
-        let map = self.windows.read();
-        map.range((t_start.round() as i64, 0)..(t_end.round() as i64, 0))
-            .map(|(_, w)| w.clone())
-            .collect()
-    }
-
     /// Current compression accounting.
     pub fn compression_stats(&self) -> CompressionStats {
         *self.compression.read()
@@ -169,11 +148,6 @@ impl TelemetryStore {
     /// Total archived raw partitions.
     pub fn partition_count(&self) -> usize {
         self.raw.read().len()
-    }
-
-    /// Total coarsened windows held.
-    pub fn window_count(&self) -> usize {
-        self.windows.read().len()
     }
 
     /// Total encoded archive bytes.
@@ -191,7 +165,6 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
     use crate::catalog;
-    use crate::window::WindowAggregator;
 
     fn make_frames(node: u32, t0: f64, n: usize) -> Vec<NodeFrame> {
         (0..n)
@@ -266,21 +239,6 @@ mod tests {
         assert_eq!(p1.len(), 60);
         assert!(p0.windows(2).all(|w| w[0].t_sample < w[1].t_sample));
         assert!(store.load_partition(NodeId(9), 0.0).is_none());
-    }
-
-    #[test]
-    fn window_insert_and_range_query() {
-        let store = TelemetryStore::new();
-        let mut agg = WindowAggregator::paper(NodeId(1));
-        for f in make_frames(1, 0.0, 30) {
-            agg.push(&f).unwrap();
-        }
-        store.insert_windows(agg.finish());
-        assert_eq!(store.window_count(), 3);
-        let q = store.query_windows(0.0, 20.0);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q[0].window_start, 0.0);
-        assert_eq!(q[1].window_start, 10.0);
     }
 
     #[test]

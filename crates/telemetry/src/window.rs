@@ -495,13 +495,8 @@ impl StreamingCoarsener {
 
 /// Coarsens per-node frame batches in parallel: `frames_by_node[i]` is
 /// one node's frame sequence (any delivery order the fault model allows).
-/// Returns the coarsened windows per node (same outer order).
-pub fn coarsen_parallel(frames_by_node: &[Vec<NodeFrame>], window_s: f64) -> Vec<Vec<NodeWindow>> {
-    coarsen_parallel_with_health(frames_by_node, window_s).0
-}
-
-/// Like [`coarsen_parallel`], also returning the merged ingest-health
-/// counters across all nodes.
+/// Returns the coarsened windows per node (same outer order) and the
+/// merged ingest-health counters across all nodes.
 pub fn coarsen_parallel_with_health(
     frames_by_node: &[Vec<NodeFrame>],
     window_s: f64,
@@ -795,7 +790,7 @@ mod tests {
                 .collect()
         };
         let batches: Vec<Vec<NodeFrame>> = (0..8).map(mk_frames).collect();
-        let par = coarsen_parallel(&batches, 10.0);
+        let par = coarsen_parallel_with_health(&batches, 10.0).0;
         let nan_eq = |a: f64, b: f64| (a.is_nan() && b.is_nan()) || a == b;
         for (node, frames) in batches.iter().enumerate() {
             let mut agg = WindowAggregator::new(NodeId(node as u32), 10.0);

@@ -11,9 +11,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::BTreeSet;
-use summit_repro::core::pipeline::{run_detailed, run_streaming, StreamConfig};
-use summit_repro::sim::engine::{EngineConfig, StepOptions};
+use summit_repro::core::pipeline::{run_streaming, StreamConfig};
+use summit_repro::sim::engine::{Engine, EngineConfig, StepOptions};
 use summit_repro::sim::failures::CabinetOutage;
+use summit_repro::telemetry::batch::FrameBatch;
 use summit_repro::telemetry::catalog;
 use summit_repro::telemetry::ids::{CabinetId, NodeId};
 use summit_repro::telemetry::ingest::IngestError;
@@ -191,7 +192,7 @@ fn clean_stream_is_untouched_by_zero_probability_injector() {
 
 /// The streaming pipeline under whole-cabinet outage bursts must match
 /// a batch reference built from the same public primitives: generate
-/// the tick stream once ([`run_detailed`]), inject the same fault
+/// the tick stream once ([`Engine::step_batch`]), inject the same fault
 /// profile per node, coarsen in parallel — windows, ingest statistics
 /// and injected-fault counts all agree to the bit.
 #[test]
@@ -216,25 +217,18 @@ fn streaming_with_cabinet_outage_bursts_matches_batch_reference() {
     config.cabinet_outages = outages.clone();
     let dt = config.dt_s;
     let n_ticks = (duration_s / dt).ceil() as usize;
-    let (ticks, _) = run_detailed(
-        config,
-        0.0,
-        n_ticks,
-        StepOptions {
-            frames: true,
-            ..Default::default()
-        },
-    );
+    let mut engine = Engine::new(config, 0.0);
+    let mut batch = FrameBatch::new();
     let mut frames_by_node: Vec<Vec<NodeFrame>> = Vec::new();
-    for tick in ticks {
-        if let Some(frames) = tick.frames {
-            for f in frames {
-                let idx = f.node.index();
-                if frames_by_node.len() <= idx {
-                    frames_by_node.resize_with(idx + 1, Vec::new);
-                }
-                frames_by_node[idx].push(f);
+    for _ in 0..n_ticks {
+        engine.step_batch(&StepOptions { frames: true }, &mut batch);
+        for row in 0..batch.len() {
+            let f = batch.read_frame(row);
+            let idx = f.node.index();
+            if frames_by_node.len() <= idx {
+                frames_by_node.resize_with(idx + 1, Vec::new);
             }
+            frames_by_node[idx].push(f);
         }
     }
     // The bursts took effect: a cabinet-0 node reports NaN during its

@@ -6,6 +6,7 @@
 
 use summit_repro::sim::engine::{Engine, EngineConfig, StepOptions};
 use summit_repro::sim::jobs::JobGenerator;
+use summit_repro::telemetry::batch::FrameBatch;
 use summit_repro::telemetry::catalog;
 use summit_repro::telemetry::cluster::{cluster_power, cluster_power_series};
 use summit_repro::telemetry::ids::NodeId;
@@ -39,13 +40,12 @@ fn simulate(
     let nodes = engine.topology().node_count();
     let mut frames_by_node: Vec<Vec<_>> = (0..nodes).map(|_| Vec::with_capacity(seconds)).collect();
     let mut true_power = Vec::with_capacity(seconds);
+    let mut batch = FrameBatch::new();
     for _ in 0..seconds {
-        let out = engine.step_opts(&StepOptions {
-            frames: true,
-            ..Default::default()
-        });
+        let out = engine.step_batch(&StepOptions { frames: true }, &mut batch);
         true_power.push(out.true_compute_power_w);
-        for f in out.frames.unwrap() {
+        for row in 0..batch.len() {
+            let f = batch.read_frame(row);
             frames_by_node[f.node.index()].push(f);
         }
     }
@@ -164,12 +164,11 @@ fn missing_cabinet_flows_through_aggregation() {
     let mut engine = Engine::new(cfg, 0.0);
     let nodes = engine.topology().node_count();
     let mut frames_by_node = vec![Vec::new(); nodes];
+    let mut batch = FrameBatch::new();
     for _ in 0..20 {
-        let out = engine.step_opts(&StepOptions {
-            frames: true,
-            ..Default::default()
-        });
-        for f in out.frames.unwrap() {
+        engine.step_batch(&StepOptions { frames: true }, &mut batch);
+        for row in 0..batch.len() {
+            let f = batch.read_frame(row);
             frames_by_node[f.node.index()].push(f);
         }
     }
