@@ -225,11 +225,6 @@ impl Histogram2d {
         self.out_of_range
     }
 
-    /// Grid dimensions `(x_bins, y_bins)`.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.x_bins, self.y_bins)
-    }
-
     /// The `(xi, yi)` of the fullest cell; `None` if empty.
     pub fn mode_cell(&self) -> Option<(usize, usize)> {
         let (idx, &c) = self.counts.iter().enumerate().max_by_key(|&(_, &c)| c)?;

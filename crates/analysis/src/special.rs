@@ -43,12 +43,6 @@ pub fn normal_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
 }
 
-/// Standard normal probability density function.
-pub fn normal_pdf(x: f64) -> f64 {
-    const INV_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
-    INV_SQRT_2PI * (-0.5 * x * x).exp()
-}
-
 /// Natural log of the gamma function, Lanczos approximation (g=7, n=9).
 ///
 /// Accurate to ~15 significant digits for positive arguments; uses the

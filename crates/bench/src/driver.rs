@@ -221,12 +221,11 @@ pub fn run_selected(
     let cache = ScenarioCache::new();
     let mut reports = Vec::with_capacity(selected.len());
     for exp in selected {
-        let report = registry::run_by_name(&cache, exp.name(), scale, overrides)
-            .map_err(|e| e.to_string())?;
         let mut config = exp.default_config(scale);
         if let Some(over) = overrides {
             config.merge(over);
         }
+        let report = exp.run(&cache, &config).map_err(|e| e.to_string())?;
         reports.push(StudyReport {
             name: exp.name(),
             summary: exp.summary(),

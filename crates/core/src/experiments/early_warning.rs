@@ -30,16 +30,6 @@ pub struct Config {
     pub seed: u64,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            weeks: 52.3,
-            horizon_s: 3600.0,
-            seed: 2020,
-        }
-    }
-}
-
 /// Evaluation result.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EarlyWarningResult {
@@ -62,14 +52,19 @@ pub struct EarlyWarningResult {
     pub median_lead_s: f64,
 }
 
-/// Runs the early-warning evaluation against a private cache.
-pub fn run(config: &Config) -> EarlyWarningResult {
-    run_with(&ScenarioCache::new(), config)
-}
-
 /// Runs the early-warning evaluation, acquiring the failure log through
 /// `cache`.
-pub fn run_with(cache: &ScenarioCache, config: &Config) -> EarlyWarningResult {
+pub fn run(cache: &ScenarioCache, config: &Config) -> Result<EarlyWarningResult, ExperimentError> {
+    table4::ensure_weeks("early_warning", config.weeks)?;
+    if !(config.horizon_s.is_finite() && config.horizon_s > 0.0) {
+        return Err(ExperimentError::invalid(
+            "early_warning",
+            format!(
+                "horizon_s must be a positive horizon, got {}",
+                config.horizon_s
+            ),
+        ));
+    }
     let _obs = summit_obs::span("summit_core_early_warning");
     let art = cache.failures(&FailureScenario {
         weeks: config.weeks,
@@ -117,7 +112,7 @@ pub fn run_with(cache: &ScenarioCache, config: &Config) -> EarlyWarningResult {
         anticipated as f64 / errors.len() as f64
     };
 
-    EarlyWarningResult {
+    Ok(EarlyWarningResult {
         warnings: warnings.len(),
         driver_errors: errors.len(),
         true_positives: true_pos,
@@ -126,7 +121,7 @@ pub fn run_with(cache: &ScenarioCache, config: &Config) -> EarlyWarningResult {
         precision,
         recall,
         median_lead_s: summit_analysis::stats::median(&leads),
-    }
+    })
 }
 
 /// Registry adapter for the early-warning extension study.
@@ -151,20 +146,12 @@ impl Experiment for Study {
 
     fn run(&self, cache: &ScenarioCache, config: &Json) -> Result<String, ExperimentError> {
         let cfg = Cfg::new("early_warning", config)?;
-        let scenario = table4::scenario_from(&cfg)?;
-        let horizon_s = cfg.f64("horizon_s")?;
-        if !(horizon_s.is_finite() && horizon_s > 0.0) {
-            return Err(ExperimentError::invalid(
-                "early_warning",
-                format!("horizon_s must be a positive horizon, got {horizon_s}"),
-            ));
-        }
         let config = Config {
-            weeks: scenario.weeks,
-            horizon_s,
-            seed: scenario.seed,
+            weeks: cfg.f64("weeks")?,
+            horizon_s: cfg.f64("horizon_s")?,
+            seed: cfg.u64("seed")?,
         };
-        Ok(run_with(cache, &config).render())
+        Ok(run(cache, &config)?.render())
     }
 }
 
@@ -202,11 +189,15 @@ mod tests {
     use super::*;
 
     fn result() -> EarlyWarningResult {
-        run(&Config {
-            weeks: 26.0,
-            horizon_s: 3600.0,
-            seed: 21,
-        })
+        run(
+            &ScenarioCache::new(),
+            &Config {
+                weeks: 26.0,
+                horizon_s: 3600.0,
+                seed: 21,
+            },
+        )
+        .unwrap()
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! different means.
 
 use crate::cache::ScenarioCache;
-use crate::experiments::registry::{clamp_scale, Cfg, Experiment, ExperimentError};
+use crate::experiments::registry::{
+    clamp_scale, ensure_cabinets, Cfg, Experiment, ExperimentError,
+};
 use crate::json::Json;
 use crate::report::{pct, watts, Table};
 use serde::{Deserialize, Serialize};
@@ -26,16 +28,6 @@ pub struct Config {
     pub duration_s: usize,
     /// Workload: fraction of the floor kept busy to create load swings.
     pub busy_fraction: f64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            cabinets: 60,
-            duration_s: 1800,
-            busy_fraction: 1.0,
-        }
-    }
 }
 
 /// Per-MSB comparison row.
@@ -72,7 +64,23 @@ pub struct Fig04Result {
 }
 
 /// Runs the Figure 4 validation study.
-pub fn run(config: &Config) -> Fig04Result {
+pub fn run(config: &Config) -> Result<Fig04Result, ExperimentError> {
+    ensure_cabinets("fig04", config.cabinets)?;
+    if config.duration_s < 10 {
+        return Err(ExperimentError::invalid(
+            "fig04",
+            "duration_s must be at least one 10 s window",
+        ));
+    }
+    if !(0.0..=1.0).contains(&config.busy_fraction) {
+        return Err(ExperimentError::invalid(
+            "fig04",
+            format!(
+                "busy_fraction must be in [0, 1], got {}",
+                config.busy_fraction
+            ),
+        ));
+    }
     let _obs = summit_obs::span("summit_core_fig04");
     let mut engine_cfg = EngineConfig::small(config.cabinets);
     engine_cfg.dt_s = 1.0;
@@ -146,12 +154,12 @@ pub fn run(config: &Config) -> Fig04Result {
     let gaps: Vec<f64> = rows.iter().map(|r| r.relative_gap).collect();
     let gap_spread = summit_analysis::stats::nanmax(&gaps) - summit_analysis::stats::nanmin(&gaps);
 
-    Fig04Result {
+    Ok(Fig04Result {
         rows,
         overall_mean_diff_w,
         overall_gap,
         gap_spread,
-    }
+    })
 }
 
 /// Registry adapter for the Figure 4 validation study.
@@ -181,26 +189,11 @@ impl Experiment for Study {
     fn run(&self, _cache: &ScenarioCache, config: &Json) -> Result<String, ExperimentError> {
         let cfg = Cfg::new("fig04", config)?;
         let config = Config {
-            cabinets: cfg.cabinets()?,
+            cabinets: cfg.usize("cabinets")?,
             duration_s: cfg.usize("duration_s")?,
             busy_fraction: cfg.f64("busy_fraction")?,
         };
-        if config.duration_s < 10 {
-            return Err(ExperimentError::invalid(
-                "fig04",
-                "duration_s must be at least one 10 s window",
-            ));
-        }
-        if !(0.0..=1.0).contains(&config.busy_fraction) {
-            return Err(ExperimentError::invalid(
-                "fig04",
-                format!(
-                    "busy_fraction must be in [0, 1], got {}",
-                    config.busy_fraction
-                ),
-            ));
-        }
-        Ok(run(&config).render())
+        Ok(run(&config)?.render())
     }
 }
 
@@ -254,7 +247,8 @@ mod tests {
             cabinets: 10,
             duration_s: 300,
             busy_fraction: 1.0,
-        });
+        })
+        .unwrap();
         assert_eq!(r.rows.len(), 5);
         // ~11 % gap.
         assert!(

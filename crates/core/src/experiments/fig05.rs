@@ -32,16 +32,6 @@ pub struct Config {
     pub maintenance_days: Option<(f64, f64)>,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            population_scale: 1.0,
-            dt_s: 600.0,
-            maintenance_days: Some((34.0, 41.0)),
-        }
-    }
-}
-
 /// One weekly summary row.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WeekRow {
@@ -82,14 +72,16 @@ pub struct Fig05Result {
     pub it_energy_j: f64,
 }
 
-/// Runs the yearly-trend experiment against a private cache.
-pub fn run(config: &Config) -> Fig05Result {
-    run_with(&ScenarioCache::new(), config)
-}
-
 /// Runs the yearly-trend experiment, acquiring the population through
 /// `cache`.
-pub fn run_with(cache: &ScenarioCache, config: &Config) -> Fig05Result {
+pub fn run(cache: &ScenarioCache, config: &Config) -> Result<Fig05Result, ExperimentError> {
+    ensure_population_scale("fig05", config.population_scale)?;
+    if !(config.dt_s.is_finite() && config.dt_s > 0.0) {
+        return Err(ExperimentError::invalid(
+            "fig05",
+            format!("dt_s must be a positive step, got {}", config.dt_s),
+        ));
+    }
     let _obs = summit_obs::span("summit_core_fig05");
     let pop = cache.population(&PopulationScenario::paper_year(config.population_scale));
     let rows = &pop.rows;
@@ -187,7 +179,7 @@ pub fn run_with(cache: &ScenarioCache, config: &Config) -> Fig05Result {
     let chiller_year_fraction =
         chiller_series.iter().filter(|&&c| c > 25.0).count() as f64 / chiller_series.len() as f64;
 
-    Fig05Result {
+    Ok(Fig05Result {
         weeks,
         annual_avg_pue,
         summer_avg_pue,
@@ -197,7 +189,7 @@ pub fn run_with(cache: &ScenarioCache, config: &Config) -> Fig05Result {
         max_power_w: summit_analysis::stats::nanmax(it_total.values()),
         mean_power_w: summit_analysis::stats::nanmean(it_total.values()),
         it_energy_j: summit_analysis::pue::integrate_energy(&it_total).energy_j,
-    }
+    })
 }
 
 /// Registry adapter for the Figure 5 study.
@@ -231,14 +223,7 @@ impl Experiment for Study {
             dt_s: cfg.f64("dt_s")?,
             maintenance_days: cfg.opt_f64_pair("maintenance_days")?,
         };
-        ensure_population_scale("fig05", config.population_scale)?;
-        if !(config.dt_s.is_finite() && config.dt_s > 0.0) {
-            return Err(ExperimentError::invalid(
-                "fig05",
-                format!("dt_s must be a positive step, got {}", config.dt_s),
-            ));
-        }
-        Ok(run_with(cache, &config).render())
+        Ok(run(cache, &config)?.render())
     }
 }
 
@@ -295,11 +280,15 @@ mod tests {
     use super::*;
 
     fn result() -> Fig05Result {
-        run(&Config {
-            population_scale: 0.005,
-            dt_s: 3600.0,
-            maintenance_days: Some((34.0, 41.0)),
-        })
+        run(
+            &ScenarioCache::new(),
+            &Config {
+                population_scale: 0.005,
+                dt_s: 3600.0,
+                maintenance_days: Some((34.0, 41.0)),
+            },
+        )
+        .unwrap()
     }
 
     #[test]

@@ -28,16 +28,6 @@ pub struct Config {
     pub max_samples: usize,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            population_scale: 0.02,
-            grid: 64,
-            max_samples: 4000,
-        }
-    }
-}
-
 /// Per-class KDE characterization.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClassDensity {
@@ -80,13 +70,15 @@ fn overlap(a: (f64, f64), b: (f64, f64)) -> f64 {
     (hi - lo) / span
 }
 
-/// Runs the Figure 6 study against a private cache.
-pub fn run(config: &Config) -> Fig06Result {
-    run_with(&ScenarioCache::new(), config)
-}
-
 /// Runs the Figure 6 study, acquiring the population through `cache`.
-pub fn run_with(cache: &ScenarioCache, config: &Config) -> Fig06Result {
+pub fn run(cache: &ScenarioCache, config: &Config) -> Result<Fig06Result, ExperimentError> {
+    ensure_population_scale("fig06", config.population_scale)?;
+    if config.grid == 0 || config.max_samples == 0 {
+        return Err(ExperimentError::invalid(
+            "fig06",
+            "grid and max_samples must be positive",
+        ));
+    }
     let _obs = summit_obs::span("summit_core_fig06");
     let pop = cache.population(&PopulationScenario::paper_year(config.population_scale));
     let rows = &pop.rows;
@@ -140,11 +132,11 @@ pub fn run_with(cache: &ScenarioCache, config: &Config) -> Fig06Result {
     }
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
 
-    Fig06Result {
+    Ok(Fig06Result {
         mean_power_overlap: mean(&p_overlaps),
         mean_energy_overlap: mean(&e_overlaps),
         classes,
-    }
+    })
 }
 
 /// Registry adapter for the Figure 6 study.
@@ -178,14 +170,7 @@ impl Experiment for Study {
             grid: cfg.usize("grid")?,
             max_samples: cfg.usize("max_samples")?,
         };
-        ensure_population_scale("fig06", config.population_scale)?;
-        if config.grid == 0 || config.max_samples == 0 {
-            return Err(ExperimentError::invalid(
-                "fig06",
-                "grid and max_samples must be positive",
-            ));
-        }
-        Ok(run_with(cache, &config).render())
+        Ok(run(cache, &config)?.render())
     }
 }
 
@@ -272,11 +257,15 @@ mod tests {
     use super::*;
 
     fn result() -> Fig06Result {
-        run(&Config {
-            population_scale: 0.004,
-            grid: 48,
-            max_samples: 2000,
-        })
+        run(
+            &ScenarioCache::new(),
+            &Config {
+                population_scale: 0.004,
+                grid: 48,
+                max_samples: 2000,
+            },
+        )
+        .unwrap()
     }
 
     #[test]

@@ -26,14 +26,6 @@ pub struct Config {
     pub population_scale: f64,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            population_scale: 0.05,
-        }
-    }
-}
-
 /// CDF summary of one feature.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct FeatureCdf {
@@ -127,19 +119,15 @@ fn class_cdfs(rows: &[summit_sim::jobstats::JobStatsRow], class: u8) -> ClassCdf
     }
 }
 
-/// Runs the Figure 7 study against a private cache.
-pub fn run(config: &Config) -> Fig07Result {
-    run_with(&ScenarioCache::new(), config)
-}
-
 /// Runs the Figure 7 study, acquiring the population through `cache`.
-pub fn run_with(cache: &ScenarioCache, config: &Config) -> Fig07Result {
+pub fn run(cache: &ScenarioCache, config: &Config) -> Result<Fig07Result, ExperimentError> {
+    ensure_population_scale("fig07", config.population_scale)?;
     let _obs = summit_obs::span("summit_core_fig07");
     let pop = cache.population(&PopulationScenario::paper_year(config.population_scale));
-    Fig07Result {
+    Ok(Fig07Result {
         class1: class_cdfs(&pop.rows, 1),
         class2: class_cdfs(&pop.rows, 2),
-    }
+    })
 }
 
 /// Registry adapter for the Figure 7 study.
@@ -164,8 +152,7 @@ impl Experiment for Study {
         let config = Config {
             population_scale: cfg.f64("population_scale")?,
         };
-        ensure_population_scale("fig07", config.population_scale)?;
-        Ok(run_with(cache, &config).render())
+        Ok(run(cache, &config)?.render())
     }
 }
 
@@ -262,9 +249,13 @@ mod tests {
     use super::*;
 
     fn result() -> Fig07Result {
-        run(&Config {
-            population_scale: 0.02,
-        })
+        run(
+            &ScenarioCache::new(),
+            &Config {
+                population_scale: 0.02,
+            },
+        )
+        .unwrap()
     }
 
     #[test]

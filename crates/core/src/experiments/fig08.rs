@@ -25,15 +25,6 @@ pub struct Config {
     pub class: u8,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            population_scale: 0.05,
-            class: 1,
-        }
-    }
-}
-
 /// One domain's distributions.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DomainRow {
@@ -56,14 +47,8 @@ pub struct Fig08Result {
     pub rows: Vec<DomainRow>,
 }
 
-/// Runs the Figure 8 study for one class panel against a private cache.
-pub fn run(config: &Config) -> Result<Fig08Result, ExperimentError> {
-    run_with(&ScenarioCache::new(), config)
-}
-
 /// Runs the Figure 8 study, acquiring the population through `cache`.
-pub fn run_with(cache: &ScenarioCache, config: &Config) -> Result<Fig08Result, ExperimentError> {
-    let _obs = summit_obs::span("summit_core_fig08");
+pub fn run(cache: &ScenarioCache, config: &Config) -> Result<Fig08Result, ExperimentError> {
     if config.class != 1 && config.class != 2 {
         return Err(ExperimentError::invalid(
             "fig08",
@@ -74,6 +59,7 @@ pub fn run_with(cache: &ScenarioCache, config: &Config) -> Result<Fig08Result, E
         ));
     }
     ensure_population_scale("fig08", config.population_scale)?;
+    let _obs = summit_obs::span("summit_core_fig08");
     let pop = cache.population(&PopulationScenario::paper_year(config.population_scale));
     let rows = &pop.rows;
     let mut out = Vec::new();
@@ -133,7 +119,7 @@ impl Experiment for Study {
             population_scale: cfg.f64("population_scale")?,
             class: cfg.u8("class")?,
         };
-        Ok(run_with(cache, &config)?.render())
+        Ok(run(cache, &config)?.render())
     }
 }
 
@@ -175,10 +161,13 @@ mod tests {
     use super::*;
 
     fn result(class: u8) -> Fig08Result {
-        run(&Config {
-            population_scale: 0.03,
-            class,
-        })
+        run(
+            &ScenarioCache::new(),
+            &Config {
+                population_scale: 0.03,
+                class,
+            },
+        )
         .unwrap()
     }
 
@@ -233,19 +222,25 @@ mod tests {
 
     #[test]
     fn rejects_other_classes_with_typed_error() {
-        let err = run(&Config {
-            population_scale: 0.01,
-            class: 5,
-        })
+        let err = run(
+            &ScenarioCache::new(),
+            &Config {
+                population_scale: 0.01,
+                class: 5,
+            },
+        )
         .unwrap_err();
         assert!(
             matches!(&err, ExperimentError::InvalidConfig(m) if m.contains("classes 1 and 2")),
             "unexpected error: {err}"
         );
-        let err = run(&Config {
-            population_scale: 0.0,
-            class: 1,
-        })
+        let err = run(
+            &ScenarioCache::new(),
+            &Config {
+                population_scale: 0.0,
+                class: 1,
+            },
+        )
         .unwrap_err();
         assert!(
             matches!(&err, ExperimentError::InvalidConfig(m) if m.contains("population_scale"))

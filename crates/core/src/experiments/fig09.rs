@@ -25,15 +25,6 @@ pub struct Config {
     pub max_samples: usize,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            population_scale: 0.02,
-            max_samples: 4000,
-        }
-    }
-}
-
 /// Characterization of one (statistic, class-group) panel.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Panel {
@@ -106,13 +97,15 @@ fn build_panel(
     })
 }
 
-/// Runs the Figure 9 study against a private cache.
-pub fn run(config: &Config) -> Fig09Result {
-    run_with(&ScenarioCache::new(), config)
-}
-
 /// Runs the Figure 9 study, acquiring the population through `cache`.
-pub fn run_with(cache: &ScenarioCache, config: &Config) -> Fig09Result {
+pub fn run(cache: &ScenarioCache, config: &Config) -> Result<Fig09Result, ExperimentError> {
+    ensure_population_scale("fig09", config.population_scale)?;
+    if config.max_samples == 0 {
+        return Err(ExperimentError::invalid(
+            "fig09",
+            "max_samples must be positive",
+        ));
+    }
     let _obs = summit_obs::span("summit_core_fig09");
     let pop = cache.population(&PopulationScenario::paper_year(config.population_scale));
     let rows = &pop.rows;
@@ -127,7 +120,7 @@ pub fn run_with(cache: &ScenarioCache, config: &Config) -> Fig09Result {
             panels.push(p);
         }
     }
-    Fig09Result { panels }
+    Ok(Fig09Result { panels })
 }
 
 /// Registry adapter for the Figure 9 study.
@@ -159,14 +152,7 @@ impl Experiment for Study {
             population_scale: cfg.f64("population_scale")?,
             max_samples: cfg.usize("max_samples")?,
         };
-        ensure_population_scale("fig09", config.population_scale)?;
-        if config.max_samples == 0 {
-            return Err(ExperimentError::invalid(
-                "fig09",
-                "max_samples must be positive",
-            ));
-        }
-        Ok(run_with(cache, &config).render())
+        Ok(run(cache, &config)?.render())
     }
 }
 
@@ -213,10 +199,14 @@ mod tests {
     use super::*;
 
     fn result() -> Fig09Result {
-        run(&Config {
-            population_scale: 0.005,
-            max_samples: 2000,
-        })
+        run(
+            &ScenarioCache::new(),
+            &Config {
+                population_scale: 0.005,
+                max_samples: 2000,
+            },
+        )
+        .unwrap()
     }
 
     #[test]

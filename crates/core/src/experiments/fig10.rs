@@ -32,15 +32,6 @@ pub struct Config {
     pub dt_s: f64,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            population_scale: 0.01,
-            dt_s: 10.0,
-        }
-    }
-}
-
 /// Per-class dynamics summary.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClassDynamics {
@@ -83,15 +74,17 @@ struct JobDyn {
     dominant_amp: Option<f64>,
 }
 
-/// Runs the Figure 10 study.
-pub fn run(config: &Config) -> Fig10Result {
-    run_with(&ScenarioCache::new(), config)
-}
-
 /// Runs the Figure 10 study, acquiring the population through `cache`.
 /// The cached rows carry their jobs and power model, so the replay uses
 /// the exact job stream `PopulationScenario::generate` would produce.
-pub fn run_with(cache: &ScenarioCache, config: &Config) -> Fig10Result {
+pub fn run(cache: &ScenarioCache, config: &Config) -> Result<Fig10Result, ExperimentError> {
+    ensure_population_scale("fig10", config.population_scale)?;
+    if !(config.dt_s.is_finite() && config.dt_s > 0.0) {
+        return Err(ExperimentError::invalid(
+            "fig10",
+            format!("dt_s must be a positive step, got {}", config.dt_s),
+        ));
+    }
     let _obs = summit_obs::span("summit_core_fig10");
     let pop = cache.population(&PopulationScenario::paper_year(config.population_scale));
     let pm: PowerModel = pop.power_model;
@@ -164,10 +157,10 @@ pub fn run_with(cache: &ScenarioCache, config: &Config) -> Fig10Result {
         });
     }
 
-    Fig10Result {
+    Ok(Fig10Result {
         classes,
         edge_free_fraction: edge_free,
-    }
+    })
 }
 
 /// Registry adapter for the Figure 10 study.
@@ -196,14 +189,7 @@ impl Experiment for Study {
             population_scale: cfg.f64("population_scale")?,
             dt_s: cfg.f64("dt_s")?,
         };
-        ensure_population_scale("fig10", config.population_scale)?;
-        if !(config.dt_s.is_finite() && config.dt_s > 0.0) {
-            return Err(ExperimentError::invalid(
-                "fig10",
-                format!("dt_s must be a positive step, got {}", config.dt_s),
-            ));
-        }
-        Ok(run_with(cache, &config).render())
+        Ok(run(cache, &config)?.render())
     }
 }
 
@@ -254,10 +240,14 @@ mod tests {
     use super::*;
 
     fn result() -> Fig10Result {
-        run(&Config {
-            population_scale: 0.003,
-            dt_s: 10.0,
-        })
+        run(
+            &ScenarioCache::new(),
+            &Config {
+                population_scale: 0.003,
+                dt_s: 10.0,
+            },
+        )
+        .unwrap()
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! tens of seconds; behaviour is similar across magnitudes.
 
 use crate::cache::ScenarioCache;
-use crate::experiments::registry::{clamp_scale, Cfg, Experiment, ExperimentError};
+use crate::experiments::registry::{
+    clamp_scale, ensure_cabinets, Cfg, Experiment, ExperimentError,
+};
 use crate::json::Json;
 use crate::pipeline::{run_burst_schedule, summer_t0, Burst, DynamicsRun};
 use crate::report::{pct, watts, Table};
@@ -33,34 +35,15 @@ pub struct Config {
     pub spacing_s: f64,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            cabinets: 257,
-            amplitudes_mw: vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
-            repeats: 3,
-            burst_duration_s: 180.0,
-            spacing_s: 600.0,
-        }
-    }
-}
-
 /// Effective above-idle power a burst node contributes (W) — used to size
 /// bursts for a target amplitude.
 pub const BURST_W_PER_NODE: f64 = 1500.0;
 
-/// Builds the burst schedule and runs the engine against a private
-/// cache; shared with Figure 12.
-pub fn burst_run(config: &Config) -> (DynamicsRun, Vec<Edge>) {
-    let (run, edges) = burst_run_with(&ScenarioCache::new(), config);
-    ((*run).clone(), edges)
-}
-
 /// Builds the burst schedule and acquires the engine run through
 /// `cache`, so Figures 11 and 12 with the same burst config share one
 /// engine sweep. Edge detection is cheap and re-derived from the cached
-/// run.
-pub fn burst_run_with(cache: &ScenarioCache, config: &Config) -> (Arc<DynamicsRun>, Vec<Edge>) {
+/// run. `config` must have passed [`ensure_bursts`].
+pub(crate) fn burst_run(cache: &ScenarioCache, config: &Config) -> (Arc<DynamicsRun>, Vec<Edge>) {
     let run = cache.dynamics(&format!("fig11 bursts {config:?}"), || engine_run(config));
     // Detect edges on the 10 s sensor power series, as the paper does.
     let power10 = run.power_series().downsample_mean(10);
@@ -133,15 +116,11 @@ pub struct Fig11Result {
     pub pue_at_baseline: f64,
 }
 
-/// Runs the Figure 11 study against a private cache.
-pub fn run(config: &Config) -> Fig11Result {
-    run_with(&ScenarioCache::new(), config)
-}
-
 /// Runs the Figure 11 study, acquiring the engine run through `cache`.
-pub fn run_with(cache: &ScenarioCache, config: &Config) -> Fig11Result {
+pub fn run(cache: &ScenarioCache, config: &Config) -> Result<Fig11Result, ExperimentError> {
+    ensure_bursts("fig11", config)?;
     let _obs = summit_obs::span("summit_core_fig11");
-    let (run, edges) = burst_run_with(cache, config);
+    let (run, edges) = burst_run(cache, config);
     let power10 = run.power_series().downsample_mean(10);
     let pue10 = run.pue_series().downsample_mean(10);
 
@@ -203,11 +182,11 @@ pub fn run_with(cache: &ScenarioCache, config: &Config) -> Fig11Result {
         .map(|c| (c.pue.mean_at(120.0), c.pue.mean_at(-40.0)))
         .unwrap_or((f64::NAN, f64::NAN));
 
-    Fig11Result {
+    Ok(Fig11Result {
         classes,
         pue_at_peak,
         pue_at_baseline,
-    }
+    })
 }
 
 /// The default burst schedule at `scale`, as JSON (shared with the
@@ -228,31 +207,35 @@ pub(crate) fn default_burst_json(scale: f64) -> Json {
             ("spacing_s", Json::Num(420.0)),
         ])
     } else {
-        let d = Config::default();
+        // Paper scale: the full floor, 1-7 MW edges.
         Json::obj([
-            ("cabinets", Json::from(d.cabinets)),
+            ("cabinets", Json::Num(257.0)),
             (
                 "amplitudes_mw",
-                Json::Arr(d.amplitudes_mw.iter().map(|&m| Json::from(m)).collect()),
+                Json::nums([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]),
             ),
-            ("repeats", Json::from(d.repeats)),
-            ("burst_duration_s", Json::Num(d.burst_duration_s)),
-            ("spacing_s", Json::Num(d.spacing_s)),
+            ("repeats", Json::Num(3.0)),
+            ("burst_duration_s", Json::Num(180.0)),
+            ("spacing_s", Json::Num(600.0)),
         ])
     }
 }
 
-/// Parses and validates a burst [`Config`] from a JSON config object
-/// (shared with the Figure 12 registry adapter).
+/// Decodes a burst [`Config`] from a JSON config object (shared with
+/// the Figure 12 registry adapter).
 pub(crate) fn burst_config_from(cfg: &Cfg<'_>) -> Result<Config, ExperimentError> {
-    let config = Config {
-        cabinets: cfg.cabinets()?,
+    Ok(Config {
+        cabinets: cfg.usize("cabinets")?,
         amplitudes_mw: cfg.f64_list("amplitudes_mw")?,
         repeats: cfg.usize("repeats")?,
         burst_duration_s: cfg.f64("burst_duration_s")?,
         spacing_s: cfg.f64("spacing_s")?,
-    };
-    let name = cfg.experiment();
+    })
+}
+
+/// Validates a burst [`Config`] (shared with Figure 12).
+pub(crate) fn ensure_bursts(name: &'static str, config: &Config) -> Result<(), ExperimentError> {
+    ensure_cabinets(name, config.cabinets)?;
     if config.repeats == 0 {
         return Err(ExperimentError::invalid(name, "repeats must be positive"));
     }
@@ -278,7 +261,7 @@ pub(crate) fn burst_config_from(cfg: &Cfg<'_>) -> Result<Config, ExperimentError
             ));
         }
     }
-    Ok(config)
+    Ok(())
 }
 
 /// Registry adapter for the Figure 11 study.
@@ -298,9 +281,8 @@ impl Experiment for Study {
     }
 
     fn run(&self, cache: &ScenarioCache, config: &Json) -> Result<String, ExperimentError> {
-        let cfg = Cfg::new("fig11", config)?;
-        let config = burst_config_from(&cfg)?;
-        Ok(run_with(cache, &config).render())
+        let config = burst_config_from(&Cfg::new("fig11", config)?)?;
+        Ok(run(cache, &config)?.render())
     }
 }
 
@@ -346,13 +328,17 @@ mod tests {
     use super::*;
 
     fn result() -> Fig11Result {
-        run(&Config {
-            cabinets: 24, // 432 nodes -> up to ~0.6 MW swings
-            amplitudes_mw: vec![0.2, 0.4, 0.6],
-            repeats: 2,
-            burst_duration_s: 120.0,
-            spacing_s: 420.0,
-        })
+        run(
+            &ScenarioCache::new(),
+            &Config {
+                cabinets: 24, // 432 nodes -> up to ~0.6 MW swings
+                amplitudes_mw: vec![0.2, 0.4, 0.6],
+                repeats: 2,
+                burst_duration_s: 120.0,
+                spacing_s: 420.0,
+            },
+        )
+        .unwrap()
     }
 
     #[test]

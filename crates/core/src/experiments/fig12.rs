@@ -9,7 +9,7 @@
 //! stays inversely proportional with oscillations after large falls.
 
 use crate::cache::ScenarioCache;
-use crate::experiments::fig11::{self, burst_run_with, Config as BurstConfig};
+use crate::experiments::fig11::{self, burst_run, Config as BurstConfig};
 use crate::experiments::registry::{Cfg, Experiment, ExperimentError};
 use crate::json::Json;
 use crate::report::Table;
@@ -22,18 +22,6 @@ use summit_analysis::snapshot::{superimpose, Superposition};
 pub struct Config {
     /// Burst staging configuration (shared with Figure 11).
     pub burst: BurstConfig,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            burst: BurstConfig {
-                amplitudes_mw: vec![4.0, 7.0],
-                repeats: 3,
-                ..Default::default()
-            },
-        }
-    }
 }
 
 /// Superpositions of every observable around one edge kind.
@@ -103,16 +91,12 @@ fn panel(run: &crate::pipeline::DynamicsRun, times: &[f64], kind: EdgeKind) -> R
     }
 }
 
-/// Runs the Figure 12 study against a private cache.
-pub fn run(config: &Config) -> Fig12Result {
-    run_with(&ScenarioCache::new(), config)
-}
-
 /// Runs the Figure 12 study, acquiring the engine run through `cache`
 /// (the same cached run Figure 11 uses for an identical burst config).
-pub fn run_with(cache: &ScenarioCache, config: &Config) -> Fig12Result {
+pub fn run(cache: &ScenarioCache, config: &Config) -> Result<Fig12Result, ExperimentError> {
+    fig11::ensure_bursts("fig12", &config.burst)?;
     let _obs = summit_obs::span("summit_core_fig12");
-    let (run, edges) = burst_run_with(cache, &config.burst);
+    let (run, edges) = burst_run(cache, &config.burst);
     let rising_times: Vec<f64> = edges
         .iter()
         .filter(|e| e.kind == EdgeKind::Rising)
@@ -144,13 +128,13 @@ pub fn run_with(cache: &ScenarioCache, config: &Config) -> Fig12Result {
     let gpu_swing = rising.gpu_temp_mean.peak_in(0.0, 235.0) - rising.gpu_temp_mean.mean_at(-30.0);
     let cpu_swing = rising.cpu_temp_mean.peak_in(0.0, 235.0) - rising.cpu_temp_mean.mean_at(-30.0);
 
-    Fig12Result {
+    Ok(Fig12Result {
         rising,
         falling,
         cooling_half_response_s: half_t,
         gpu_swing_c: gpu_swing,
         cpu_swing_c: cpu_swing,
-    }
+    })
 }
 
 /// Registry adapter for the Figure 12 study.
@@ -172,15 +156,14 @@ impl Experiment for Study {
     }
 
     fn run(&self, cache: &ScenarioCache, config: &Json) -> Result<String, ExperimentError> {
-        let cfg = Cfg::new("fig12", config)?;
-        let burst_json = config.get("burst").ok_or_else(|| {
-            ExperimentError::invalid(cfg.experiment(), "missing `burst` config object")
-        })?;
-        let burst_cfg = Cfg::new("fig12", burst_json)?;
+        Cfg::new("fig12", config)?;
+        let burst_json = config
+            .get("burst")
+            .ok_or_else(|| ExperimentError::invalid("fig12", "missing `burst` config object"))?;
         let config = Config {
-            burst: fig11::burst_config_from(&burst_cfg)?,
+            burst: fig11::burst_config_from(&Cfg::new("fig12", burst_json)?)?,
         };
-        Ok(run_with(cache, &config).render())
+        Ok(run(cache, &config)?.render())
     }
 }
 
@@ -281,15 +264,19 @@ mod tests {
     use super::*;
 
     fn result() -> Fig12Result {
-        run(&Config {
-            burst: BurstConfig {
-                cabinets: 24,
-                amplitudes_mw: vec![0.3, 0.55],
-                repeats: 2,
-                burst_duration_s: 150.0,
-                spacing_s: 480.0,
+        run(
+            &ScenarioCache::new(),
+            &Config {
+                burst: BurstConfig {
+                    cabinets: 24,
+                    amplitudes_mw: vec![0.3, 0.55],
+                    repeats: 2,
+                    burst_duration_s: 150.0,
+                    spacing_s: 480.0,
+                },
             },
-        })
+        )
+        .unwrap()
     }
 
     #[test]

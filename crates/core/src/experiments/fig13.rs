@@ -30,16 +30,6 @@ pub struct Config {
     pub seed: u64,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            weeks: 52.3,
-            alpha: 0.05,
-            seed: 2020,
-        }
-    }
-}
-
 /// One significant pair.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SignificantPair {
@@ -64,14 +54,19 @@ pub struct Fig13Result {
     pub total_pairs: usize,
 }
 
-/// Runs the Figure 13 analysis against a private cache.
-pub fn run(config: &Config) -> Fig13Result {
-    run_with(&ScenarioCache::new(), config)
-}
-
 /// Runs the Figure 13 analysis, acquiring the failure log through
 /// `cache`.
-pub fn run_with(cache: &ScenarioCache, config: &Config) -> Fig13Result {
+pub fn run(cache: &ScenarioCache, config: &Config) -> Result<Fig13Result, ExperimentError> {
+    table4::ensure_weeks("fig13", config.weeks)?;
+    if !(config.alpha.is_finite() && config.alpha > 0.0 && config.alpha < 1.0) {
+        return Err(ExperimentError::invalid(
+            "fig13",
+            format!(
+                "alpha must be a significance level in (0, 1), got {}",
+                config.alpha
+            ),
+        ));
+    }
     let _obs = summit_obs::span("summit_core_fig13");
     let art = cache.failures(&FailureScenario {
         weeks: config.weeks,
@@ -89,11 +84,11 @@ pub fn run_with(cache: &ScenarioCache, config: &Config) -> Fig13Result {
             p_value: p.p_value,
         })
         .collect();
-    Fig13Result {
+    Ok(Fig13Result {
         pairs,
         corrected_alpha: corr.corrected_alpha,
         total_pairs: corr.pairs.len(),
-    }
+    })
 }
 
 /// Registry adapter for the Figure 13 study.
@@ -118,20 +113,12 @@ impl Experiment for Study {
 
     fn run(&self, cache: &ScenarioCache, config: &Json) -> Result<String, ExperimentError> {
         let cfg = Cfg::new("fig13", config)?;
-        let scenario = table4::scenario_from(&cfg)?;
-        let alpha = cfg.f64("alpha")?;
-        if !(alpha.is_finite() && alpha > 0.0 && alpha < 1.0) {
-            return Err(ExperimentError::invalid(
-                "fig13",
-                format!("alpha must be a significance level in (0, 1), got {alpha}"),
-            ));
-        }
         let config = Config {
-            weeks: scenario.weeks,
-            alpha,
-            seed: scenario.seed,
+            weeks: cfg.f64("weeks")?,
+            alpha: cfg.f64("alpha")?,
+            seed: cfg.u64("seed")?,
         };
-        Ok(run_with(cache, &config).render())
+        Ok(run(cache, &config)?.render())
     }
 }
 
@@ -177,11 +164,15 @@ mod tests {
     use XidErrorKind::*;
 
     fn result() -> Fig13Result {
-        run(&Config {
-            weeks: 16.0,
-            alpha: 0.05,
-            seed: 11,
-        })
+        run(
+            &ScenarioCache::new(),
+            &Config {
+                weeks: 16.0,
+                alpha: 0.05,
+                seed: 11,
+            },
+        )
+        .unwrap()
     }
 
     #[test]

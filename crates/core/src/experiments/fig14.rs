@@ -29,17 +29,6 @@ pub struct Config {
     pub seed: u64,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            weeks: 26.0,
-            top: 15,
-            min_node_hours: 2000.0,
-            seed: 2020,
-        }
-    }
-}
-
 /// One project row.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ProjectRow {
@@ -66,14 +55,19 @@ pub struct Fig14Result {
     pub top_to_median_ratio: f64,
 }
 
-/// Runs the Figure 14 analysis against a private cache.
-pub fn run(config: &Config) -> Fig14Result {
-    run_with(&ScenarioCache::new(), config)
-}
-
 /// Runs the Figure 14 analysis, acquiring the failure log (jobs plus
 /// events) through `cache`.
-pub fn run_with(cache: &ScenarioCache, config: &Config) -> Fig14Result {
+pub fn run(cache: &ScenarioCache, config: &Config) -> Result<Fig14Result, ExperimentError> {
+    table4::ensure_weeks("fig14", config.weeks)?;
+    if !(config.min_node_hours.is_finite() && config.min_node_hours >= 0.0) {
+        return Err(ExperimentError::invalid(
+            "fig14",
+            format!(
+                "min_node_hours must be a non-negative floor, got {}",
+                config.min_node_hours
+            ),
+        ));
+    }
     let _obs = summit_obs::span("summit_core_fig14");
     let art = cache.failures(&FailureScenario {
         weeks: config.weeks,
@@ -158,11 +152,11 @@ pub fn run_with(cache: &ScenarioCache, config: &Config) -> Fig14Result {
         f64::NAN
     };
 
-    Fig14Result {
+    Ok(Fig14Result {
         all_failures,
         hardware_failures,
         top_to_median_ratio,
-    }
+    })
 }
 
 /// Registry adapter for the Figure 14 study.
@@ -192,21 +186,13 @@ impl Experiment for Study {
 
     fn run(&self, cache: &ScenarioCache, config: &Json) -> Result<String, ExperimentError> {
         let cfg = Cfg::new("fig14", config)?;
-        let scenario = table4::scenario_from(&cfg)?;
-        let min_node_hours = cfg.f64("min_node_hours")?;
-        if !(min_node_hours.is_finite() && min_node_hours >= 0.0) {
-            return Err(ExperimentError::invalid(
-                "fig14",
-                format!("min_node_hours must be a non-negative floor, got {min_node_hours}"),
-            ));
-        }
         let config = Config {
-            weeks: scenario.weeks,
+            weeks: cfg.f64("weeks")?,
             top: cfg.usize("top")?,
-            min_node_hours,
-            seed: scenario.seed,
+            min_node_hours: cfg.f64("min_node_hours")?,
+            seed: cfg.u64("seed")?,
         };
-        Ok(run_with(cache, &config).render())
+        Ok(run(cache, &config)?.render())
     }
 }
 
@@ -257,12 +243,16 @@ mod tests {
     use super::*;
 
     fn result() -> Fig14Result {
-        run(&Config {
-            weeks: 6.0,
-            top: 15,
-            min_node_hours: 1000.0,
-            seed: 3,
-        })
+        run(
+            &ScenarioCache::new(),
+            &Config {
+                weeks: 6.0,
+                top: 15,
+                min_node_hours: 1000.0,
+                seed: 3,
+            },
+        )
+        .unwrap()
     }
 
     #[test]

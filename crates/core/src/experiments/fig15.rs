@@ -28,15 +28,6 @@ pub struct Config {
     pub seed: u64,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            weeks: 52.3,
-            seed: 2020,
-        }
-    }
-}
-
 /// One failure kind's thermal profile.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KindThermal {
@@ -61,14 +52,10 @@ pub struct Fig15Result {
     pub removed_super_offender: usize,
 }
 
-/// Runs the Figure 15 analysis against a private cache.
-pub fn run(config: &Config) -> Fig15Result {
-    run_with(&ScenarioCache::new(), config)
-}
-
 /// Runs the Figure 15 analysis, acquiring the failure log through
 /// `cache`.
-pub fn run_with(cache: &ScenarioCache, config: &Config) -> Fig15Result {
+pub fn run(cache: &ScenarioCache, config: &Config) -> Result<Fig15Result, ExperimentError> {
+    table4::ensure_weeks("fig15", config.weeks)?;
     let _obs = summit_obs::span("summit_core_fig15");
     let art = cache.failures(&FailureScenario {
         weeks: config.weeks,
@@ -107,10 +94,10 @@ pub fn run_with(cache: &ScenarioCache, config: &Config) -> Fig15Result {
         });
     }
 
-    Fig15Result {
+    Ok(Fig15Result {
         kinds,
         removed_super_offender: removed,
-    }
+    })
 }
 
 /// Registry adapter for the Figure 15 study.
@@ -134,12 +121,11 @@ impl Experiment for Study {
 
     fn run(&self, cache: &ScenarioCache, config: &Json) -> Result<String, ExperimentError> {
         let cfg = Cfg::new("fig15", config)?;
-        let scenario = table4::scenario_from(&cfg)?;
         let config = Config {
-            weeks: scenario.weeks,
-            seed: scenario.seed,
+            weeks: cfg.f64("weeks")?,
+            seed: cfg.u64("seed")?,
         };
-        Ok(run_with(cache, &config).render())
+        Ok(run(cache, &config)?.render())
     }
 }
 
@@ -193,10 +179,14 @@ mod tests {
     use XidErrorKind::*;
 
     fn result() -> Fig15Result {
-        run(&Config {
-            weeks: 26.0,
-            seed: 5,
-        })
+        run(
+            &ScenarioCache::new(),
+            &Config {
+                weeks: 26.0,
+                seed: 5,
+            },
+        )
+        .unwrap()
     }
 
     #[test]

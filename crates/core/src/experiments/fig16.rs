@@ -24,15 +24,6 @@ pub struct Config {
     pub seed: u64,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            weeks: 52.3,
-            seed: 2020,
-        }
-    }
-}
-
 /// Slot histogram for one kind.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SlotHistogram {
@@ -71,14 +62,10 @@ pub const PANEL_KINDS: [XidErrorKind; 4] = [
     XidErrorKind::FallenOffTheBus,
 ];
 
-/// Runs the Figure 16 analysis against a private cache.
-pub fn run(config: &Config) -> Fig16Result {
-    run_with(&ScenarioCache::new(), config)
-}
-
 /// Runs the Figure 16 analysis, acquiring the failure log through
 /// `cache`.
-pub fn run_with(cache: &ScenarioCache, config: &Config) -> Fig16Result {
+pub fn run(cache: &ScenarioCache, config: &Config) -> Result<Fig16Result, ExperimentError> {
+    table4::ensure_weeks("fig16", config.weeks)?;
     let _obs = summit_obs::span("summit_core_fig16");
     let art = cache.failures(&FailureScenario {
         weeks: config.weeks,
@@ -101,10 +88,10 @@ pub fn run_with(cache: &ScenarioCache, config: &Config) -> Fig16Result {
             p.counts[e.slot.index()] += 1;
         }
     }
-    Fig16Result {
+    Ok(Fig16Result {
         panels,
         all_kinds: all,
-    }
+    })
 }
 
 /// Registry adapter for the Figure 16 study.
@@ -128,12 +115,11 @@ impl Experiment for Study {
 
     fn run(&self, cache: &ScenarioCache, config: &Json) -> Result<String, ExperimentError> {
         let cfg = Cfg::new("fig16", config)?;
-        let scenario = table4::scenario_from(&cfg)?;
         let config = Config {
-            weeks: scenario.weeks,
-            seed: scenario.seed,
+            weeks: cfg.f64("weeks")?,
+            seed: cfg.u64("seed")?,
         };
-        Ok(run_with(cache, &config).render())
+        Ok(run(cache, &config)?.render())
     }
 }
 
@@ -172,10 +158,14 @@ mod tests {
     use XidErrorKind::*;
 
     fn result() -> Fig16Result {
-        run(&Config {
-            weeks: 40.0,
-            seed: 13,
-        })
+        run(
+            &ScenarioCache::new(),
+            &Config {
+                weeks: 40.0,
+                seed: 13,
+            },
+        )
+        .unwrap()
     }
 
     #[test]

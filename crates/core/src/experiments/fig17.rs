@@ -13,7 +13,9 @@
 //! locality; one cabinet has no telemetry (bright green).
 
 use crate::cache::ScenarioCache;
-use crate::experiments::registry::{clamp_scale, Cfg, Experiment, ExperimentError};
+use crate::experiments::registry::{
+    clamp_scale, ensure_cabinets, Cfg, Experiment, ExperimentError,
+};
 use crate::json::Json;
 use crate::report::{heatmap, Table};
 use rand::rngs::StdRng;
@@ -42,18 +44,6 @@ pub struct Config {
     pub missing_cabinet: Option<u16>,
     /// Seed.
     pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            cabinets: 257,
-            job_duration_s: 21.5 * 60.0,
-            stride_s: 10.0,
-            missing_cabinet: Some(140),
-            seed: 2020,
-        }
-    }
 }
 
 /// One 10-second sample of the job's GPU population.
@@ -106,7 +96,19 @@ pub struct Fig17Result {
 }
 
 /// Runs the Figure 17 study.
-pub fn run(config: &Config) -> Fig17Result {
+pub fn run(config: &Config) -> Result<Fig17Result, ExperimentError> {
+    ensure_cabinets("fig17", config.cabinets)?;
+    for (key, v) in [
+        ("job_duration_s", config.job_duration_s),
+        ("stride_s", config.stride_s),
+    ] {
+        if !(v.is_finite() && v > 0.0) {
+            return Err(ExperimentError::invalid(
+                "fig17",
+                format!("`{key}` must be a positive duration, got {v}"),
+            ));
+        }
+    }
     let _obs = summit_obs::span("summit_core_fig17");
     let mut engine_cfg = if config.cabinets == 257 {
         EngineConfig::default()
@@ -274,7 +276,7 @@ pub fn run(config: &Config) -> Fig17Result {
         })
         .unwrap_or_default();
 
-    Fig17Result {
+    Ok(Fig17Result {
         peak_scatter,
         job_nodes,
         samples,
@@ -284,7 +286,7 @@ pub fn run(config: &Config) -> Fig17Result {
         frac_over_60c: frac_over_60,
         transition_s,
         missing_cabinets: missing,
-    }
+    })
 }
 
 /// Per-GPU power and core temperature of the first `nodes` rows of a
@@ -326,17 +328,13 @@ impl Experiment for Study {
                 ("seed", Json::Num(2020.0)),
             ])
         } else {
-            let d = Config::default();
+            // Paper scale: the full floor and a ~21.5-minute job.
             Json::obj([
-                ("cabinets", Json::from(d.cabinets)),
-                ("job_duration_s", Json::Num(d.job_duration_s)),
-                ("stride_s", Json::Num(d.stride_s)),
-                (
-                    "missing_cabinet",
-                    d.missing_cabinet
-                        .map_or(Json::Null, |c| Json::Num(f64::from(c))),
-                ),
-                ("seed", Json::Num(d.seed as f64)),
+                ("cabinets", Json::Num(257.0)),
+                ("job_duration_s", Json::Num(21.5 * 60.0)),
+                ("stride_s", Json::Num(10.0)),
+                ("missing_cabinet", Json::Num(140.0)),
+                ("seed", Json::Num(2020.0)),
             ])
         }
     }
@@ -344,24 +342,13 @@ impl Experiment for Study {
     fn run(&self, _cache: &ScenarioCache, config: &Json) -> Result<String, ExperimentError> {
         let cfg = Cfg::new("fig17", config)?;
         let config = Config {
-            cabinets: cfg.cabinets()?,
+            cabinets: cfg.usize("cabinets")?,
             job_duration_s: cfg.f64("job_duration_s")?,
             stride_s: cfg.f64("stride_s")?,
             missing_cabinet: cfg.opt_u16("missing_cabinet")?,
             seed: cfg.u64("seed")?,
         };
-        for (key, v) in [
-            ("job_duration_s", config.job_duration_s),
-            ("stride_s", config.stride_s),
-        ] {
-            if !(v.is_finite() && v > 0.0) {
-                return Err(ExperimentError::invalid(
-                    "fig17",
-                    format!("`{key}` must be a positive duration, got {v}"),
-                ));
-            }
-        }
-        Ok(run(&config).render())
+        Ok(run(&config)?.render())
     }
 }
 
@@ -464,6 +451,7 @@ mod tests {
             missing_cabinet: Some(7),
             seed: 9,
         })
+        .unwrap()
     }
 
     #[test]

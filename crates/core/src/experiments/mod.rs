@@ -2,17 +2,22 @@
 //! unified registry that drives them all.
 //!
 //! Each module exposes a `Config` (with a `scale`/size knob so the same
-//! experiment runs in CI seconds or at bench fidelity), a `run` function
-//! returning a typed result, and a `render` on the result that prints the
-//! same rows/series the paper reports, annotated with the paper's own
-//! numbers for side-by-side comparison (recorded in EXPERIMENTS.md).
+//! experiment runs in CI seconds or at bench fidelity), one typed `run`
+//! entry point, and a `render` on the result that prints the same
+//! rows/series the paper reports, annotated with the paper's own numbers
+//! for side-by-side comparison (recorded in EXPERIMENTS.md). `run`
+//! checks its `Config` and returns
+//! [`ExperimentError::InvalidConfig`] for one it cannot run; studies
+//! with shared inputs take the [`crate::cache::ScenarioCache`] to
+//! acquire them through (`run(cache, config)`), the rest take only the
+//! config.
 //!
-//! Each module also registers a `Study` adapter in [`registry`]; the
-//! `experiments` driver binary (`cargo run -p summit-bench --bin
-//! experiments`) lists and runs the whole suite through one shared
-//! [`crate::cache::ScenarioCache`]. Cache-heavy modules expose a
-//! `run_with(cache, config)` variant; their plain `run(config)` keeps
-//! the historical behavior by running against a private cache.
+//! Each module also registers a `Study` adapter in [`registry`] that
+//! decodes a JSON config into the `Config`, calls `run` and renders the
+//! result; the `experiments` driver binary (`cargo run -p summit-bench
+//! --bin experiments`) lists and runs the whole suite through one
+//! shared cache. Defaults live only in each adapter's
+//! `default_config(scale)`.
 
 pub mod registry;
 

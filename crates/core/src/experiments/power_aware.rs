@@ -31,16 +31,6 @@ pub struct Config {
     pub dt_s: f64,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            population_scale: 0.05,
-            caps_w: vec![f64::INFINITY, 10.0e6, 9.0e6, 8.0e6, 7.0e6, 6.0e6],
-            dt_s: 600.0,
-        }
-    }
-}
-
 /// Outcome of one cap level.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct CapOutcome {
@@ -203,14 +193,16 @@ pub struct PowerAwareResult {
     pub outcomes: Vec<CapOutcome>,
 }
 
-/// Runs the power-aware scheduling sweep against a private cache.
-pub fn run(config: &Config) -> PowerAwareResult {
-    run_with(&ScenarioCache::new(), config)
-}
-
 /// Runs the power-aware scheduling sweep, acquiring the population
 /// through `cache`.
-pub fn run_with(cache: &ScenarioCache, config: &Config) -> PowerAwareResult {
+pub fn run(cache: &ScenarioCache, config: &Config) -> Result<PowerAwareResult, ExperimentError> {
+    ensure_population_scale("power_aware", config.population_scale)?;
+    if !(config.dt_s.is_finite() && config.dt_s > 0.0) {
+        return Err(ExperimentError::invalid(
+            "power_aware",
+            format!("dt_s must be a positive tick, got {}", config.dt_s),
+        ));
+    }
     let _obs = summit_obs::span("summit_core_power_aware");
     let pop = cache.population(&PopulationScenario::paper_year(config.population_scale));
     // Sub-scaled populations under-fill the machine; horizon covers the
@@ -221,7 +213,7 @@ pub fn run_with(cache: &ScenarioCache, config: &Config) -> PowerAwareResult {
         .iter()
         .map(|&cap| simulate_cap(&pop.rows, cap, config.dt_s, horizon))
         .collect();
-    PowerAwareResult { outcomes }
+    Ok(PowerAwareResult { outcomes })
 }
 
 /// Registry adapter for the power-aware scheduling study.
@@ -266,14 +258,7 @@ impl Experiment for Study {
             caps_w: cfg.f64_list("caps_w")?,
             dt_s: cfg.f64("dt_s")?,
         };
-        ensure_population_scale("power_aware", config.population_scale)?;
-        if !(config.dt_s.is_finite() && config.dt_s > 0.0) {
-            return Err(ExperimentError::invalid(
-                "power_aware",
-                format!("dt_s must be a positive tick, got {}", config.dt_s),
-            ));
-        }
-        Ok(run_with(cache, &config).render())
+        Ok(run(cache, &config)?.render())
     }
 }
 
@@ -339,11 +324,15 @@ mod tests {
     use super::*;
 
     fn result() -> PowerAwareResult {
-        run(&Config {
-            population_scale: 0.01,
-            caps_w: vec![f64::INFINITY, 8.0e6, 5.0e6],
-            dt_s: 1800.0,
-        })
+        run(
+            &ScenarioCache::new(),
+            &Config {
+                population_scale: 0.01,
+                caps_w: vec![f64::INFINITY, 8.0e6, 5.0e6],
+                dt_s: 1800.0,
+            },
+        )
+        .unwrap()
     }
 
     #[test]

@@ -4,15 +4,17 @@
 //! [`Experiment`]: a named, self-describing unit that accepts a JSON
 //! config (its scaled defaults merged with user overrides), pulls its
 //! expensive inputs through a shared [`ScenarioCache`], and returns its
-//! rendered report. The per-module typed APIs (`Config` in,
-//! typed result out, `render()` on the result) remain the primary
-//! programmatic surface; the trait is the type-erased layer that lets
-//! one driver binary list, configure and run the whole suite — and lets
-//! a full-suite run generate each population/engine/failure artifact
-//! exactly once.
+//! rendered report. Each module's typed `run` (`Config` in, typed
+//! result out, `render()` on the result) is the study's one entry point;
+//! the trait is the type-erased layer that lets one driver binary list,
+//! configure and run the whole suite — and lets a full-suite run
+//! generate each population/engine/failure artifact exactly once.
 //!
-//! Config validation is typed: invalid user configuration surfaces as
-//! [`ExperimentError::InvalidConfig`], never as a panic.
+//! Config validation is typed: the typed `run` checks its `Config`
+//! before it opens the study's span and reports invalid configuration
+//! as [`ExperimentError::InvalidConfig`], never as a panic. An adapter
+//! only decodes JSON into the `Config` (a wrong shape or type is its
+//! error) and renders the result.
 
 use crate::cache::ScenarioCache;
 use crate::json::Json;
@@ -129,7 +131,26 @@ pub fn clamp_scale(scale: f64) -> f64 {
 }
 
 /// The cabinet counts a scaled floor can have: one up to the full floor.
-pub(crate) const CABINETS: RangeInclusive<usize> = 1..=spec::TOTAL_CABINETS;
+const CABINETS: RangeInclusive<usize> = 1..=spec::TOTAL_CABINETS;
+
+/// Validates a floor size in [`CABINETS`].
+pub(crate) fn ensure_cabinets(
+    experiment: &'static str,
+    cabinets: usize,
+) -> Result<(), ExperimentError> {
+    if CABINETS.contains(&cabinets) {
+        Ok(())
+    } else {
+        Err(ExperimentError::invalid(
+            experiment,
+            format!(
+                "cabinets must be in {}..={}, got {cabinets}",
+                CABINETS.start(),
+                CABINETS.end()
+            ),
+        ))
+    }
+}
 
 /// Typed field access over a JSON config object; every failure carries
 /// the experiment name and offending key.
@@ -148,11 +169,6 @@ impl<'a> Cfg<'a> {
                 format!("config must be a JSON object, got `{other}`"),
             )),
         }
-    }
-
-    /// The experiment name errors are tagged with.
-    pub fn experiment(&self) -> &'static str {
-        self.experiment
     }
 
     fn field(&self, key: &str) -> Result<&'a Json, ExperimentError> {
@@ -181,17 +197,6 @@ impl<'a> Cfg<'a> {
             Ok(v as usize)
         } else {
             Err(self.bad(key, "a non-negative integer", &Json::Num(v)))
-        }
-    }
-
-    /// The required `cabinets` field, a floor size in [`CABINETS`].
-    pub fn cabinets(&self) -> Result<usize, ExperimentError> {
-        let v = self.usize("cabinets")?;
-        if CABINETS.contains(&v) {
-            Ok(v)
-        } else {
-            let want = format!("an integer in {}..={}", CABINETS.start(), CABINETS.end());
-            Err(self.bad("cabinets", &want, &Json::from(v)))
         }
     }
 

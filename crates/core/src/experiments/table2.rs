@@ -10,7 +10,9 @@
 //! machine-year.
 
 use crate::cache::ScenarioCache;
-use crate::experiments::registry::{clamp_scale, Cfg, Experiment, ExperimentError, CABINETS};
+use crate::experiments::registry::{
+    clamp_scale, ensure_cabinets, Cfg, Experiment, ExperimentError,
+};
 use crate::json::Json;
 use crate::pipeline::{archive_replay, run_streaming, run_telemetry, StreamConfig};
 use crate::report::{eng, Table};
@@ -29,16 +31,6 @@ pub struct Config {
     /// thread behind a bounded channel (backpressured) instead of
     /// [`run_telemetry`]'s inline producer.
     pub stream: bool,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            cabinets: 40,
-            duration_s: 120,
-            stream: false,
-        }
-    }
 }
 
 /// Measured and extrapolated results.
@@ -94,17 +86,7 @@ pub struct Table2Result {
 /// time), so unlike the scenario-backed studies its acquisition is
 /// never cached — re-running it is the point.
 pub fn run(config: &Config) -> Result<Table2Result, ExperimentError> {
-    if !CABINETS.contains(&config.cabinets) {
-        return Err(ExperimentError::invalid(
-            "table2",
-            format!(
-                "cabinets must be in {}..={}, got {}",
-                CABINETS.start(),
-                CABINETS.end(),
-                config.cabinets
-            ),
-        ));
-    }
+    ensure_cabinets("table2", config.cabinets)?;
     if config.duration_s < 60 || !config.duration_s.is_multiple_of(60) {
         return Err(ExperimentError::invalid(
             "table2",

@@ -15,7 +15,7 @@ use summit_sim::failures::{
     count_by_kind, max_node_share, paper_annual_count, paper_node_concentration,
 };
 use summit_sim::spec::{TOTAL_NODES, YEAR_S};
-use summit_telemetry::records::{XidErrorKind, XidEvent};
+use summit_telemetry::records::XidErrorKind;
 
 /// Experiment configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -24,15 +24,6 @@ pub struct Config {
     pub weeks: f64,
     /// Seed.
     pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            weeks: 52.3,
-            seed: 2020,
-        }
-    }
 }
 
 /// One Table 4 row.
@@ -72,20 +63,10 @@ pub fn scenario(config: &Config) -> FailureScenario {
     }
 }
 
-/// Generates a failure log for `weeks` of paper-rate traffic
-/// (compatibility wrapper over [`FailureScenario::generate`]).
-pub fn generate_events(config: &Config) -> Vec<XidEvent> {
-    scenario(config).generate().events
-}
-
-/// Runs the Table 4 reproduction against a private cache.
-pub fn run(config: &Config) -> Table4Result {
-    run_with(&ScenarioCache::new(), config)
-}
-
 /// Runs the Table 4 reproduction, acquiring the failure log through
 /// `cache`.
-pub fn run_with(cache: &ScenarioCache, config: &Config) -> Table4Result {
+pub fn run(cache: &ScenarioCache, config: &Config) -> Result<Table4Result, ExperimentError> {
+    ensure_weeks("table4", config.weeks)?;
     let _obs = summit_obs::span("summit_core_table4");
     let art = cache.failures(&scenario(config));
     let events = &art.events;
@@ -104,11 +85,11 @@ pub fn run_with(cache: &ScenarioCache, config: &Config) -> Table4Result {
         })
         .collect();
     let total_annual = rows.iter().map(|r| r.annual_count).sum();
-    Table4Result {
+    Ok(Table4Result {
         rows,
         total_annual,
         paper_total: 251_859,
-    }
+    })
 }
 
 /// The failure family's default observation span at `scale` (weeks).
@@ -119,18 +100,14 @@ pub(crate) fn default_weeks(scale: f64) -> f64 {
     (52.3 * crate::experiments::registry::clamp_scale(scale)).max(8.0)
 }
 
-/// Parses and validates the shared `{weeks, seed}` scenario fields.
-pub(crate) fn scenario_from(cfg: &Cfg<'_>) -> Result<FailureScenario, ExperimentError> {
-    let scenario = FailureScenario {
-        weeks: cfg.f64("weeks")?,
-        seed: cfg.u64("seed")?,
-    };
-    if scenario.weeks.is_finite() && scenario.weeks > 0.0 && scenario.weeks <= 520.0 {
-        Ok(scenario)
+/// Validates a failure study's observation span (weeks).
+pub(crate) fn ensure_weeks(experiment: &'static str, weeks: f64) -> Result<(), ExperimentError> {
+    if weeks.is_finite() && weeks > 0.0 && weeks <= 520.0 {
+        Ok(())
     } else {
         Err(ExperimentError::invalid(
-            cfg.experiment(),
-            format!("weeks must be a span in (0, 520], got {}", scenario.weeks),
+            experiment,
+            format!("weeks must be a span in (0, 520], got {weeks}"),
         ))
     }
 }
@@ -156,12 +133,11 @@ impl Experiment for Study {
 
     fn run(&self, cache: &ScenarioCache, config: &Json) -> Result<String, ExperimentError> {
         let cfg = Cfg::new("table4", config)?;
-        let scenario = scenario_from(&cfg)?;
         let config = Config {
-            weeks: scenario.weeks,
-            seed: scenario.seed,
+            weeks: cfg.f64("weeks")?,
+            seed: cfg.u64("seed")?,
         };
-        Ok(run_with(cache, &config).render())
+        Ok(run(cache, &config)?.render())
     }
 }
 
@@ -196,10 +172,14 @@ mod tests {
     use super::*;
 
     fn result() -> Table4Result {
-        run(&Config {
-            weeks: 8.0,
-            seed: 7,
-        })
+        run(
+            &ScenarioCache::new(),
+            &Config {
+                weeks: 8.0,
+                seed: 7,
+            },
+        )
+        .unwrap()
     }
 
     #[test]

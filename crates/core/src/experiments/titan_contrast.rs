@@ -33,15 +33,6 @@ pub struct Config {
     pub seed: u64,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            weeks: 26.0,
-            seed: 2020,
-        }
-    }
-}
-
 /// Skew/temperature profile of one kind under one regime.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct RegimeKind {
@@ -120,12 +111,13 @@ fn profile(config: &Config, regime: ThermalRegime) -> Vec<RegimeKind> {
 }
 
 /// Runs both regimes over the identical job population.
-pub fn run(config: &Config) -> TitanContrastResult {
+pub fn run(config: &Config) -> Result<TitanContrastResult, ExperimentError> {
+    table4::ensure_weeks("titan_contrast", config.weeks)?;
     let _obs = summit_obs::span("summit_core_titan_contrast");
-    TitanContrastResult {
+    Ok(TitanContrastResult {
         summit: profile(config, ThermalRegime::SummitLiquidCooled),
         titan: profile(config, ThermalRegime::TitanAirCooled),
-    }
+    })
 }
 
 /// Registry adapter for the Summit-vs-Titan contrast study. The Titan
@@ -152,12 +144,11 @@ impl Experiment for Study {
 
     fn run(&self, _cache: &ScenarioCache, config: &Json) -> Result<String, ExperimentError> {
         let cfg = Cfg::new("titan_contrast", config)?;
-        let scenario = table4::scenario_from(&cfg)?;
         let config = Config {
-            weeks: scenario.weeks,
-            seed: scenario.seed,
+            weeks: cfg.f64("weeks")?,
+            seed: cfg.u64("seed")?,
         };
-        Ok(run(&config).render())
+        Ok(run(&config)?.render())
     }
 }
 
@@ -200,6 +191,7 @@ mod tests {
             weeks: 26.0,
             seed: 23,
         })
+        .unwrap()
     }
 
     #[test]

@@ -14,9 +14,15 @@
 //!   accept "unbounded" values (e.g. power caps) read `null` back as
 //!   `f64::INFINITY`;
 //! - object key order is preserved as written, so rendering is
-//!   deterministic.
+//!   deterministic;
+//! - arrays and objects nest at most 128 levels deep; the parser
+//!   recurses once per level, so a deeper document is an error rather
+//!   than a stack overflow.
 
 use std::fmt;
+
+/// The deepest array/object nesting [`Json::parse`] accepts.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,7 +62,11 @@ impl Json {
     /// Parses a complete JSON document (trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Self, JsonError> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -223,6 +233,8 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -267,12 +279,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected character `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object level, bounded by [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        level: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = level(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -447,5 +473,11 @@ mod tests {
         for bad in ["{", "[1,]", "{\"a\" 1}", "tru", "1 2", "\"\\q\""] {
             assert!(Json::parse(bad).is_err(), "{bad} should fail");
         }
+        // Nesting is capped instead of overflowing the stack.
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        let err = Json::parse(&nest("[", "]", 100_000)).unwrap_err();
+        assert!(err.message.contains("nested deeper than 128"), "{err}");
+        assert!(Json::parse(&nest("{\"a\": [", "]}", 50_000)).is_err());
+        assert!(Json::parse(&nest("[", "]", MAX_DEPTH)).is_ok());
     }
 }

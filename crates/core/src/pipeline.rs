@@ -221,11 +221,6 @@ impl DynamicsRun {
         self.series_of(|o| o.cpu_temp_mean_c)
     }
 
-    /// Max-CPU temperature series (°C).
-    pub fn cpu_temp_max_series(&self) -> Series {
-        self.series_of(|o| o.cpu_temp_max_c)
-    }
-
     /// MTW return temperature series (°C).
     pub fn mtw_return_series(&self) -> Series {
         self.series_of(|o| o.cep.mtw_return_c)

@@ -18,7 +18,6 @@ use crate::failures::CabinetOutage;
 use crate::msb::MsbMeterModel;
 use crate::power::{NodeUtilization, PowerModel};
 use crate::scheduler::Scheduler;
-use crate::spec::TOTAL_NODES;
 use crate::thermal::{NodeThermals, ThermalModel};
 use crate::topology::Topology;
 use crate::weather::Weather;
@@ -474,11 +473,6 @@ fn write_frame_metrics(batch: &mut FrameBatch, row: usize, r: &NodeTick, temps_o
             batch.set(row, catalog::cpu_pkg_temp(s), r.cpu_temp[s.index()]);
         }
     }
-}
-
-/// Reference scale: full Summit floor node count.
-pub fn full_floor_nodes() -> usize {
-    TOTAL_NODES
 }
 
 #[cfg(test)]

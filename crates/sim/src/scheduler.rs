@@ -40,11 +40,6 @@ impl PlacedJob {
         )
     }
 
-    /// Rank of a node within the job, if assigned.
-    pub fn rank_of(&self, node: NodeId) -> Option<u32> {
-        self.nodes.iter().position(|&n| n == node).map(|i| i as u32)
-    }
-
     /// Per-node allocation records (Dataset D rows).
     pub fn node_allocations(&self) -> Vec<NodeAllocation> {
         self.nodes

@@ -56,14 +56,6 @@ impl NodeThermals {
             gpu_mem_c: [water_c; 6],
         }
     }
-
-    /// Hottest GPU core (°C).
-    pub fn max_gpu_core(&self) -> f64 {
-        self.gpu_core_c
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
 }
 
 /// The thermal model: per-chip resistances fixed by seed, first-order

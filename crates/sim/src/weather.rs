@@ -77,11 +77,6 @@ impl Weather {
         // Jun 1 = day 152 (leap year), Sep 1 = day 244.
         (152.0..244.0).contains(&day)
     }
-
-    /// Day-of-year (0-based) for a timestamp.
-    pub fn day_of_year(t: f64) -> f64 {
-        (t / DAY_S) % YEAR_DAYS
-    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,10 @@
 use std::collections::BTreeMap;
 use summit_repro::core::cache::{ScenarioCache, HITS_COUNTER, MISSES_COUNTER};
 use summit_repro::core::experiments::registry::run_by_name;
-use summit_repro::core::experiments::{fig08, table2, ExperimentError, REGISTRY};
+use summit_repro::core::experiments::{
+    fig04, fig05, fig06, fig07, fig08, fig09, fig11, fig17, table2, table4, ExperimentError,
+    REGISTRY,
+};
 use summit_repro::core::json::Json;
 use summit_repro::obs::registry::Registry;
 
@@ -100,10 +103,13 @@ fn shared_cache_is_bit_identical_to_fresh_runs() {
 fn config_validation_returns_typed_errors() {
     // Direct typed API: the paper's Figure 8 has class-1 and class-2
     // panels only.
-    let err = fig08::run(&fig08::Config {
-        population_scale: 0.01,
-        class: 3,
-    })
+    let err = fig08::run(
+        &ScenarioCache::new(),
+        &fig08::Config {
+            population_scale: 0.01,
+            class: 3,
+        },
+    )
     .unwrap_err();
     assert!(matches!(err, ExperimentError::InvalidConfig(_)));
     assert!(err.to_string().contains("class"));
@@ -128,8 +134,122 @@ fn config_validation_returns_typed_errors() {
         assert!(err.to_string().contains("cabinets"), "{err}");
     }
 
-    // Registry path: overrides are validated the same way.
+    // Every typed `run` checks its own config: each of these fails
+    // before any work with an error that names the field.
     let cache = ScenarioCache::new();
+    let typed = [
+        (
+            "dt_s",
+            fig05::run(
+                &cache,
+                &fig05::Config {
+                    population_scale: 0.01,
+                    dt_s: 0.0,
+                    maintenance_days: None,
+                },
+            )
+            .err(),
+        ),
+        (
+            "cabinets",
+            fig04::run(&fig04::Config {
+                cabinets: 0,
+                duration_s: 60,
+                busy_fraction: 1.0,
+            })
+            .err(),
+        ),
+        (
+            "cabinets",
+            fig04::run(&fig04::Config {
+                cabinets: 258,
+                duration_s: 60,
+                busy_fraction: 1.0,
+            })
+            .err(),
+        ),
+        (
+            "cabinets",
+            fig17::run(&fig17::Config {
+                cabinets: 258,
+                job_duration_s: 300.0,
+                stride_s: 10.0,
+                missing_cabinet: None,
+                seed: 1,
+            })
+            .err(),
+        ),
+        (
+            "grid",
+            fig06::run(
+                &cache,
+                &fig06::Config {
+                    population_scale: 0.01,
+                    grid: 0,
+                    max_samples: 100,
+                },
+            )
+            .err(),
+        ),
+        (
+            "population_scale",
+            fig07::run(
+                &cache,
+                &fig07::Config {
+                    population_scale: 0.0,
+                },
+            )
+            .err(),
+        ),
+        (
+            "max_samples",
+            fig09::run(
+                &cache,
+                &fig09::Config {
+                    population_scale: 0.01,
+                    max_samples: 0,
+                },
+            )
+            .err(),
+        ),
+        (
+            "weeks",
+            table4::run(
+                &cache,
+                &table4::Config {
+                    weeks: 0.0,
+                    seed: 1,
+                },
+            )
+            .err(),
+        ),
+        (
+            "repeats",
+            fig11::run(
+                &cache,
+                &fig11::Config {
+                    cabinets: 12,
+                    amplitudes_mw: vec![0.15],
+                    repeats: 0,
+                    burst_duration_s: 120.0,
+                    spacing_s: 420.0,
+                },
+            )
+            .err(),
+        ),
+    ];
+    for (field, err) in typed {
+        let err = err.unwrap_or_else(|| panic!("a config with bad `{field}` was accepted"));
+        assert!(matches!(err, ExperimentError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains(field), "{field}: {err}");
+    }
+    assert_eq!(
+        cache.stats().total(),
+        0,
+        "a rejected config built an artifact"
+    );
+
+    // Registry path: overrides are validated the same way.
     let overrides = Json::obj([("class", Json::Num(3.0))]);
     let err = run_by_name(&cache, "fig08", 0.01, Some(&overrides)).unwrap_err();
     assert!(matches!(err, ExperimentError::InvalidConfig(_)));

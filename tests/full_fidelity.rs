@@ -5,12 +5,21 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use summit_repro::core::cache::ScenarioCache;
 use summit_repro::core::experiments::*;
 
 #[test]
 #[ignore = "paper-scale: full 840k-job year (~30 s)"]
 fn full_year_trend_hits_paper_anchors() {
-    let r = fig05::run(&fig05::Config::default());
+    let r = fig05::run(
+        &ScenarioCache::new(),
+        &fig05::Config {
+            population_scale: 1.0,
+            dt_s: 600.0,
+            maintenance_days: Some((34.0, 41.0)),
+        },
+    )
+    .unwrap();
     assert!(
         (1.08..1.16).contains(&r.annual_avg_pue),
         "PUE {}",
@@ -30,7 +39,17 @@ fn full_year_trend_hits_paper_anchors() {
 #[test]
 #[ignore = "paper-scale: full floor, 1-7 MW edges (~1 min)"]
 fn full_floor_edge_snapshots() {
-    let r = fig11::run(&fig11::Config::default());
+    let r = fig11::run(
+        &ScenarioCache::new(),
+        &fig11::Config {
+            cabinets: 257,
+            amplitudes_mw: vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
+            repeats: 3,
+            burst_duration_s: 180.0,
+            spacing_s: 600.0,
+        },
+    )
+    .unwrap();
     assert!(r.classes.len() >= 5, "most MW classes detected");
     let biggest = r.classes.last().unwrap();
     assert!(biggest.amplitude_mw >= 6.0);
@@ -44,7 +63,21 @@ fn full_floor_edge_snapshots() {
 #[test]
 #[ignore = "paper-scale: full floor thermal response (~1 min)"]
 fn full_floor_thermal_response() {
-    let r = fig12::run(&fig12::Config::default());
+    // Only the 4 and 7 MW classes; `experiments fig12 --full` runs
+    // fig11's full 1-7 MW schedule instead.
+    let r = fig12::run(
+        &ScenarioCache::new(),
+        &fig12::Config {
+            burst: fig11::Config {
+                cabinets: 257,
+                amplitudes_mw: vec![4.0, 7.0],
+                repeats: 3,
+                burst_duration_s: 180.0,
+                spacing_s: 600.0,
+            },
+        },
+    )
+    .unwrap();
     assert!(r.gpu_swing_c > 10.0, "GPU swing {}", r.gpu_swing_c);
     assert!(r.gpu_swing_c > 3.0 * r.cpu_swing_c.abs());
     assert!(
@@ -57,7 +90,14 @@ fn full_floor_thermal_response() {
 #[test]
 #[ignore = "paper-scale: 4,608-node exemplar job (~2 min)"]
 fn full_floor_job_variability() {
-    let r = fig17::run(&fig17::Config::default());
+    let r = fig17::run(&fig17::Config {
+        cabinets: 257,
+        job_duration_s: 21.5 * 60.0,
+        stride_s: 10.0,
+        missing_cabinet: Some(140),
+        seed: 2020,
+    })
+    .unwrap();
     assert_eq!(r.job_nodes, summit_repro::sim::spec::MAX_JOB_NODES);
     assert!(
         (30.0..90.0).contains(&r.peak_power_spread_w),
@@ -76,7 +116,14 @@ fn full_floor_job_variability() {
 #[test]
 #[ignore = "paper-scale: full failure year (~30 s)"]
 fn full_year_failure_composition() {
-    let r = table4::run(&table4::Config::default());
+    let r = table4::run(
+        &ScenarioCache::new(),
+        &table4::Config {
+            weeks: 52.3,
+            seed: 2020,
+        },
+    )
+    .unwrap();
     assert!(
         (r.total_annual / r.paper_total as f64 - 1.0).abs() < 0.2,
         "annual total {} vs paper {}",
