@@ -72,14 +72,21 @@ pub struct Fig05Result {
     pub it_energy_j: f64,
 }
 
+/// One week (s): the summary period, and so the longest `dt_s`.
+const WEEK_S: f64 = 7.0 * 86_400.0;
+
 /// Runs the yearly-trend experiment, acquiring the population through
 /// `cache`.
 pub fn run(cache: &ScenarioCache, config: &Config) -> Result<Fig05Result, ExperimentError> {
     ensure_population_scale("fig05", config.population_scale)?;
-    if !(config.dt_s.is_finite() && config.dt_s > 0.0) {
+    // The weekly summary needs at least one step per week.
+    if !(config.dt_s.is_finite() && config.dt_s > 0.0 && config.dt_s <= WEEK_S) {
         return Err(ExperimentError::invalid(
             "fig05",
-            format!("dt_s must be a positive step, got {}", config.dt_s),
+            format!(
+                "dt_s must be a positive step of at most one week ({WEEK_S} s), got {}",
+                config.dt_s
+            ),
         ));
     }
     let _obs = summit_obs::span("summit_core_fig05");
@@ -129,7 +136,7 @@ pub fn run(cache: &ScenarioCache, config: &Config) -> Result<Fig05Result, Experi
     let facility_s = Series::new(0.0, config.dt_s, facility_series);
 
     // Weekly summaries.
-    let steps_per_week = (7.0 * 86_400.0 / config.dt_s) as usize;
+    let steps_per_week = (WEEK_S / config.dt_s) as usize;
     let n_weeks = it.len().div_ceil(steps_per_week);
     let mut weeks = Vec::with_capacity(n_weeks);
     for w in 0..n_weeks {

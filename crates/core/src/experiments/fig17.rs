@@ -109,6 +109,13 @@ pub fn run(config: &Config) -> Result<Fig17Result, ExperimentError> {
             ));
         }
     }
+    // GPU state is sampled every whole number of 1 s ticks.
+    if config.stride_s < 1.0 {
+        return Err(ExperimentError::invalid(
+            "fig17",
+            format!("`stride_s` must be at least 1 s, got {}", config.stride_s),
+        ));
+    }
     let _obs = summit_obs::span("summit_core_fig17");
     let mut engine_cfg = if config.cabinets == 257 {
         EngineConfig::default()

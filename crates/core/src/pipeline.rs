@@ -26,7 +26,8 @@ use summit_sim::jobstats::{population_stats, JobStatsRow};
 use summit_sim::power::PowerModel;
 use summit_sim::spec;
 use summit_telemetry::batch::FrameBatch;
-use summit_telemetry::delivery::NodeDelivery;
+use summit_telemetry::catalog::METRIC_COUNT;
+use summit_telemetry::delivery::{Delivered, NodeDelivery};
 use summit_telemetry::ids::NodeId;
 use summit_telemetry::ingest::{IngestHealth, IngestPolicy};
 use summit_telemetry::records::{NodeFrame, XidEvent};
@@ -393,20 +394,21 @@ impl AlertLatencyTracker {
         &self.closed
     }
 
-    fn observe(&mut self, f: &NodeFrame) {
-        self.wm = self.wm.max(f.t_sample);
-        self.last_ingest = self.last_ingest.max(f.t_ingest);
+    /// Accounts one delivered frame by its sample and ingest times.
+    fn observe(&mut self, t_sample: f64, t_ingest: f64) {
+        self.wm = self.wm.max(t_sample);
+        self.last_ingest = self.last_ingest.max(t_ingest);
         let cutoff = self.wm - self.horizon_s;
         while let Some(&k) = self.open.first() {
             let start = k as f64 * self.window_s;
             if start + self.window_s <= cutoff {
                 self.open.remove(&k);
-                self.closed.push((f.t_ingest - start).max(0.0));
+                self.closed.push((t_ingest - start).max(0.0));
             } else {
                 break;
             }
         }
-        let key = (f.t_sample / self.window_s).floor() as i64;
+        let key = (t_sample / self.window_s).floor() as i64;
         // A frame past the horizon would be dropped as late by the
         // ingester; don't let it re-open a closed window.
         if key as f64 * self.window_s + self.window_s > cutoff {
@@ -447,11 +449,13 @@ fn frame_options() -> StepOptions {
 /// One node's consumer state: its delivery through the fabric, the
 /// stages behind it and the buffer between them. Lane `i` consumes row
 /// `i` of every tick batch, so a pool worker keeps one node's state
-/// cache-hot across a whole group of ticks.
+/// cache-hot across a whole group of ticks. Each frame's values are
+/// copied once, from the batch into the delivery's slab; from there
+/// only its key moves, and the stages read the values in place.
 struct NodeLane {
     delivery: NodeDelivery,
     /// Frames the fabric released, on their way to the stages (reused).
-    released: Vec<NodeFrame>,
+    released: Vec<Delivered>,
     stages: NodeStages,
 }
 
@@ -467,13 +471,14 @@ struct NodeStages {
 }
 
 impl NodeStages {
-    fn ingest(&mut self, f: &NodeFrame) {
-        self.tracker.observe(f);
-        self.stats.observe(f);
+    fn ingest(&mut self, f: &Delivered, values: &[f32; METRIC_COUNT]) {
+        self.tracker.observe(f.t_sample, f.t_ingest);
+        self.stats.observe_arrival(f.t_sample, f.t_ingest);
         let coarsener = self
             .coarsener
             .get_or_insert_with(|| WindowAggregator::new(f.node, PAPER_WINDOW_S));
-        let _ = coarsener.push(f); // faults are counted in its health
+        // Faults are counted in its health.
+        let _ = coarsener.push_values(f.node, f.t_sample, values);
     }
 }
 
@@ -496,11 +501,22 @@ impl NodeLane {
     /// runs every frame the fabric releases through the stages.
     fn consume(&mut self, row: usize, group: &[FrameBatch]) {
         for batch in group {
-            self.delivery
-                .offer(batch.read_frame(row), &mut self.released);
-            for f in self.released.drain(..) {
-                self.stages.ingest(&f);
-            }
+            self.delivery.offer_row(
+                batch.node(row),
+                batch.t_sample(row),
+                |dst| batch.gather_row(row, dst),
+                &mut self.released,
+            );
+            self.ingest_released();
+        }
+    }
+
+    /// Runs the released frames through the stages, each read from the
+    /// delivery slab, and frees their slots.
+    fn ingest_released(&mut self) {
+        for f in self.released.drain(..) {
+            self.stages.ingest(&f, self.delivery.row(f.slot));
+            self.delivery.free(f.slot);
         }
     }
 
@@ -573,16 +589,11 @@ fn finish_lanes(
     let mut health = IngestHealth::default();
     let mut injected = InjectedFaults::default();
     let mut latencies = Vec::new();
-    for (lane, windows) in lanes.into_iter().zip(&mut windows_by_node) {
-        let NodeLane {
-            delivery,
-            mut released,
-            mut stages,
-        } = lane;
-        injected.merge(&delivery.finish(&mut released));
-        for f in &released {
-            stages.ingest(f);
-        }
+    for (mut lane, windows) in lanes.into_iter().zip(&mut windows_by_node) {
+        lane.delivery.drain_rows(&mut lane.released);
+        lane.ingest_released();
+        injected.merge(&lane.delivery.injected());
+        let stages = lane.stages;
         let node_latencies = stages.tracker.finish();
         for &lat in &node_latencies[stages.latencies_seen..] {
             histogram.observe(lat);
@@ -901,9 +912,9 @@ where
 /// declined), keeping traces byte-stable; under a wall clock the
 /// producer joins the trace and wall-rate counters appear.
 ///
-/// **Bounded memory:** resident state is the reorder heaps (bounded by
-/// the fabric's maximum delay), one held frame per node, the
-/// coarsener's in-horizon pending buffers and at most
+/// **Bounded memory:** resident state is the reorder heaps and their
+/// value slabs (bounded by the fabric's maximum delay), one held frame
+/// per node, the coarsener's in-horizon pending buffers and at most
 /// [`CHANNEL_CAPACITY`] tick batches — independent of `duration_s`.
 pub fn run_streaming(config: StreamConfig) -> StreamingRun {
     let parent = summit_obs::current();
@@ -1133,7 +1144,7 @@ mod tests {
         for batch in delivered {
             let mut tracker = AlertLatencyTracker::new(window_s, horizon_s);
             for f in batch {
-                tracker.observe(f);
+                tracker.observe(f.t_sample, f.t_ingest);
             }
             out.extend(tracker.finish());
         }
@@ -1262,7 +1273,9 @@ mod tests {
     /// One run's outputs as the layer APIs compute them when composed
     /// the way the batch executor once did: every node's full row
     /// sequence, `FaultInjector::deliver`, a node-ordered stats merge,
-    /// `coarsen_parallel_with_health` and the latency replay.
+    /// `coarsen_parallel_with_health` and the latency replay. The rows
+    /// are built metric by metric with `FrameBatch::get`, not with the
+    /// executors' row gather, so a gather bug cannot hide in both.
     struct Reference {
         windows: Vec<Vec<NodeWindow>>,
         stats: IngestStats,
@@ -1280,10 +1293,14 @@ mod tests {
         let node_count = engine.topology().node_count();
         let mut rows: Vec<Vec<NodeFrame>> = (0..node_count).map(|_| Vec::new()).collect();
         let mut batch = FrameBatch::with_capacity(node_count);
+        let metrics = summit_telemetry::catalog::full_catalog();
         for _ in 0..n_ticks {
             let _ = engine.step_batch(&frame_options(), &mut batch);
             for row in 0..batch.len() {
-                let f = batch.read_frame(row);
+                let mut f = NodeFrame::empty(batch.node(row), batch.t_sample(row));
+                for def in &metrics {
+                    f.set(def.id, batch.get(row, def.id));
+                }
                 rows[f.node.index()].push(f);
             }
         }

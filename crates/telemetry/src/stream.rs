@@ -12,6 +12,7 @@
 //! draws incrementally, one frame at a time, for the live pipeline.
 //! [`IngestStats`] accounts the delivered stream's rate and delay.
 
+use crate::catalog::METRIC_COUNT;
 use crate::ingest::IngestHealth;
 use crate::records::NodeFrame;
 use serde::{Deserialize, Serialize};
@@ -92,16 +93,22 @@ impl IngestStats {
 
     /// Folds one delivered frame into the statistics.
     pub fn observe(&mut self, frame: &NodeFrame) {
+        self.observe_arrival(frame.t_sample, frame.t_ingest);
+    }
+
+    /// [`IngestStats::observe`] for a delivered frame given by its
+    /// sample and ingest times (every frame carries the full catalog).
+    pub fn observe_arrival(&mut self, t_sample: f64, t_ingest: f64) {
         if self.frames == 0 {
-            self.t_first = frame.t_sample;
-            self.t_last = frame.t_sample;
+            self.t_first = t_sample;
+            self.t_last = t_sample;
         } else {
-            self.t_first = self.t_first.min(frame.t_sample);
-            self.t_last = self.t_last.max(frame.t_sample);
+            self.t_first = self.t_first.min(t_sample);
+            self.t_last = self.t_last.max(t_sample);
         }
         self.frames += 1;
-        self.metrics += frame.values.len() as u64;
-        let d = frame.delay();
+        self.metrics += METRIC_COUNT as u64;
+        let d = t_ingest - t_sample;
         self.total_delay_s += d;
         if d > self.max_delay_s {
             self.max_delay_s = d;

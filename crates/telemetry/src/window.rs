@@ -318,38 +318,48 @@ impl WindowAggregator {
     /// counted in [`WindowAggregator::health`] and reported as a typed
     /// [`IngestError`]; the aggregator never panics on input.
     pub fn push(&mut self, frame: &NodeFrame) -> Result<(), IngestError> {
-        if frame.node != self.node {
+        self.push_values(frame.node, frame.t_sample, &frame.values)
+    }
+
+    /// [`WindowAggregator::push`] for a frame given by its fields: the
+    /// node, the sample time and the metric values.
+    pub fn push_values(
+        &mut self,
+        node: NodeId,
+        t_sample: f64,
+        values: &[f32; METRIC_COUNT],
+    ) -> Result<(), IngestError> {
+        if node != self.node {
             self.health.wrong_node += 1;
             return Err(IngestError::WrongNode {
                 expected: self.node,
-                got: frame.node,
+                got: node,
             });
         }
-        let t = frame.t_sample;
-        if !t.is_finite() {
+        if !t_sample.is_finite() {
             self.health.invalid += 1;
             return Err(IngestError::NonFiniteTimestamp);
         }
-        let wm = self.watermark.unwrap_or(t);
-        if t < wm - self.policy.lateness_horizon_s {
+        let wm = self.watermark.unwrap_or(t_sample);
+        if t_sample < wm - self.policy.lateness_horizon_s {
             self.health.late_dropped += 1;
             return Err(IngestError::Late {
-                t_sample: t,
+                t_sample,
                 watermark: wm,
                 horizon_s: self.policy.lateness_horizon_s,
             });
         }
-        let key = time_key(t);
+        let key = time_key(t_sample);
         if self.pending.contains_key(key) {
             self.health.duplicates += 1;
-            return Err(IngestError::Duplicate { t_sample: t });
+            return Err(IngestError::Duplicate { t_sample });
         }
-        if t < wm {
+        if t_sample < wm {
             self.health.reordered += 1;
         }
-        self.pending.insert(key, &frame.values);
+        self.pending.insert(key, values);
         self.health.accepted += 1;
-        self.watermark = Some(wm.max(t));
+        self.watermark = Some(wm.max(t_sample));
         self.flush_ready();
         Ok(())
     }

@@ -151,6 +151,18 @@ fn config_validation_returns_typed_errors() {
             .err(),
         ),
         (
+            "dt_s",
+            fig05::run(
+                &cache,
+                &fig05::Config {
+                    population_scale: 0.01,
+                    dt_s: 700_000.0,
+                    maintenance_days: None,
+                },
+            )
+            .err(),
+        ),
+        (
             "cabinets",
             fig04::run(&fig04::Config {
                 cabinets: 0,
@@ -174,6 +186,17 @@ fn config_validation_returns_typed_errors() {
                 cabinets: 258,
                 job_duration_s: 300.0,
                 stride_s: 10.0,
+                missing_cabinet: None,
+                seed: 1,
+            })
+            .err(),
+        ),
+        (
+            "stride_s",
+            fig17::run(&fig17::Config {
+                cabinets: 1,
+                job_duration_s: 30.0,
+                stride_s: 0.5,
                 missing_cabinet: None,
                 seed: 1,
             })
