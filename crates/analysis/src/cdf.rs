@@ -5,8 +5,6 @@
 //! durations per class). This module provides an exact ECDF with value and
 //! percentile queries in `O(log n)`.
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical CDF built from a sample.
 ///
 /// ```
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(e.eval(2.0), 0.5);
 /// assert_eq!(e.percentile(0.8), 4.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     /// Sorted finite sample values.
     sorted: Vec<f64>,

@@ -8,7 +8,6 @@
 
 use crate::special::student_t_two_sided_p;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Pearson correlation coefficient between two equal-length slices.
 ///
@@ -53,7 +52,7 @@ pub fn pearson_p_value(r: f64, n: usize) -> f64 {
 }
 
 /// One entry of a pairwise correlation analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairCorrelation {
     /// First variable index.
     pub i: usize,
@@ -69,7 +68,7 @@ pub struct PairCorrelation {
 
 /// The full pairwise correlation matrix of a set of variables, with
 /// Bonferroni-corrected significance at level `alpha`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorrelationMatrix {
     /// Number of variables.
     pub vars: usize,

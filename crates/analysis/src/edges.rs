@@ -5,18 +5,17 @@
 //! interval — at full system scale (4,608 nodes) that is a 4 MW step. The
 //! duration of an edge is "the time from the start of the rising edge to
 //! the end time where power has returned back 80 % from its peak to its
-//! initial power". This module implements that exact definition plus the
-//! 1 MW amplitude-class binning used for the Figure 11 snapshots.
+//! initial power". This module implements that exact definition, in
+//! batch and online form.
 
 use crate::series::Series;
-use serde::{Deserialize, Serialize};
 
 /// The per-node edge threshold from the paper: 868 W per node per
 /// 10-second interval (4 MW at 4,608 nodes).
 pub const EDGE_THRESHOLD_W_PER_NODE: f64 = 868.0;
 
 /// Direction of a detected edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeKind {
     /// Power stepped up.
     Rising,
@@ -25,7 +24,7 @@ pub enum EdgeKind {
 }
 
 /// A detected power edge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// Rising or falling.
     pub kind: EdgeKind,
@@ -394,52 +393,6 @@ pub fn detect_edges_for_job(power: &Series, node_count: usize) -> Vec<Edge> {
     detect_edges(power, EDGE_THRESHOLD_W_PER_NODE * node_count as f64)
 }
 
-/// Bins an edge into a 1 MW amplitude class (1 => [0.5, 1.5) MW, etc.),
-/// the Figure 11 grouping. Returns `None` below 0.5 MW.
-pub fn amplitude_class_mw(edge: &Edge) -> Option<u32> {
-    let mw = edge.amplitude() / 1e6;
-    let class = (mw + 0.5).floor() as i64;
-    // Checked narrowing: classes above u32::MAX cannot occur for real
-    // amplitudes, and a negative class means "below 0.5 MW" anyway.
-    u32::try_from(class).ok().filter(|&c| c >= 1)
-}
-
-/// Summary of edge behaviour across one job (one row of the population
-/// behind Figure 10).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct JobEdgeStats {
-    /// Total edges detected.
-    pub edge_count: usize,
-    /// Rising edges.
-    pub rising_count: usize,
-    /// Falling edges.
-    pub falling_count: usize,
-    /// Mean duration of edges that completed within the window (s).
-    pub mean_duration_s: f64,
-    /// Largest amplitude seen (W).
-    pub max_amplitude_w: f64,
-}
-
-/// Computes per-job edge statistics.
-pub fn job_edge_stats(power: &Series, node_count: usize) -> JobEdgeStats {
-    let edges = detect_edges_for_job(power, node_count);
-    let rising = edges.iter().filter(|e| e.kind == EdgeKind::Rising).count();
-    let durations: Vec<f64> = edges.iter().filter_map(|e| e.duration_s).collect();
-    let mean_duration = if durations.is_empty() {
-        f64::NAN
-    } else {
-        durations.iter().sum::<f64>() / durations.len() as f64
-    };
-    let max_amp = edges.iter().map(|e| e.amplitude()).fold(0.0f64, f64::max);
-    JobEdgeStats {
-        edge_count: edges.len(),
-        rising_count: rising,
-        falling_count: edges.len() - rising,
-        mean_duration_s: mean_duration,
-        max_amplitude_w: max_amp,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -524,50 +477,11 @@ mod tests {
     }
 
     #[test]
-    fn amplitude_class_binning() {
-        let mk = |amp: f64| Edge {
-            kind: EdgeKind::Rising,
-            start_index: 0,
-            start_time: 0.0,
-            initial_power: 0.0,
-            step: amp,
-            peak_index: 1,
-            peak_power: amp,
-            duration_s: None,
-        };
-        assert_eq!(amplitude_class_mw(&mk(1.0e6)), Some(1));
-        assert_eq!(amplitude_class_mw(&mk(1.4e6)), Some(1));
-        assert_eq!(amplitude_class_mw(&mk(1.6e6)), Some(2));
-        assert_eq!(amplitude_class_mw(&mk(7.2e6)), Some(7));
-        assert_eq!(amplitude_class_mw(&mk(0.2e6)), None);
-    }
-
-    #[test]
     fn nan_gap_breaks_tracking() {
         let s = series(&[1e6, f64::NAN, 5e6, 5e6]);
         // The NaN interval yields a NaN step — no edge triggered by it.
         let edges = detect_edges(&s, 2e6);
         assert!(edges.is_empty());
-    }
-
-    #[test]
-    fn job_edge_stats_counts() {
-        let s = series(&[1e6, 5e6, 5e6, 1e6, 1e6, 5e6, 5e6, 1e6]);
-        let stats = job_edge_stats(&s, 1000); // threshold 868 kW
-        assert_eq!(stats.edge_count, 4);
-        assert_eq!(stats.rising_count, 2);
-        assert_eq!(stats.falling_count, 2);
-        assert!((stats.max_amplitude_w - 4e6).abs() < 1.0);
-        assert!(stats.mean_duration_s > 0.0);
-    }
-
-    #[test]
-    fn quiet_job_stats() {
-        let s = series(&[1e6; 20]);
-        let stats = job_edge_stats(&s, 100);
-        assert_eq!(stats.edge_count, 0);
-        assert!(stats.mean_duration_s.is_nan());
-        assert_eq!(stats.max_amplitude_w, 0.0);
     }
 
     fn assert_online_matches_batch(values: &[f64], threshold_w: f64) {

@@ -7,10 +7,8 @@
 //! real-input helpers, amplitude spectra, and the dominant-component
 //! extraction used by the experiment drivers.
 
-use serde::{Deserialize, Serialize};
-
 /// A complex number (minimal, avoids an external dependency).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex {
     /// Real part.
     pub re: f64,
@@ -143,7 +141,7 @@ pub fn amplitude_spectrum(data: &[f64], sample_hz: f64) -> (Vec<f64>, Vec<f64>) 
 }
 
 /// The dominant spectral component of a (already differenced) signal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DominantComponent {
     /// Frequency in Hz of the maximum-amplitude bin.
     pub frequency_hz: f64,
@@ -178,82 +176,6 @@ pub fn dominant_component(data: &[f64], sample_hz: f64) -> Option<DominantCompon
         amplitude: amp,
         period_s: if f > 0.0 { 1.0 / f } else { f64::INFINITY },
     })
-}
-
-/// A short-time Fourier transform: amplitude spectra over sliding
-/// windows, for watching a job's dominant swing mode evolve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Spectrogram {
-    /// Window-center times (s, relative to the signal start).
-    pub times_s: Vec<f64>,
-    /// Frequency axis (Hz), shared by all windows.
-    pub freqs_hz: Vec<f64>,
-    /// Row-major amplitudes: `amps[w * freqs.len() + k]`.
-    pub amps: Vec<f64>,
-}
-
-impl Spectrogram {
-    /// Amplitude at window `w`, frequency bin `k`.
-    pub fn at(&self, w: usize, k: usize) -> f64 {
-        self.amps[w * self.freqs_hz.len() + k]
-    }
-
-    /// Dominant frequency per window (Hz).
-    pub fn dominant_per_window(&self) -> Vec<f64> {
-        (0..self.times_s.len())
-            .map(|w| {
-                let row = &self.amps[w * self.freqs_hz.len()..(w + 1) * self.freqs_hz.len()];
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(k, _)| self.freqs_hz[k])
-                    .unwrap_or(f64::NAN)
-            })
-            .collect()
-    }
-}
-
-/// Computes a spectrogram with `window` samples per slice and `hop`
-/// samples between slice starts. Each slice is Hann-windowed before the
-/// FFT to limit leakage between slices.
-///
-/// # Panics
-/// If `window < 4` or `hop == 0`.
-pub fn spectrogram(data: &[f64], sample_hz: f64, window: usize, hop: usize) -> Spectrogram {
-    assert!(window >= 4, "window must hold at least 4 samples");
-    assert!(hop > 0, "hop must be positive");
-    assert!(sample_hz > 0.0);
-    let _obs = summit_obs::span("summit_analysis_spectrogram");
-    let n_fft = window.next_power_of_two();
-    let half = n_fft / 2;
-    let freqs_hz: Vec<f64> = (1..half)
-        .map(|k| k as f64 * sample_hz / n_fft as f64)
-        .collect();
-    let mut times_s = Vec::new();
-    let mut amps = Vec::new();
-    let hann: Vec<f64> = (0..window)
-        .map(|i| 0.5 * (1.0 - (2.0 * std::f64::consts::PI * i as f64 / (window - 1) as f64).cos()))
-        .collect();
-    let mut start = 0usize;
-    while start + window <= data.len() {
-        let slice: Vec<f64> = data[start..start + window]
-            .iter()
-            .zip(&hann)
-            .map(|(x, w)| x * w)
-            .collect();
-        let spec = fft_padded(&slice);
-        // Hann coherent gain is 0.5; rescale so a sinusoid reports ~A.
-        for z in spec.iter().take(half).skip(1) {
-            amps.push(2.0 * z.abs() / (window as f64 * 0.5));
-        }
-        times_s.push((start + window / 2) as f64 / sample_hz);
-        start += hop;
-    }
-    Spectrogram {
-        times_s,
-        freqs_hz,
-        amps,
-    }
 }
 
 /// Total spectral energy (Parseval check helper): `sum |X_k|^2 / n`.
@@ -394,53 +316,6 @@ mod tests {
     #[test]
     fn fft_padded_empty() {
         assert!(fft_padded(&[]).is_empty());
-    }
-
-    #[test]
-    fn spectrogram_tracks_mode_change() {
-        // First half: 64 s period; second half: 16 s period (1 Hz samples).
-        let n = 2048;
-        let data: Vec<f64> = (0..n)
-            .map(|i| {
-                let t = i as f64;
-                let period = if i < n / 2 { 64.0 } else { 16.0 };
-                3.0 * (2.0 * std::f64::consts::PI * t / period).sin()
-            })
-            .collect();
-        let sg = spectrogram(&data, 1.0, 256, 128);
-        assert!(!sg.times_s.is_empty());
-        let dom = sg.dominant_per_window();
-        let early = dom[0];
-        let late = *dom.last().unwrap();
-        assert!((early - 1.0 / 64.0).abs() < 0.006, "early dom {early}");
-        assert!((late - 1.0 / 16.0).abs() < 0.006, "late dom {late}");
-    }
-
-    #[test]
-    fn spectrogram_amplitude_scaling() {
-        let n = 1024;
-        let data: Vec<f64> = (0..n)
-            .map(|i| 5.0 * (2.0 * std::f64::consts::PI * i as f64 / 32.0).sin())
-            .collect();
-        let sg = spectrogram(&data, 1.0, 256, 256);
-        let k = sg
-            .freqs_hz
-            .iter()
-            .position(|&f| (f - 1.0 / 32.0).abs() < 1e-9)
-            .expect("bin exists");
-        for w in 0..sg.times_s.len() {
-            assert!(
-                (sg.at(w, k) - 5.0).abs() < 0.5,
-                "amplitude {} at window {w}",
-                sg.at(w, k)
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "hop must be positive")]
-    fn spectrogram_rejects_zero_hop() {
-        spectrogram(&[0.0; 64], 1.0, 16, 0);
     }
 
     #[test]

@@ -4,14 +4,12 @@
 //! temperature distribution summary" (Section 2) and several figure
 //! reproductions (Figure 16 slot counts, Figure 10 amplitude distribution).
 
-use serde::{Deserialize, Serialize};
-
 /// A one-dimensional histogram over uniform bins on `[lo, hi)`.
 ///
 /// Values outside the range are counted in saturating edge bins
 /// (`underflow` / `overflow`) rather than silently dropped, because the
 /// telemetry layer must account for every sensor reading.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -112,11 +110,6 @@ impl Histogram {
         self.total
     }
 
-    /// Center of bin `i`.
-    pub fn center(&self, i: usize) -> f64 {
-        self.lo + (i as f64 + 0.5) * self.width()
-    }
-
     /// Left edge of bin `i` (edge `bins()` is the upper bound).
     pub fn edge(&self, i: usize) -> f64 {
         self.lo + i as f64 * self.width()
@@ -126,18 +119,6 @@ impl Histogram {
     pub fn density(&self) -> Vec<f64> {
         let norm = self.total.max(1) as f64 * self.width();
         self.counts.iter().map(|&c| c as f64 / norm).collect()
-    }
-
-    /// Index of the fullest bin; `None` if the histogram is empty.
-    pub fn mode_bin(&self) -> Option<usize> {
-        if self.counts.iter().all(|&c| c == 0) {
-            return None;
-        }
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &c)| c)
-            .map(|(i, _)| i)
     }
 
     /// Merges a histogram with identical binning (parallel reduction).
@@ -160,7 +141,7 @@ impl Histogram {
 /// A two-dimensional histogram over uniform bins — the cheap counterpart of
 /// the 2-D KDE used for quick density scans of the Figure 6/9 joint
 /// distributions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram2d {
     x_lo: f64,
     x_hi: f64,
@@ -223,25 +204,6 @@ impl Histogram2d {
     /// Observations outside the grid.
     pub fn out_of_range(&self) -> u64 {
         self.out_of_range
-    }
-
-    /// The `(xi, yi)` of the fullest cell; `None` if empty.
-    pub fn mode_cell(&self) -> Option<(usize, usize)> {
-        let (idx, &c) = self.counts.iter().enumerate().max_by_key(|&(_, &c)| c)?;
-        if c == 0 {
-            return None;
-        }
-        Some((idx % self.x_bins, idx / self.x_bins))
-    }
-
-    /// Center coordinates of cell `(xi, yi)`.
-    pub fn cell_center(&self, xi: usize, yi: usize) -> (f64, f64) {
-        let xw = (self.x_hi - self.x_lo) / self.x_bins as f64;
-        let yw = (self.y_hi - self.y_lo) / self.y_bins as f64;
-        (
-            self.x_lo + (xi as f64 + 0.5) * xw,
-            self.y_lo + (yi as f64 + 0.5) * yw,
-        )
     }
 }
 
@@ -308,16 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_mode() {
-        let mut h = Histogram::new(0.0, 3.0, 3);
-        h.push(1.5);
-        h.push(1.5);
-        h.push(0.5);
-        assert_eq!(h.mode_bin(), Some(1));
-        assert!((h.center(1) - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn histogram_merge() {
         let mut a = Histogram::new(0.0, 10.0, 5);
         let mut b = Histogram::new(0.0, 10.0, 5);
@@ -349,14 +301,5 @@ mod tests {
         assert_eq!(h.cell(3, 3), 2);
         assert_eq!(h.out_of_range(), 1);
         assert_eq!(h.total(), 4);
-        assert_eq!(h.mode_cell(), Some((3, 3)));
-        let (cx, cy) = h.cell_center(3, 3);
-        assert!((cx - 3.5).abs() < 1e-12 && (cy - 3.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram2d_empty_mode_is_none() {
-        let h = Histogram2d::new((0.0, 1.0), (0.0, 1.0), 2, 2);
-        assert_eq!(h.mode_cell(), None);
     }
 }

@@ -8,10 +8,9 @@
 //! characterize the multi-modal structure the paper describes.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Bandwidth selection rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bandwidth {
     /// Scott's rule: `n^(-1/(d+4)) * sigma` per dimension.
     Scott,
@@ -38,7 +37,7 @@ fn std_dev(data: &[f64]) -> f64 {
 }
 
 /// One-dimensional Gaussian KDE.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kde1d {
     samples: Vec<f64>,
     bandwidth: f64,
@@ -128,7 +127,7 @@ impl Kde1d {
 }
 
 /// Two-dimensional product-kernel Gaussian KDE.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kde2d {
     xs: Vec<f64>,
     ys: Vec<f64>,
@@ -137,7 +136,7 @@ pub struct Kde2d {
 }
 
 /// A dense grid evaluation of a 2-D density.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DensityGrid {
     /// Grid x coordinates.
     pub x_axis: Vec<f64>,
@@ -198,20 +197,6 @@ impl DensityGrid {
             }
         }
         count
-    }
-
-    /// Fraction of total density mass above `level_frac` of the peak —
-    /// a proxy for how concentrated the distribution is (few large rings
-    /// vs many small ones).
-    pub fn mass_above(&self, level_frac: f64) -> f64 {
-        let peak = self.peak().2;
-        let thresh = peak * level_frac;
-        let total: f64 = self.density.iter().sum();
-        if total == 0.0 {
-            return 0.0;
-        }
-        let above: f64 = self.density.iter().filter(|&&d| d >= thresh).sum();
-        above / total
     }
 }
 
@@ -434,18 +419,5 @@ mod tests {
     fn kde2d_degenerate_is_none() {
         assert!(Kde2d::fit(&[1.0, 1.0], &[2.0, 3.0], Bandwidth::Scott).is_none());
         assert!(Kde2d::fit(&[], &[], Bandwidth::Scott).is_none());
-    }
-
-    #[test]
-    fn mass_above_monotone_in_level() {
-        let x: Vec<f64> = (0..120).map(|i| (i % 13) as f64).collect();
-        let y: Vec<f64> = (0..120).map(|i| ((i * 5) % 17) as f64).collect();
-        let kde = Kde2d::fit(&x, &y, Bandwidth::Scott).unwrap();
-        let g = kde.grid(48, 48);
-        let m1 = g.mass_above(0.1);
-        let m5 = g.mass_above(0.5);
-        let m9 = g.mass_above(0.9);
-        assert!(m1 >= m5 && m5 >= m9);
-        assert!(m1 <= 1.0 && m9 >= 0.0);
     }
 }

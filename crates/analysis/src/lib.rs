@@ -22,12 +22,12 @@
 //!   significance (Figure 13).
 //! - [`zscore`] — thermal-extremity z-scores (Figure 15).
 //! - [`pue`] — power usage effectiveness and energy integration.
-//! - [`rolling`] — rolling-window statistics and autocorrelation.
+//! - [`rolling`] — online sliding-window statistics and sample sketch
+//!   (the operations console's live gauges).
 //! - [`histogram`], [`series`], [`special`] — supporting machinery.
 //!
-//! The crate is dependency-light (serde for dataset serialization, rayon
-//! for grid/pair parallelism) and deterministic: no global state, no
-//! clocks, no randomness.
+//! The crate is dependency-light (rayon for grid/pair parallelism) and
+//! deterministic: no global state, no clocks, no randomness.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -57,11 +57,9 @@ pub mod prelude {
     pub use crate::histogram::{Histogram, Histogram2d};
     pub use crate::kde::{Bandwidth, Kde1d, Kde2d};
     pub use crate::pue::{average_pue, integrate_energy, pue, pue_series};
-    pub use crate::rolling::{
-        autocorrelation, rolling_max, rolling_mean, rolling_min, RollingSketch, RollingStats,
-    };
+    pub use crate::rolling::{RollingSketch, RollingStats};
     pub use crate::series::{sum_aligned, Series};
     pub use crate::snapshot::{superimpose, superimpose_paper_window, Superposition};
     pub use crate::stats::{BoxStats, Summary, Welford, WindowStats};
-    pub use crate::zscore::{zscore, zscore_in, ExtremitySummary};
+    pub use crate::zscore::{zscore, ExtremitySummary};
 }

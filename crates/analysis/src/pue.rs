@@ -6,7 +6,6 @@
 //! February cooling-tower maintenance (Section 4.1).
 
 use crate::series::Series;
-use serde::{Deserialize, Serialize};
 
 /// Computes instantaneous PUE from facility and IT power (both in watts).
 /// Returns NaN for non-positive IT power (idle meter dropout) and clamps
@@ -38,7 +37,7 @@ pub fn pue_series(facility: &Series, it: &Series) -> Series {
 /// Integrates a power series (watts) into total energy (joules) using the
 /// rectangle rule (each sample holds for `dt`). NaN samples contribute
 /// nothing; the covered (non-NaN) duration is also returned.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyIntegral {
     /// Total energy in joules.
     pub energy_j: f64,
@@ -56,11 +55,6 @@ impl EnergyIntegral {
         } else {
             self.energy_j / self.covered_s
         }
-    }
-
-    /// Energy in megawatt-hours.
-    pub fn energy_mwh(&self) -> f64 {
-        self.energy_j / 3.6e9
     }
 }
 
@@ -125,7 +119,6 @@ mod tests {
         let s = Series::new(0.0, 10.0, vec![1e6; n]);
         let e = integrate_energy(&s);
         assert!((e.energy_j - 3.6e9).abs() < 1.0);
-        assert!((e.energy_mwh() - 1.0).abs() < 1e-9);
         assert_eq!(e.covered_s, 3600.0);
         assert_eq!(e.missing_s, 0.0);
         assert!((e.mean_power_w() - 1e6).abs() < 1e-6);

@@ -1,130 +1,16 @@
-//! Rolling-window statistics and autocorrelation.
+//! Online sliding-window statistics and distribution sketch.
 //!
 //! The paper's monitoring pipeline renders near-real-time summaries over
-//! sliding windows (Section 2), and its spectral method is motivated by
-//! the power series' "auto-correlated nature" (Section 4.2). This module
-//! provides O(n) rolling means, O(n log n)-ish rolling extrema (monotonic
-//! deque), and the sample autocorrelation function used to justify
-//! differencing.
+//! sliding windows (Section 2). This module provides the two online
+//! reducers the operations console keeps per live gauge: [`RollingStats`]
+//! (O(1) amortized `count/min/max/mean/std` over the last `window`
+//! samples) and [`RollingSketch`] (ECDF percentiles and KDE densities
+//! over a bounded sample).
 
 use crate::cdf::Ecdf;
 use crate::kde::{Bandwidth, Kde1d};
-use crate::series::Series;
 use crate::stats::{Welford, WindowStats};
 use std::collections::VecDeque;
-
-/// Rolling mean over a window of `w` samples (NaN-aware: windows with no
-/// finite samples yield NaN). Output has the same length as the input;
-/// entry `i` covers samples `[i+1-w, i]` clamped to the start.
-pub fn rolling_mean(values: &[f64], w: usize) -> Vec<f64> {
-    assert!(w >= 1, "window must be at least 1");
-    let mut out = Vec::with_capacity(values.len());
-    let mut sum = 0.0;
-    let mut count = 0usize;
-    let mut q: VecDeque<f64> = VecDeque::with_capacity(w);
-    for &v in values {
-        q.push_back(v);
-        if v.is_finite() {
-            sum += v;
-            count += 1;
-        }
-        if let Some(old) = (q.len() > w).then(|| q.pop_front()).flatten() {
-            if old.is_finite() {
-                sum -= old;
-                count -= 1;
-            }
-        }
-        out.push(if count > 0 {
-            sum / count as f64
-        } else {
-            f64::NAN
-        });
-    }
-    out
-}
-
-/// Rolling maximum over a window of `w` samples using a monotonic deque
-/// (amortized O(1) per sample). NaNs are skipped.
-pub fn rolling_max(values: &[f64], w: usize) -> Vec<f64> {
-    rolling_extremum(values, w, |a, b| a >= b)
-}
-
-/// Rolling minimum over a window of `w` samples.
-pub fn rolling_min(values: &[f64], w: usize) -> Vec<f64> {
-    rolling_extremum(values, w, |a, b| a <= b)
-}
-
-fn rolling_extremum(values: &[f64], w: usize, dominates: fn(f64, f64) -> bool) -> Vec<f64> {
-    assert!(w >= 1, "window must be at least 1");
-    let mut out = Vec::with_capacity(values.len());
-    // Deque of (index, value), values monotone under `dominates`.
-    let mut q: VecDeque<(usize, f64)> = VecDeque::new();
-    for (i, &v) in values.iter().enumerate() {
-        if v.is_finite() {
-            while let Some(&(_, back)) = q.back() {
-                if dominates(v, back) {
-                    q.pop_back();
-                } else {
-                    break;
-                }
-            }
-            q.push_back((i, v));
-        }
-        // Evict entries that left the window.
-        while let Some(&(j, _)) = q.front() {
-            if i >= w && j <= i - w {
-                q.pop_front();
-            } else {
-                break;
-            }
-        }
-        out.push(q.front().map_or(f64::NAN, |&(_, v)| v));
-    }
-    out
-}
-
-/// Sample autocorrelation at lags `0..=max_lag` (NaN-free input assumed;
-/// NaNs are dropped pairwise). Lag 0 is always 1 for non-degenerate input.
-pub fn autocorrelation(values: &[f64], max_lag: usize) -> Vec<f64> {
-    let v: Vec<f64> = values.iter().copied().filter(|x| x.is_finite()).collect();
-    let n = v.len();
-    if n < 2 {
-        return vec![f64::NAN; max_lag + 1];
-    }
-    let mean = v.iter().sum::<f64>() / n as f64;
-    let var: f64 = v.iter().map(|x| (x - mean).powi(2)).sum();
-    if var <= 0.0 {
-        return vec![f64::NAN; max_lag + 1];
-    }
-    (0..=max_lag)
-        .map(|lag| {
-            if lag >= n {
-                return f64::NAN;
-            }
-            let cov: f64 = (0..n - lag)
-                .map(|i| (v[i] - mean) * (v[i + lag] - mean))
-                .sum();
-            cov / var
-        })
-        .collect()
-}
-
-/// First lag (>= 1) at which the autocorrelation drops below `threshold`
-/// — a de-correlation length estimate.
-pub fn decorrelation_lag(values: &[f64], threshold: f64, max_lag: usize) -> Option<usize> {
-    let acf = autocorrelation(values, max_lag);
-    acf.iter()
-        .enumerate()
-        .skip(1)
-        .find(|(_, &r)| r.is_finite() && r < threshold)
-        .map(|(lag, _)| lag)
-}
-
-/// Rolling mean as a [`Series`] helper.
-pub fn rolling_mean_series(series: &Series, window_s: f64) -> Series {
-    let w = ((window_s / series.dt()).round() as usize).max(1);
-    Series::new(series.t0(), series.dt(), rolling_mean(series.values(), w))
-}
 
 /// Online sliding-window `count/min/max/mean/std` over the last `window`
 /// samples — the incremental reducer the streaming pipeline keeps per
@@ -265,101 +151,6 @@ impl RollingSketch {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
-
-    #[test]
-    fn rolling_mean_basic() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(rolling_mean(&v, 2), vec![1.0, 1.5, 2.5, 3.5]);
-        assert_eq!(rolling_mean(&v, 1), v.to_vec());
-        // Window larger than the data: grows with the prefix.
-        assert_eq!(rolling_mean(&v, 10), vec![1.0, 1.5, 2.0, 2.5]);
-    }
-
-    #[test]
-    fn rolling_mean_nan_aware() {
-        let v = [1.0, f64::NAN, 3.0];
-        let r = rolling_mean(&v, 2);
-        assert_eq!(r[0], 1.0);
-        assert_eq!(r[1], 1.0); // only the finite sample counts
-        assert_eq!(r[2], 3.0);
-        let all_nan = rolling_mean(&[f64::NAN, f64::NAN], 2);
-        assert!(all_nan.iter().all(|x| x.is_nan()));
-    }
-
-    #[test]
-    fn rolling_max_min_match_naive() {
-        let v: Vec<f64> = (0..200)
-            .map(|i| ((i * 37) % 23) as f64 - ((i * 11) % 7) as f64)
-            .collect();
-        let w = 7;
-        let fast_max = rolling_max(&v, w);
-        let fast_min = rolling_min(&v, w);
-        for i in 0..v.len() {
-            let lo = i.saturating_sub(w - 1);
-            let naive_max = v[lo..=i].iter().cloned().fold(f64::MIN, f64::max);
-            let naive_min = v[lo..=i].iter().cloned().fold(f64::MAX, f64::min);
-            assert_eq!(fast_max[i], naive_max, "max at {i}");
-            assert_eq!(fast_min[i], naive_min, "min at {i}");
-        }
-    }
-
-    #[test]
-    fn rolling_max_skips_nan() {
-        let v = [1.0, f64::NAN, 0.5];
-        let r = rolling_max(&v, 2);
-        assert_eq!(r[0], 1.0);
-        assert_eq!(r[1], 1.0);
-        assert_eq!(r[2], 0.5, "the NaN and expired 1.0 are gone");
-    }
-
-    #[test]
-    fn autocorrelation_of_white_vs_slow_signal() {
-        // Pseudo-white noise decorrelates immediately.
-        let noise: Vec<f64> = (0..2000)
-            .map(|i| (((i * 2654435761_usize) % 1000) as f64 / 500.0) - 1.0)
-            .collect();
-        let acf = autocorrelation(&noise, 10);
-        assert!((acf[0] - 1.0).abs() < 1e-12);
-        assert!(acf[1].abs() < 0.1, "white noise lag-1 {}", acf[1]);
-
-        // A slow sinusoid stays correlated for many lags.
-        let slow: Vec<f64> = (0..2000)
-            .map(|i| (2.0 * std::f64::consts::PI * i as f64 / 500.0).sin())
-            .collect();
-        let acf_slow = autocorrelation(&slow, 50);
-        assert!(acf_slow[20] > 0.9, "slow signal lag-20 {}", acf_slow[20]);
-    }
-
-    #[test]
-    fn power_series_autocorrelation_motivates_differencing() {
-        // The paper differences job power series "due to its
-        // auto-correlated nature": a raised-cosine power profile is highly
-        // autocorrelated, its first difference much less so.
-        let power: Vec<f64> = (0..1000)
-            .map(|i| 5e6 + 2e6 * (2.0 * std::f64::consts::PI * i as f64 / 20.0).cos())
-            .collect();
-        let lag_raw = decorrelation_lag(&power, 0.5, 100).unwrap();
-        let diff: Vec<f64> = power.windows(2).map(|w| w[1] - w[0]).collect();
-        let lag_diff = decorrelation_lag(&diff, 0.5, 100).unwrap();
-        assert!(
-            lag_diff <= lag_raw,
-            "differencing must not lengthen correlation ({lag_diff} vs {lag_raw})"
-        );
-    }
-
-    #[test]
-    fn autocorrelation_degenerate() {
-        assert!(autocorrelation(&[1.0], 3).iter().all(|x| x.is_nan()));
-        assert!(autocorrelation(&[2.0; 10], 3).iter().all(|x| x.is_nan()));
-    }
-
-    #[test]
-    fn rolling_series_wrapper() {
-        let s = Series::new(0.0, 10.0, vec![1.0, 2.0, 3.0, 4.0]);
-        let r = rolling_mean_series(&s, 20.0);
-        assert_eq!(r.values(), &[1.0, 1.5, 2.5, 3.5]);
-        assert_eq!(r.dt(), 10.0);
-    }
 
     /// Reference window statistics from a fresh Welford pass.
     fn window_reference(values: &[f64], window: usize, end: usize) -> WindowStats {

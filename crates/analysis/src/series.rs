@@ -6,8 +6,6 @@
 //! differences each job's power series before the FFT because of its
 //! auto-correlated nature, Section 4.2).
 
-use serde::{Deserialize, Serialize};
-
 /// A uniformly-sampled time series. `t0` is the epoch-seconds timestamp of
 /// the first sample; `dt` the sampling interval in seconds.
 ///
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(power.at_time(15.0), 2.0e6);
 /// assert_eq!(power.diff().values(), &[1.0e6, 1.0e6]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     t0: f64,
     dt: f64,

@@ -10,7 +10,6 @@
 use crate::series::Series;
 use crate::special::student_t_critical;
 use crate::stats::Welford;
-use serde::{Deserialize, Serialize};
 
 /// The paper's snapshot window: 60 s before the edge.
 pub const PAPER_WINDOW_BEFORE_S: f64 = 60.0;
@@ -19,7 +18,7 @@ pub const PAPER_WINDOW_AFTER_S: f64 = 240.0;
 
 /// A superposition of aligned snapshots: per-offset mean and confidence
 /// envelope.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Superposition {
     /// Time offsets relative to the alignment point (seconds; negative =
     /// before the edge).

@@ -33,11 +33,6 @@ pub fn erf(x: f64) -> f64 {
     sign * y
 }
 
-/// Complementary error function `erfc(x) = 1 - erf(x)`.
-pub fn erfc(x: f64) -> f64 {
-    1.0 - erf(x)
-}
-
 /// Standard normal cumulative distribution function.
 pub fn normal_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))

@@ -3,8 +3,6 @@
 //! throughout the paper (Section 6.2, Figure 17), and weighted percentile
 //! helpers for the Figure 7 CDF red-lines.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming accumulator for count/min/max/mean/std using Welford's
 /// algorithm — the exact statistic set the paper stores per 10-second
 /// window ("min., max., mean, and standard deviation", Section 3).
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(w.mean(), 2.0);
 /// assert_eq!(w.finish().count, 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Welford {
     count: u64,
     mean: f64,
@@ -411,7 +409,7 @@ fn update_lanes_sparse(
 
 /// The `count/min/max/mean/std` record stored per coarsened window —
 /// the paper's Dataset 0 column quintuple.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowStats {
     /// Samples in the window.
     pub count: u64,
@@ -489,7 +487,7 @@ pub fn median(data: &[f64]) -> f64 {
 /// Boxplot summary with the 1.5 IQR whisker/outlier rule, the rule the
 /// paper uses to define "non-outlier" spreads (Section 6.2: 62 W power
 /// spread, 15.8 °C temperature spread over 27,648 GPUs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoxStats {
     /// Number of finite samples.
     pub count: usize,
@@ -563,7 +561,7 @@ impl BoxStats {
 }
 
 /// Full descriptive summary of a slice.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of finite samples.
     pub count: usize,
@@ -639,11 +637,6 @@ pub fn nanmean(data: &[f64]) -> f64 {
         w.push(x);
     }
     w.mean()
-}
-
-/// Sum of a slice ignoring NaNs.
-pub fn nansum(data: &[f64]) -> f64 {
-    data.iter().copied().filter(|x| x.is_finite()).sum()
 }
 
 /// Maximum ignoring NaNs; NaN if empty.
@@ -896,7 +889,6 @@ mod tests {
     fn nan_aggregations() {
         let data = [1.0, f64::NAN, 3.0];
         assert_eq!(nanmean(&data), 2.0);
-        assert_eq!(nansum(&data), 4.0);
         assert_eq!(nanmax(&data), 3.0);
         assert_eq!(nanmin(&data), 1.0);
         assert!(nanmax(&[]).is_nan());

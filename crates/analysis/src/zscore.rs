@@ -7,8 +7,6 @@
 //! above the mean, as a metric of thermal extremity that is independent of
 //! the associated workload."
 
-use serde::{Deserialize, Serialize};
-
 /// Z-score of `x` within a population given its mean and std.
 /// NaN if std is not positive or any input is non-finite.
 pub fn zscore(x: f64, mean: f64, std: f64) -> f64 {
@@ -18,26 +16,8 @@ pub fn zscore(x: f64, mean: f64, std: f64) -> f64 {
     (x - mean) / std
 }
 
-/// Computes the z-score of `x` against the empirical distribution of
-/// `population` (NaNs in the population are dropped). Returns NaN when the
-/// population is degenerate (fewer than 2 finite values or zero spread).
-pub fn zscore_in(x: f64, population: &[f64]) -> f64 {
-    let v: Vec<f64> = population
-        .iter()
-        .copied()
-        .filter(|p| p.is_finite())
-        .collect();
-    if v.len() < 2 {
-        return f64::NAN;
-    }
-    let n = v.len() as f64;
-    let mean = v.iter().sum::<f64>() / n;
-    let var = v.iter().map(|p| (p - mean).powi(2)).sum::<f64>() / (n - 1.0);
-    zscore(x, mean, var.sqrt())
-}
-
 /// A labelled extremity observation (one failure event).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Extremity {
     /// The observed value (e.g. GPU core temperature at failure, °C).
     pub value: f64,
@@ -47,7 +27,7 @@ pub struct Extremity {
 
 /// Distribution-level summary of the extremity of a set of failures —
 /// what Figure 15 plots per failure type.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExtremitySummary {
     /// Number of finite z-scores.
     pub count: usize,
@@ -113,30 +93,6 @@ mod tests {
         assert_eq!(zscore(6.0, 10.0, 2.0), -2.0);
         assert!(zscore(1.0, 1.0, 0.0).is_nan());
         assert!(zscore(f64::NAN, 0.0, 1.0).is_nan());
-    }
-
-    #[test]
-    fn zscore_in_population() {
-        let pop = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        // mean 5, sample std = sqrt(32/7)
-        let z = zscore_in(9.0, &pop);
-        let expect = 4.0 / (32.0f64 / 7.0).sqrt();
-        assert!((z - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zscore_in_degenerate() {
-        assert!(zscore_in(1.0, &[5.0]).is_nan());
-        assert!(zscore_in(1.0, &[5.0, 5.0, 5.0]).is_nan());
-        assert!(zscore_in(1.0, &[]).is_nan());
-    }
-
-    #[test]
-    fn zscore_in_ignores_nan_population() {
-        let pop = [1.0, f64::NAN, 3.0];
-        let z = zscore_in(3.0, &pop);
-        // mean 2, std sqrt(2)
-        assert!((z - 1.0 / 2.0f64.sqrt() * 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -16,11 +16,10 @@ use crate::experiments::table4;
 use crate::json::Json;
 use crate::pipeline::FailureScenario;
 use crate::report::{pct, Table};
-use serde::{Deserialize, Serialize};
 use summit_telemetry::records::{XidErrorKind, XidEvent};
 
 /// Experiment configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Observation span (weeks).
     pub weeks: f64,
@@ -31,7 +30,7 @@ pub struct Config {
 }
 
 /// Evaluation result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EarlyWarningResult {
     /// Micro-controller warnings observed.
     pub warnings: usize,

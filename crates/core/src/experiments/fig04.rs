@@ -13,14 +13,13 @@ use crate::experiments::registry::{
 };
 use crate::json::Json;
 use crate::report::{pct, watts, Table};
-use serde::{Deserialize, Serialize};
 use summit_analysis::correlation::pearson;
 use summit_analysis::stats::Summary;
 use summit_sim::engine::{Engine, EngineConfig};
 use summit_telemetry::ids::Msb;
 
 /// Experiment configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Cabinets simulated (257 = full floor).
     pub cabinets: usize,
@@ -31,7 +30,7 @@ pub struct Config {
 }
 
 /// Per-MSB comparison row.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MsbRow {
     /// The switchboard.
     pub msb: Msb,
@@ -50,7 +49,7 @@ pub struct MsbRow {
 }
 
 /// Full result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig04Result {
     /// Result rows.
     pub rows: Vec<MsbRow>,

@@ -13,7 +13,6 @@ use crate::experiments::registry::{
 use crate::json::Json;
 use crate::pipeline::PopulationScenario;
 use crate::report::{sparkline, Table};
-use serde::{Deserialize, Serialize};
 use summit_analysis::pue::average_pue;
 use summit_analysis::series::Series;
 use summit_analysis::stats::BoxStats;
@@ -22,7 +21,7 @@ use summit_sim::spec;
 use summit_sim::weather::Weather;
 
 /// Experiment configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Fraction of the paper's 840k jobs to draw.
     pub population_scale: f64,
@@ -33,7 +32,7 @@ pub struct Config {
 }
 
 /// One weekly summary row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WeekRow {
     /// Week index (0-based).
     pub week: usize,
@@ -50,7 +49,7 @@ pub struct WeekRow {
 }
 
 /// Full result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig05Result {
     /// Observation span in weeks.
     pub weeks: Vec<WeekRow>,
@@ -79,12 +78,13 @@ const WEEK_S: f64 = 7.0 * 86_400.0;
 /// `cache`.
 pub fn run(cache: &ScenarioCache, config: &Config) -> Result<Fig05Result, ExperimentError> {
     ensure_population_scale("fig05", config.population_scale)?;
-    // The weekly summary needs at least one step per week.
-    if !(config.dt_s.is_finite() && config.dt_s > 0.0 && config.dt_s <= WEEK_S) {
+    // One 1 s engine tick is the finest step, and the weekly summary
+    // needs at least one step per week.
+    if !(1.0..=WEEK_S).contains(&config.dt_s) {
         return Err(ExperimentError::invalid(
             "fig05",
             format!(
-                "dt_s must be a positive step of at most one week ({WEEK_S} s), got {}",
+                "dt_s must be a step from 1 s (one tick) to one week ({WEEK_S} s), got {}",
                 config.dt_s
             ),
         ));

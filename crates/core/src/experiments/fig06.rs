@@ -14,11 +14,10 @@ use crate::experiments::registry::{
 use crate::json::Json;
 use crate::pipeline::PopulationScenario;
 use crate::report::{joules, watts, Table};
-use serde::{Deserialize, Serialize};
 use summit_analysis::kde::{Bandwidth, Kde2d};
 
 /// Experiment configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Fraction of the paper's 840k jobs.
     pub population_scale: f64,
@@ -29,7 +28,7 @@ pub struct Config {
 }
 
 /// Per-class KDE characterization.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClassDensity {
     /// The evaluated density grid (log-energy x log-power), for rendering.
     pub grid: summit_analysis::kde::DensityGrid,
@@ -50,7 +49,7 @@ pub struct ClassDensity {
 }
 
 /// Full result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig06Result {
     /// Per-class results.
     pub classes: Vec<ClassDensity>,

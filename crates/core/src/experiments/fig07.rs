@@ -15,11 +15,10 @@ use crate::experiments::registry::{
 use crate::json::Json;
 use crate::pipeline::PopulationScenario;
 use crate::report::{watts, Table};
-use serde::{Deserialize, Serialize};
 use summit_analysis::cdf::Ecdf;
 
 /// Experiment configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Fraction of the paper's 840k jobs (leadership classes are rare, so
     /// this should not be too small).
@@ -27,7 +26,7 @@ pub struct Config {
 }
 
 /// CDF summary of one feature.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FeatureCdf {
     /// 20th percentile.
     pub p20: f64,
@@ -62,7 +61,7 @@ impl FeatureCdf {
 }
 
 /// Per-class feature CDFs.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ClassCdfs {
     /// Scheduling class 1..=5 (paper Table 3).
     pub class: u8,
@@ -85,7 +84,7 @@ pub struct ClassCdfs {
 }
 
 /// Full result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig07Result {
     /// Class-1 feature CDFs.
     pub class1: ClassCdfs,

@@ -12,12 +12,11 @@ use crate::experiments::registry::{
 use crate::json::Json;
 use crate::pipeline::PopulationScenario;
 use crate::report::{joules, watts, Table};
-use serde::{Deserialize, Serialize};
 use summit_analysis::stats::BoxStats;
 use summit_telemetry::records::ScienceDomain;
 
 /// Experiment configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Fraction of the paper's 840k jobs.
     pub population_scale: f64,
@@ -26,7 +25,7 @@ pub struct Config {
 }
 
 /// One domain's distributions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DomainRow {
     /// Science domain of the project.
     pub domain: ScienceDomain,
@@ -39,7 +38,7 @@ pub struct DomainRow {
 }
 
 /// Full result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig08Result {
     /// Scheduling class 1..=5 (paper Table 3).
     pub class: u8,

@@ -13,11 +13,10 @@ use crate::experiments::registry::{
 use crate::json::Json;
 use crate::pipeline::PopulationScenario;
 use crate::report::{pct, watts, Table};
-use serde::{Deserialize, Serialize};
 use summit_analysis::kde::{Bandwidth, Kde2d};
 
 /// Experiment configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Fraction of the paper's 840k jobs.
     pub population_scale: f64,
@@ -26,7 +25,7 @@ pub struct Config {
 }
 
 /// Characterization of one (statistic, class-group) panel.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Panel {
     /// "mean" or "max".
     pub statistic: String,
@@ -49,7 +48,7 @@ pub struct Panel {
 }
 
 /// Full result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig09Result {
     /// Per-panel results.
     pub panels: Vec<Panel>,

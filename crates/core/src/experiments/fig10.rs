@@ -16,7 +16,6 @@ use crate::json::Json;
 use crate::pipeline::PopulationScenario;
 use crate::report::{pct, Table};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use summit_analysis::cdf::Ecdf;
 use summit_analysis::edges::{detect_edges_for_job, Edge};
 use summit_analysis::fft::dominant_component;
@@ -24,7 +23,7 @@ use summit_sim::jobstats::job_power_series;
 use summit_sim::power::PowerModel;
 
 /// Experiment configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Fraction of the paper's 840k jobs to replay as series.
     pub population_scale: f64,
@@ -33,7 +32,7 @@ pub struct Config {
 }
 
 /// Per-class dynamics summary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClassDynamics {
     /// Scheduling class 1..=5 (paper Table 3).
     pub class: u8,
@@ -59,7 +58,7 @@ pub struct ClassDynamics {
 }
 
 /// Full result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10Result {
     /// Per-class results.
     pub classes: Vec<ClassDynamics>,
@@ -79,10 +78,14 @@ struct JobDyn {
 /// the exact job stream `PopulationScenario::generate` would produce.
 pub fn run(cache: &ScenarioCache, config: &Config) -> Result<Fig10Result, ExperimentError> {
     ensure_population_scale("fig10", config.population_scale)?;
-    if !(config.dt_s.is_finite() && config.dt_s > 0.0) {
+    // One 1 s engine tick is the finest step.
+    if !(config.dt_s.is_finite() && config.dt_s >= 1.0) {
         return Err(ExperimentError::invalid(
             "fig10",
-            format!("dt_s must be a positive step, got {}", config.dt_s),
+            format!(
+                "dt_s must be a finite step of at least 1 s (one tick), got {}",
+                config.dt_s
+            ),
         ));
     }
     let _obs = summit_obs::span("summit_core_fig10");

@@ -13,7 +13,6 @@ use crate::experiments::registry::{
 use crate::json::Json;
 use crate::pipeline::{run_burst_schedule, summer_t0, Burst, DynamicsRun};
 use crate::report::{pct, watts, Table};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use summit_analysis::correlation::pearson;
 use summit_analysis::edges::{detect_edges, Edge, EdgeKind};
@@ -21,7 +20,7 @@ use summit_analysis::snapshot::{superimpose, Superposition};
 use summit_sim::engine::EngineConfig;
 
 /// Experiment configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Config {
     /// Cabinets simulated (257 = full floor, needed for 7 MW swings).
     pub cabinets: usize,
@@ -87,7 +86,7 @@ fn engine_run(config: &Config) -> DynamicsRun {
 }
 
 /// One amplitude class summary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AmplitudeClass {
     /// Target amplitude (MW).
     pub amplitude_mw: f64,
@@ -105,7 +104,7 @@ pub struct AmplitudeClass {
 }
 
 /// Full result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig11Result {
     /// Per-class results.
     pub classes: Vec<AmplitudeClass>,
@@ -260,6 +259,17 @@ pub(crate) fn ensure_bursts(name: &'static str, config: &Config) -> Result<(), E
                 format!("`{key}` must be a positive duration, got {v}"),
             ));
         }
+    }
+    // A burst lasts at least one 1 s tick; a shorter one rounds away
+    // against the burst's start time.
+    if config.burst_duration_s < 1.0 {
+        return Err(ExperimentError::invalid(
+            name,
+            format!(
+                "`burst_duration_s` must be at least 1 s, got {}",
+                config.burst_duration_s
+            ),
+        ));
     }
     Ok(())
 }

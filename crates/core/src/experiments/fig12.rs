@@ -13,19 +13,18 @@ use crate::experiments::fig11::{self, burst_run, Config as BurstConfig};
 use crate::experiments::registry::{Cfg, Experiment, ExperimentError};
 use crate::json::Json;
 use crate::report::Table;
-use serde::{Deserialize, Serialize};
 use summit_analysis::edges::EdgeKind;
-use summit_analysis::snapshot::{superimpose, Superposition};
+use summit_analysis::snapshot::{superimpose_paper_window, Superposition};
 
 /// Experiment configuration (delegates burst staging to Figure 11's).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Config {
     /// Burst staging configuration (shared with Figure 11).
     pub burst: BurstConfig,
 }
 
 /// Superpositions of every observable around one edge kind.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ResponsePanel {
     /// Event/error kind.
     pub kind: EdgeKind,
@@ -52,7 +51,7 @@ pub struct ResponsePanel {
 }
 
 /// Full result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig12Result {
     /// Superpositions around rising edges.
     pub rising: ResponsePanel,
@@ -69,12 +68,8 @@ pub struct Fig12Result {
 }
 
 fn panel(run: &crate::pipeline::DynamicsRun, times: &[f64], kind: EdgeKind) -> ResponsePanel {
-    let before = 60.0;
-    let after = 240.0;
-    let conf = 0.95;
-    let s10 = |series: summit_analysis::series::Series| series.downsample_mean(10);
     let sup = |series: summit_analysis::series::Series| {
-        superimpose(&s10(series), times, before, after, conf)
+        superimpose_paper_window(&series.downsample_mean(10), times)
     };
     ResponsePanel {
         kind,

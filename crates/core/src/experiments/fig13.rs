@@ -13,14 +13,13 @@ use crate::experiments::table4;
 use crate::json::Json;
 use crate::pipeline::FailureScenario;
 use crate::report::Table;
-use serde::{Deserialize, Serialize};
 use summit_analysis::correlation::CorrelationMatrix;
 use summit_sim::failures::node_count_matrix;
 use summit_sim::spec::TOTAL_NODES;
 use summit_telemetry::records::XidErrorKind;
 
 /// Experiment configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Observation span (weeks).
     pub weeks: f64,
@@ -31,7 +30,7 @@ pub struct Config {
 }
 
 /// One significant pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SignificantPair {
     /// First kind of the pair.
     pub a: XidErrorKind,
@@ -44,7 +43,7 @@ pub struct SignificantPair {
 }
 
 /// Full result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig13Result {
     /// Significant correlation pairs.
     pub pairs: Vec<SignificantPair>,

@@ -12,12 +12,11 @@ use crate::experiments::table4;
 use crate::json::Json;
 use crate::pipeline::FailureScenario;
 use crate::report::{bar, Table};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use summit_telemetry::records::XidErrorKind;
 
 /// Experiment configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Observation span (weeks).
     pub weeks: f64,
@@ -30,7 +29,7 @@ pub struct Config {
 }
 
 /// One project row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProjectRow {
     /// Project identifier (e.g. `MAT003`).
     pub project: String,
@@ -45,7 +44,7 @@ pub struct ProjectRow {
 }
 
 /// Full result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig14Result {
     /// Panel (a): all failure types.
     pub all_failures: Vec<ProjectRow>,

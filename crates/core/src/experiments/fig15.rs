@@ -14,13 +14,12 @@ use crate::experiments::table4;
 use crate::json::Json;
 use crate::pipeline::FailureScenario;
 use crate::report::{pct, Table};
-use serde::{Deserialize, Serialize};
 use summit_analysis::zscore::ExtremitySummary;
 use summit_sim::failures::FailureModel;
 use summit_telemetry::records::XidErrorKind;
 
 /// Experiment configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Observation span (weeks).
     pub weeks: f64,
@@ -29,7 +28,7 @@ pub struct Config {
 }
 
 /// One failure kind's thermal profile.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KindThermal {
     /// Event/error kind.
     pub kind: XidErrorKind,
@@ -44,7 +43,7 @@ pub struct KindThermal {
 }
 
 /// Full result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig15Result {
     /// Per-kind results.
     pub kinds: Vec<KindThermal>,

@@ -12,11 +12,10 @@ use crate::experiments::table4;
 use crate::json::Json;
 use crate::pipeline::FailureScenario;
 use crate::report::{bar, Table};
-use serde::{Deserialize, Serialize};
 use summit_telemetry::records::XidErrorKind;
 
 /// Experiment configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Observation span (weeks).
     pub weeks: f64,
@@ -25,7 +24,7 @@ pub struct Config {
 }
 
 /// Slot histogram for one kind.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlotHistogram {
     /// Event/error kind.
     pub kind: XidErrorKind,
@@ -46,7 +45,7 @@ impl SlotHistogram {
 }
 
 /// Full result — the four panels of the figure plus the all-kinds total.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig16Result {
     /// Per-panel results.
     pub panels: Vec<SlotHistogram>,

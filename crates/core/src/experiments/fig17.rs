@@ -20,7 +20,6 @@ use crate::json::Json;
 use crate::report::{heatmap, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use summit_analysis::correlation::pearson;
 use summit_analysis::stats::BoxStats;
 use summit_sim::engine::{Engine, EngineConfig, StepOptions};
@@ -32,7 +31,7 @@ use summit_telemetry::catalog;
 use summit_telemetry::ids::{CabinetId, GpuSlot};
 
 /// Experiment configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Cabinets simulated (257 = full floor, 4,608-node job).
     pub cabinets: usize,
@@ -47,7 +46,7 @@ pub struct Config {
 }
 
 /// One 10-second sample of the job's GPU population.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GpuSample {
     /// T.
     pub t: f64,
@@ -60,7 +59,7 @@ pub struct GpuSample {
 }
 
 /// Cabinet heatmap at one instant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FloorSnapshot {
     /// T.
     pub t: f64,
@@ -71,7 +70,7 @@ pub struct FloorSnapshot {
 }
 
 /// Full result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig17Result {
     /// Per-GPU (power W, core temp C) pairs at the peak-load instant —
     /// the figure's second-row scatter.

@@ -15,12 +15,11 @@ use crate::experiments::registry::{
 use crate::json::Json;
 use crate::pipeline::PopulationScenario;
 use crate::report::{pct, watts, Table};
-use serde::{Deserialize, Serialize};
 use summit_sim::jobstats::JobStatsRow;
 use summit_sim::spec;
 
 /// Experiment configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Config {
     /// Fraction of the paper's 840k jobs.
     pub population_scale: f64,
@@ -32,7 +31,7 @@ pub struct Config {
 }
 
 /// Outcome of one cap level.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CapOutcome {
     /// Cluster power cap (W).
     pub cap_w: f64,
@@ -187,7 +186,7 @@ fn simulate_cap(rows: &[JobStatsRow], cap_w: f64, dt: f64, horizon_s: f64) -> Ca
 }
 
 /// Full result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PowerAwareResult {
     /// Per-cap outcomes.
     pub outcomes: Vec<CapOutcome>,

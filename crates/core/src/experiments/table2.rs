@@ -16,12 +16,11 @@ use crate::experiments::registry::{
 use crate::json::Json;
 use crate::pipeline::{archive_replay, run_streaming, run_telemetry, StreamConfig};
 use crate::report::{eng, Table};
-use serde::{Deserialize, Serialize};
 use summit_telemetry::catalog::METRIC_COUNT;
 use summit_telemetry::ingest::IngestHealth;
 
 /// Experiment configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Cabinets simulated (257 = full floor).
     pub cabinets: usize,
@@ -34,7 +33,7 @@ pub struct Config {
 }
 
 /// Measured and extrapolated results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Result {
     /// Node-count feature CDF.
     pub nodes: usize,

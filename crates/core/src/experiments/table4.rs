@@ -10,7 +10,6 @@ use crate::experiments::registry::{Cfg, Experiment, ExperimentError};
 use crate::json::Json;
 use crate::pipeline::FailureScenario;
 use crate::report::{pct, Table};
-use serde::{Deserialize, Serialize};
 use summit_sim::failures::{
     count_by_kind, max_node_share, paper_annual_count, paper_node_concentration,
 };
@@ -18,7 +17,7 @@ use summit_sim::spec::{TOTAL_NODES, YEAR_S};
 use summit_telemetry::records::XidErrorKind;
 
 /// Experiment configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Observation span in weeks (52+ = paper year).
     pub weeks: f64,
@@ -27,7 +26,7 @@ pub struct Config {
 }
 
 /// One Table 4 row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KindRow {
     /// Event/error kind.
     pub kind: XidErrorKind,
@@ -44,7 +43,7 @@ pub struct KindRow {
 }
 
 /// Full result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table4Result {
     /// Result rows.
     pub rows: Vec<KindRow>,

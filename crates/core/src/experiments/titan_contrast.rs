@@ -17,7 +17,6 @@ use crate::json::Json;
 use crate::report::{pct, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use summit_analysis::zscore::ExtremitySummary;
 use summit_sim::failures::{FailureConfig, FailureModel, ThermalRegime};
 use summit_sim::jobs::JobGenerator;
@@ -25,7 +24,7 @@ use summit_sim::spec::{TOTAL_NODES, YEAR_S};
 use summit_telemetry::records::XidErrorKind;
 
 /// Experiment configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Observation span (weeks).
     pub weeks: f64,
@@ -34,7 +33,7 @@ pub struct Config {
 }
 
 /// Skew/temperature profile of one kind under one regime.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RegimeKind {
     /// Event/error kind.
     pub kind: XidErrorKind,
@@ -53,7 +52,7 @@ pub struct RegimeKind {
 }
 
 /// Full result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TitanContrastResult {
     /// Profiles under the Summit liquid-cooled regime.
     pub summit: Vec<RegimeKind>,

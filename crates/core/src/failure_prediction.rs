@@ -10,7 +10,6 @@
 //! so a well-calibrated model must recover that structure.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use summit_sim::apps::{domain_character, project_failure_multiplier};
 use summit_sim::jobs::SyntheticJob;
@@ -45,7 +44,7 @@ pub fn label_jobs(jobs: &[SyntheticJob], events: &[XidEvent]) -> Vec<bool> {
 
 /// A logistic-regression model trained by batch gradient descent with L2
 /// regularization, on z-normalized features.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogisticModel {
     weights: [f64; FEATURES],
     bias: f64,
@@ -204,7 +203,7 @@ pub fn auc(scores: &[f64], labels: &[bool]) -> f64 {
 }
 
 /// End-to-end evaluation report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FailurePredictionReport {
     /// Training-set size.
     pub train_jobs: usize,

@@ -15,7 +15,6 @@
 //! histories alone will most likely be insufficient").
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use summit_analysis::edges::detect_edges_for_job;
 use summit_analysis::fft::dominant_component;
@@ -28,7 +27,7 @@ pub const FEATURES: usize = 8;
 
 /// A job's power-behaviour fingerprint (per-node normalized so job size
 /// does not dominate the geometry).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fingerprint {
     /// Mean power per node (W).
     pub mean_node_w: f64,
@@ -93,7 +92,7 @@ pub fn extract(job: &SyntheticJob, power_model: &PowerModel) -> Fingerprint {
 }
 
 /// Feature z-normalizer fitted on a sample.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Normalizer {
     mean: [f64; FEATURES],
     std: [f64; FEATURES],
@@ -137,7 +136,7 @@ fn sq_dist(a: &[f64; FEATURES], b: &[f64; FEATURES]) -> f64 {
 }
 
 /// Plain k-means with k-means++ seeding (Lloyd iterations).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KMeans {
     /// Cluster centroids in normalized feature space.
     pub centroids: Vec<[f64; FEATURES]>,
@@ -241,7 +240,7 @@ impl KMeans {
 
 /// Per-project power portrait: the average fingerprint of a project's
 /// history plus its cluster identity.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Portrait {
     /// Project identifier (e.g. `MAT003`).
     pub project: String,
@@ -256,7 +255,7 @@ pub struct Portrait {
 }
 
 /// The queued-job power predictor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PortraitModel {
     portraits: HashMap<String, Portrait>,
     /// Global fallback per-node mean/max power.
@@ -389,7 +388,7 @@ pub fn mape(pairs: &[(f64, f64)]) -> f64 {
 /// split, against the history-only baseline (predict every job at the
 /// global average per-node power — what a model without job metadata can
 /// do at queue time).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PredictionReport {
     /// Training-set size.
     pub train_jobs: usize,

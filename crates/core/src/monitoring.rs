@@ -8,7 +8,6 @@
 //! alert stream.
 
 use crate::report::{pct, sparkline, watts, Table};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use summit_analysis::edges::{OnlineEdgeDetector, EDGE_THRESHOLD_W_PER_NODE};
 use summit_analysis::rolling::{RollingSketch, RollingStats};
@@ -18,7 +17,7 @@ use summit_telemetry::stream::IngestStats;
 use summit_telemetry::window::{NodeWindow, PAPER_WINDOW_S};
 
 /// Alert kinds the console raises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlertKind {
     /// A GPU crossed the hot threshold.
     GpuOverTemp,
@@ -41,7 +40,7 @@ pub enum AlertKind {
 /// cool-down window coalesce into a single entry with a repeat count,
 /// so a sustained condition (a GPU hot for ten minutes at 1 Hz) shows
 /// as one alert x600 instead of flooding the console.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Alert {
     /// Event/error kind.
     pub kind: AlertKind,
@@ -54,7 +53,7 @@ pub struct Alert {
 }
 
 /// Alert thresholds.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Thresholds {
     /// Hot-GPU threshold (°C).
     pub gpu_hot_c: f64,

@@ -17,7 +17,6 @@ use crate::monitoring::{Alert, OpsConsole};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use summit_analysis::series::Series;
 use summit_sim::engine::{Engine, EngineConfig, StepOptions, TickOutput};
 use summit_sim::failures::{CabinetOutage, FailureModel};
@@ -29,14 +28,14 @@ use summit_telemetry::batch::FrameBatch;
 use summit_telemetry::catalog::METRIC_COUNT;
 use summit_telemetry::delivery::{Delivered, NodeDelivery};
 use summit_telemetry::ids::NodeId;
-use summit_telemetry::ingest::{IngestHealth, IngestPolicy};
+use summit_telemetry::ingest::{IngestHealth, LATENESS_HORIZON_S};
 use summit_telemetry::records::{NodeFrame, XidEvent};
 use summit_telemetry::store::TelemetryStore;
 use summit_telemetry::stream::{FaultConfig, IngestStats, InjectedFaults};
 use summit_telemetry::window::{NodeWindow, WindowAggregator, PAPER_WINDOW_S};
 
 /// The scaled statistical-year scenario.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PopulationScenario {
     /// Number of jobs to draw (paper year = 840,000).
     pub job_count: usize,
@@ -88,7 +87,7 @@ impl PopulationScenario {
 /// The cached form of a generated population: per-job stats rows (each
 /// row carries its [`SyntheticJob`]) plus the power model they were
 /// derived with.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PopulationArtifact {
     /// Per-job statistics in generation order.
     pub rows: Vec<JobStatsRow>,
@@ -100,7 +99,7 @@ pub struct PopulationArtifact {
 /// paper's XID failure model over `weeks` of observation. Shared by
 /// Table 4, Figures 13-16 and the early-warning study, which is why the
 /// scenario cache treats it as a first-class artifact.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FailureScenario {
     /// Observation span (weeks); 52+ reproduces the paper year.
     pub weeks: f64,
@@ -133,7 +132,7 @@ impl FailureScenario {
 }
 
 /// The cached form of a generated failure year.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FailureArtifact {
     /// The job population the failures were drawn over.
     pub jobs: Vec<SyntheticJob>,
@@ -178,7 +177,7 @@ pub fn cluster_power_sweep(rows: &[JobStatsRow], t0: f64, t1: f64, dt: f64) -> S
 }
 
 /// A completed time-domain engine run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DynamicsRun {
     /// Per-tick outputs (summary level).
     pub ticks: Vec<TickOutput>,
@@ -244,7 +243,7 @@ impl DynamicsRun {
 }
 
 /// A staged burst: one job sized to produce a clean power edge.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Burst {
     /// Start offset from the run start (s).
     pub at_s: f64,
@@ -326,7 +325,7 @@ pub fn quick_dynamics(cabinets: usize, duration_s: f64) -> DynamicsRun {
 /// A completed telemetry-path run: frames generated by the engine,
 /// delivered per node through the (optionally faulty) simulated fabric
 /// in arrival order, and coarsened fault-tolerantly.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TelemetryRun {
     /// Coarsened 10 s windows per node.
     pub windows_by_node: Vec<Vec<NodeWindow>>,
@@ -484,12 +483,11 @@ impl NodeStages {
 
 impl NodeLane {
     fn new(faults: FaultConfig) -> Self {
-        let horizon_s = IngestPolicy::default().lateness_horizon_s;
         Self {
             delivery: NodeDelivery::new(faults),
             released: Vec::new(),
             stages: NodeStages {
-                tracker: AlertLatencyTracker::new(PAPER_WINDOW_S, horizon_s),
+                tracker: AlertLatencyTracker::new(PAPER_WINDOW_S, LATENESS_HORIZON_S),
                 stats: IngestStats::default(),
                 coarsener: None,
                 latencies_seen: 0,
@@ -783,7 +781,7 @@ pub fn archive_replay(cabinets: usize, minutes: usize) -> TelemetryStore {
 }
 
 /// Configuration of the streaming telemetry pipeline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// Scaled floor size (18 nodes per cabinet).
     pub cabinets: usize,
@@ -817,7 +815,7 @@ impl StreamConfig {
 /// [`run_telemetry`] batch replay at the same seed; the streaming-only
 /// fields report live behaviour (alerts as they fired, backpressure,
 /// peak residency).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StreamingRun {
     /// Coarsened 10 s windows per node (bit-identical to batch).
     pub windows_by_node: Vec<Vec<NodeWindow>>,
@@ -1317,8 +1315,8 @@ mod tests {
         }
         let (windows, health) = coarsen_parallel_with_health(&delivered, PAPER_WINDOW_S);
         stats.health = health;
-        let horizon_s = IngestPolicy::default().lateness_horizon_s;
-        let mut latencies = frame_to_alert_latencies(&delivered, PAPER_WINDOW_S, horizon_s);
+        let mut latencies =
+            frame_to_alert_latencies(&delivered, PAPER_WINDOW_S, LATENESS_HORIZON_S);
         latencies.sort_by(f64::total_cmp);
         let pct = |q: f64| latencies[((latencies.len() - 1) as f64 * q).round() as usize];
         Reference {

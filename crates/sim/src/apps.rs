@@ -7,14 +7,13 @@
 //! concrete [`AppProfile`] from their domain.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use summit_telemetry::records::ScienceDomain;
 
 use crate::rng::{truncated_normal, weighted_index};
 use crate::workload::AppProfile;
 
 /// Workload character of one science domain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DomainCharacter {
     /// Share of Summit's job traffic from this domain.
     pub traffic_weight: f64,

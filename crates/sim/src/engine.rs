@@ -7,7 +7,6 @@
 //! in parallel with rayon.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use summit_telemetry::batch::FrameBatch;
 use summit_telemetry::catalog;
 use summit_telemetry::ids::{CabinetId, GpuSlot, Msb, NodeId, Socket};
@@ -24,7 +23,7 @@ use crate::weather::Weather;
 use crate::workload::WorkloadSignal;
 
 /// Engine configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Number of cabinets on the floor (257 = full Summit).
     pub cabinets: usize,
@@ -83,14 +82,14 @@ impl EngineConfig {
 }
 
 /// What [`Engine::step_batch`] collects beyond the always-on summary.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StepOptions {
     /// Fill the tick's frame batch (one row per node, ~106 metrics).
     pub frames: bool,
 }
 
 /// Output of one tick.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TickOutput {
     /// Tick start time (s).
     pub t: f64,

@@ -9,13 +9,12 @@
 //! - cooling response lags the load by "roughly one minute", and
 //!   "attenuation ... is much slower during decreases than increases".
 
-use serde::{Deserialize, Serialize};
 use summit_telemetry::records::CepRecord;
 
 use crate::spec::{MTW_SUPPLY_NOMINAL_C, WATTS_PER_TON};
 
 /// Facility configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FacilityConfig {
     /// MTW design mass flow (kg/s).
     pub mtw_flow_kg_s: f64,
@@ -82,7 +81,7 @@ const WATER_CP: f64 = 4186.0;
 /// assert!(rec.chiller_tons < 10.0);
 /// assert!(rec.pue() > 1.0 && rec.pue() < 1.15);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Facility {
     config: FacilityConfig,
     /// Current (lagged) MTW return temperature (°C).

@@ -22,7 +22,6 @@
 //!   GPUs "that did not yet warm up" (Fig 15).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use summit_telemetry::ids::{CabinetId, GpuSlot, NodeId};
 use summit_telemetry::records::{XidErrorKind, XidEvent};
 
@@ -129,7 +128,7 @@ fn sample_thermal_z<R: Rng + ?Sized>(
 /// One whole-cabinet telemetry outage: every node of the cabinet goes
 /// dark (all-NaN frames) for `[start_s, end_s)` — the transient version
 /// of the paper's Figure 17 "bright green cabinet".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CabinetOutage {
     /// The dark cabinet.
     pub cabinet: CabinetId,
@@ -147,7 +146,7 @@ impl CabinetOutage {
 }
 
 /// Thermal regime of the failure model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThermalRegime {
     /// Summit's observed behaviour: direct liquid cooling keeps chips
     /// cool; no failure type is hot-skewed (paper Section 6).
@@ -159,7 +158,7 @@ pub enum ThermalRegime {
 }
 
 /// Failure model configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FailureConfig {
     /// Scales every rate (1.0 = paper year).
     pub rate_scale: f64,

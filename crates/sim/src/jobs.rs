@@ -10,7 +10,6 @@
 //! - class-5 walltimes pile up against the 120-minute scheduler limit.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use summit_telemetry::ids::AllocationId;
 use summit_telemetry::records::{JobRecord, ScienceDomain};
 
@@ -32,7 +31,7 @@ pub const PAPER_JOB_COUNT: usize = 840_000;
 pub const CLASS_MIX: [f64; 5] = [0.002, 0.008, 0.04, 0.10, 0.85];
 
 /// A fully-specified synthetic job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticJob {
     /// The scheduler job record.
     pub record: JobRecord,

@@ -9,7 +9,6 @@
 //! the 1 Hz replay in the integration tests.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use summit_telemetry::ids::NodeId;
 
 use crate::jobs::SyntheticJob;
@@ -17,7 +16,7 @@ use crate::power::{NodeUtilization, PowerModel};
 use crate::rng::stable_jitter;
 
 /// Per-job aggregate statistics (the paper's Datasets 5-7 columns).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobStats {
     /// Job-wide mean input power (W) — `mean_sum_inp`.
     pub mean_power_w: f64,
@@ -157,7 +156,7 @@ pub fn job_power_series(
 }
 
 /// One row of the population table: the job plus its aggregates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobStatsRow {
     /// Job.
     pub job: SyntheticJob,

@@ -10,7 +10,6 @@
 //! plus per-MSB distribution overheads (PDU losses, rack network gear),
 //! while node sensors under-read slightly and carry sampling noise.
 
-use serde::{Deserialize, Serialize};
 use summit_telemetry::ids::{Msb, NodeId};
 
 use crate::rng::stable_jitter;
@@ -18,7 +17,7 @@ use crate::topology::Topology;
 
 /// Per-MSB overhead factors: the "external factor" differs per board.
 /// Values chosen so summation lands ~11 % under the meter on average.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MsbMeterModel {
     /// Distribution overhead per MSB (fraction of true node power added
     /// by PDUs, rack switches, service gear on the same feed).

@@ -7,7 +7,6 @@
 //! node idle ~540 W (2.5 MW / 4,626 nodes), node max 2,300 W (Table 1),
 //! CPU/GPU TDP 300 W.
 
-use serde::{Deserialize, Serialize};
 use summit_telemetry::ids::{GpuSlot, NodeId, Socket};
 
 use crate::rng::stable_jitter;
@@ -42,7 +41,7 @@ pub const FAN_MAX_W: f64 = 95.0;
 pub const CHIP_POWER_VARIATION: f64 = 0.04;
 
 /// Instantaneous power breakdown of one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodePower {
     /// AC input power after PSU losses, capped at the node limit (W).
     pub input_w: f64,
@@ -75,7 +74,7 @@ impl NodePower {
 }
 
 /// Per-node utilization input to the power model.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NodeUtilization {
     /// Per-socket CPU utilization in [0, 1].
     pub cpu: [f64; 2],
@@ -114,7 +113,7 @@ impl NodeUtilization {
 /// assert!(busy.input_w > 1800.0);         // GPU-saturated node
 /// assert!(busy.input_w <= 2300.0);        // Table 1 node maximum
 /// ```
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PowerModel {
     seed: u64,
 }

@@ -6,7 +6,6 @@
 //! yields the mostly-contiguous, occasionally-fragmented allocations real
 //! schedulers produce.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use summit_telemetry::ids::{AllocationId, NodeId};
 use summit_telemetry::records::NodeAllocation;
@@ -15,7 +14,7 @@ use crate::jobs::SyntheticJob;
 use crate::workload::WorkloadSignal;
 
 /// A job actually running on nodes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlacedJob {
     /// Job.
     pub job: SyntheticJob,
@@ -140,22 +139,6 @@ impl Scheduler {
         self.queue = remaining;
     }
 
-    /// The job running on `node` at the current scheduler time, if any.
-    pub fn job_on(&self, node: NodeId) -> Option<&PlacedJob> {
-        self.running.iter().find(|p| p.nodes.contains(&node))
-    }
-
-    /// Builds a dense node -> running-job index for fast engine ticks.
-    pub fn node_index(&self, node_count: usize) -> Vec<Option<usize>> {
-        let mut idx = vec![None; node_count];
-        for (j, p) in self.running.iter().enumerate() {
-            for n in &p.nodes {
-                idx[n.index()] = Some(j);
-            }
-        }
-        idx
-    }
-
     /// All per-node allocation records from completed and running jobs.
     pub fn all_node_allocations(&self) -> Vec<NodeAllocation> {
         self.completed
@@ -277,24 +260,6 @@ mod tests {
         s.advance(1.0);
         assert_eq!(s.running().len(), 2, "small job backfills");
         assert_eq!(s.free_nodes(), 5);
-    }
-
-    #[test]
-    fn node_index_consistent() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut g = JobGenerator::new();
-        let mut s = Scheduler::new(500);
-        for _ in 0..10 {
-            s.submit(job(&mut g, &mut rng, 0.0, 5));
-        }
-        s.advance(0.0);
-        let idx = s.node_index(500);
-        for (n, &slot) in idx.iter().enumerate() {
-            match slot {
-                Some(j) => assert!(s.running()[j].nodes.contains(&NodeId(n as u32))),
-                None => assert!(s.job_on(NodeId(n as u32)).is_none()),
-            }
-        }
     }
 
     #[test]

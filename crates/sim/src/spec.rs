@@ -4,8 +4,6 @@
 //! specification table, the scheduling-policy table, and the quantitative
 //! claims of Sections 2 and 4.
 
-use serde::{Deserialize, Serialize};
-
 /// Total compute nodes (IBM AC922 8335-GTX).
 pub const TOTAL_NODES: usize = 4626;
 /// Water-cooled cabinets on the floor.
@@ -53,7 +51,7 @@ pub const MTW_RETURN_MAX_C: f64 = 37.8;
 pub const CHILLED_WATER_YEAR_FRACTION: f64 = 0.20;
 
 /// A scheduling class from the paper's Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulingClass {
     /// Class number 1..=5.
     pub class: u8,

@@ -10,7 +10,6 @@
 //! seconds" (Section 6.2) with a 15.8 °C non-outlier spread at a 62 W
 //! power spread, and the "vast majority of the GPUs do not exceed 60 °C".
 
-use serde::{Deserialize, Serialize};
 use summit_telemetry::ids::{GpuSlot, NodeId, Socket};
 
 use crate::power::NodePower;
@@ -37,7 +36,7 @@ pub const SERIAL_HEATING_K_PER_W: f64 = 0.003;
 pub const MEM_TEMP_FACTOR: f64 = 1.15;
 
 /// Thermal state of one node's cooled components (°C).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeThermals {
     /// Cpu c.
     pub cpu_c: [f64; 2],
@@ -60,7 +59,7 @@ impl NodeThermals {
 
 /// The thermal model: per-chip resistances fixed by seed, first-order
 /// dynamics advanced by [`ThermalModel::step`].
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ThermalModel {
     seed: u64,
 }

@@ -7,7 +7,6 @@
 //! node/slot placement. This module provides the bijections between node
 //! ids and physical coordinates.
 
-use serde::{Deserialize, Serialize};
 use summit_telemetry::ids::{CabinetId, Msb, NodeId};
 
 use crate::spec::{NODES_PER_CABINET, TOTAL_CABINETS, TOTAL_NODES};
@@ -18,7 +17,7 @@ pub const FLOOR_ROWS: usize = 13;
 pub const CABINETS_PER_ROW: usize = 20;
 
 /// Physical placement of one node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeLocation {
     /// Cabinet.
     pub cabinet: CabinetId,

@@ -8,8 +8,6 @@
 //! (Section 2). This model produces a deterministic seasonal + diurnal +
 //! weather-front wet-bulb signal with those properties.
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::stable_jitter;
 
 /// Seconds per day.
@@ -18,7 +16,7 @@ pub const DAY_S: f64 = 86_400.0;
 pub const YEAR_DAYS: f64 = 366.0;
 
 /// Wet-bulb temperature model for the Oak Ridge area.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Weather {
     /// Annual mean wet-bulb (°C).
     pub annual_mean_c: f64,

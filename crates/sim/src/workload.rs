@@ -9,13 +9,11 @@
 //! ramp-up, periodic compute/communication oscillation, I/O lulls
 //! (checkpoints), and final teardown.
 
-use serde::{Deserialize, Serialize};
-
 use crate::power::NodeUtilization;
 use crate::rng::stable_jitter;
 
 /// Static shape of one application's behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppProfile {
     /// Peak CPU utilization in [0, 1].
     pub cpu_intensity: f64,
@@ -102,7 +100,7 @@ impl AppProfile {
 }
 
 /// A running job's utilization generator.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct WorkloadSignal {
     profile: AppProfile,
     /// Walltime of the job (s) — utilization tears down at the end.

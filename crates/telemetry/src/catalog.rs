@@ -9,7 +9,6 @@
 //! VRM and per-core sensors that make up the real payload volume.
 
 use crate::ids::{GpuSlot, Socket};
-use serde::{Deserialize, Serialize};
 
 /// Number of CPU cores per Power9 socket (22C parts on Summit).
 pub const CORES_PER_SOCKET: usize = 22;
@@ -21,7 +20,7 @@ pub const FANS_PER_NODE: usize = 4;
 pub const METRIC_COUNT: usize = 106;
 
 /// Physical quantity a metric reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Unit {
     /// Watts.
     Watts,
@@ -32,9 +31,7 @@ pub enum Unit {
 }
 
 /// Dense per-node metric identifier (0..[`METRIC_COUNT`]).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MetricId(pub u16);
 
 impl MetricId {
@@ -179,7 +176,7 @@ pub fn io_power() -> MetricId {
 }
 
 /// Descriptor of one catalog metric.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricDef {
     /// Dense id.
     pub id: MetricId,

@@ -12,12 +12,11 @@ use crate::convert;
 use crate::ids::{GpuSlot, Socket};
 use crate::window::NodeWindow;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use summit_analysis::series::Series;
 use summit_analysis::stats::Welford;
 
 /// One Dataset-1 row: cluster-level input power at one window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterPowerRow {
     /// Start of the 10-second window (seconds since epoch).
     pub window_start: f64,
@@ -32,7 +31,7 @@ pub struct ClusterPowerRow {
 }
 
 /// One Dataset-2 row: cluster-level component power at one window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentPowerRow {
     /// Start of the 10-second window (seconds since epoch).
     pub window_start: f64,

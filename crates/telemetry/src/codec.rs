@@ -13,7 +13,6 @@
 //! invertible.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 /// Maps a signed integer to an unsigned one with small absolute values
 /// staying small (zigzag encoding).
@@ -143,13 +142,23 @@ pub fn encode_column_delta_only(values: &[i64], out: &mut BytesMut) {
     }
 }
 
-/// Decodes a column produced by [`encode_column`]; `None` on corrupt input.
+/// Longest column [`decode_column`] accepts. One zero-run token expands
+/// a few bytes to any length the header claims, so a corrupt header must
+/// not size the output: a day of 1 Hz readings is 86,400 values.
+const MAX_COLUMN_LEN: usize = 1 << 24;
+
+/// Decodes a column produced by [`encode_column`]; `None` on corrupt input
+/// (including a length header above 2^24 values).
 pub fn decode_column(buf: &mut Bytes) -> Option<Vec<i64>> {
-    let n = read_varint(buf)? as usize;
+    let n = usize::try_from(read_varint(buf)?).ok()?;
     if n == 0 {
         return Some(Vec::new());
     }
-    let mut out = Vec::with_capacity(n);
+    if n > MAX_COLUMN_LEN {
+        return None;
+    }
+    // The header is untrusted: reserve no more than the bytes left.
+    let mut out = Vec::with_capacity(n.min(buf.remaining()));
     let mut current = zigzag_decode(read_varint(buf)?);
     out.push(current);
     while out.len() < n {
@@ -177,7 +186,7 @@ pub fn decode_column(buf: &mut Bytes) -> Option<Vec<i64>> {
 
 /// A block of integer columns (one per metric) sharing a time axis —
 /// the unit of archival.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnBlock {
     /// Per-column integer readings; all columns must share one length.
     pub columns: Vec<Vec<i64>>,
@@ -196,8 +205,10 @@ impl ColumnBlock {
 
     /// Decodes a buffer from [`ColumnBlock::encode`].
     pub fn decode(mut buf: Bytes) -> Option<Self> {
-        let n_cols = read_varint(&mut buf)? as usize;
-        let mut columns = Vec::with_capacity(n_cols);
+        let n_cols = usize::try_from(read_varint(&mut buf)?).ok()?;
+        // Every column takes at least one byte, so the bytes left bound
+        // an honest count; a corrupt one must not size the allocation.
+        let mut columns = Vec::with_capacity(n_cols.min(buf.remaining()));
         for _ in 0..n_cols {
             columns.push(decode_column(&mut buf)?);
         }
@@ -212,7 +223,7 @@ impl ColumnBlock {
 
 /// Compression accounting across the pipeline — used by the Table 2
 /// footprint reproduction.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CompressionStats {
     /// Uncompressed bytes (8 B per reading).
     pub raw_bytes: u64,
@@ -395,6 +406,21 @@ mod tests {
     fn block_decode_rejects_garbage() {
         let garbage = Bytes::from_static(&[0xff, 0xff, 0xff, 0xff, 0xff]);
         assert_eq!(ColumnBlock::decode(garbage), None);
+        // A 9-byte header claiming 2^62 values (or columns).
+        let huge = Bytes::from_static(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40]);
+        assert_eq!(decode_column(&mut huge.clone()), None);
+        assert_eq!(ColumnBlock::decode(huge), None);
+        // One column one value over the cap, covered by a single run token.
+        let mut over = BytesMut::new();
+        write_varint(&mut over, 1);
+        write_varint(&mut over, MAX_COLUMN_LEN as u64 + 1);
+        write_varint(&mut over, zigzag_encode(650));
+        write_zero_run(&mut over, MAX_COLUMN_LEN as u64);
+        let over = over.freeze();
+        assert_eq!(ColumnBlock::decode(over.clone()), None);
+        let mut column = over;
+        assert_eq!(read_varint(&mut column), Some(1));
+        assert_eq!(decode_column(&mut column), None);
     }
 
     #[test]

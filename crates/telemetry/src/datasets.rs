@@ -13,7 +13,6 @@ use crate::ids::{AllocationId, GpuSlot, NodeId};
 use crate::jobjoin::AllocationIndex;
 use crate::records::CepRecord;
 use crate::window::NodeWindow;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use summit_analysis::stats::Welford;
 
@@ -37,7 +36,7 @@ pub fn band_of(temp_c: f64) -> Option<usize> {
 
 /// One thermal summary row (cluster-level = Dataset 8/9; add an
 /// allocation id for the job-level Datasets 10/11).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalRow {
     /// Start of the 10-second window (seconds since epoch).
     pub window_start: f64,

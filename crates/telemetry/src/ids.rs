@@ -6,12 +6,8 @@
 //! the paper (Figures 16, 17) depend on this addressing, so it is encoded
 //! in newtypes rather than bare integers.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a compute node within the cluster (0-based, dense).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -30,9 +26,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// Index of a cabinet (rack) on the compute floor.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CabinetId(pub u16);
 
 impl CabinetId {
@@ -44,7 +38,7 @@ impl CabinetId {
 }
 
 /// One of the main switchboards (MSB A-E) feeding the compute floor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Msb {
     /// Switchboard A.
     A,
@@ -87,7 +81,7 @@ impl Msb {
 }
 
 /// CPU socket within a node (AC922 has two Power9 sockets).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Socket {
     /// First Power9 socket.
     P0,
@@ -112,9 +106,7 @@ impl Socket {
 /// GPU slot within a node (0..6). Slots 0-2 share the CPU0 water loop,
 /// slots 3-5 the CPU1 loop; within a loop, cooling water flows through the
 /// cold plates serially in slot order (Figure 1-(a) of the paper).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GpuSlot(pub u8);
 
 impl GpuSlot {
@@ -157,9 +149,7 @@ impl GpuSlot {
 }
 
 /// A job allocation identifier from the scheduler.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AllocationId(pub u64);
 
 impl std::fmt::Display for AllocationId {
@@ -169,7 +159,7 @@ impl std::fmt::Display for AllocationId {
 }
 
 /// GPU identity across the whole machine: node + slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GpuId {
     /// Compute node identifier.
     pub node: NodeId,

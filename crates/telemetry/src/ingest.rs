@@ -5,17 +5,17 @@
 //! whole-cabinet outages (the Section 3 "bright green cabinet"); its
 //! Dataset 0 coarsening is explicitly designed to survive missing
 //! samples. This module is the contract that makes our ingest path
-//! equally tolerant: a typed [`IngestError`] instead of panics, a
-//! configurable [`IngestPolicy`] (lateness horizon, gap-window
-//! emission), and [`IngestHealth`] counters that account for every
-//! frame the pipeline tolerated rather than processed.
+//! equally tolerant: a typed [`IngestError`] instead of panics, one
+//! fixed policy ([`LATENESS_HORIZON_S`] of reordering, at most
+//! [`MAX_GAP_WINDOWS`] NaN windows per gap), and [`IngestHealth`]
+//! counters that account for every frame the pipeline tolerated rather
+//! than processed.
 
 use crate::ids::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Why the ingest path rejected a frame. Every variant is handled by
 /// counting and dropping — nothing in the pipeline panics on bad input.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IngestError {
     /// Frame routed to an aggregator owned by a different node.
     WrongNode {
@@ -31,7 +31,7 @@ pub enum IngestError {
         t_sample: f64,
         /// Newest accepted sample timestamp (the watermark, s).
         watermark: f64,
-        /// Configured lateness horizon (s).
+        /// The lateness horizon, [`LATENESS_HORIZON_S`] (s).
         horizon_s: f64,
     },
     /// A frame with the same sample timestamp was already accepted
@@ -69,56 +69,23 @@ impl std::fmt::Display for IngestError {
 
 impl std::error::Error for IngestError {}
 
-/// Ingest tolerance policy.
-///
-/// The default horizon equals the delay model's 5 s maximum
+/// How far behind the newest accepted sample a frame may arrive and
+/// still be buffered and re-ordered instead of dropped (seconds). It
+/// equals the delay model's 5 s maximum
 /// ([`crate::stream::propagation_delay_s`]): any frame the simulated
-/// fabric can deliver in order of sampling is buffered and re-ordered;
-/// anything later is counted and dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct IngestPolicy {
-    /// How far behind the newest accepted sample a frame may arrive and
-    /// still be buffered/re-ordered instead of dropped (seconds).
-    pub lateness_horizon_s: f64,
-    /// Emit NaN-filled windows for whole-window gaps so downstream
-    /// series stay uniform (cluster aggregation skips zero-count
-    /// windows either way).
-    pub emit_gap_windows: bool,
-    /// Upper bound of NaN windows emitted per gap, so a pathological
-    /// timestamp jump cannot allocate unbounded output. Longer gaps are
-    /// truncated to this many windows.
-    pub max_gap_windows: usize,
-}
+/// fabric can deliver is re-ordered into sample order; anything later is
+/// counted and dropped.
+pub const LATENESS_HORIZON_S: f64 = crate::stream::MAX_PROPAGATION_DELAY_S;
 
-impl Default for IngestPolicy {
-    fn default() -> Self {
-        Self {
-            lateness_horizon_s: crate::stream::MAX_PROPAGATION_DELAY_S,
-            emit_gap_windows: true,
-            max_gap_windows: 1_000,
-        }
-    }
-}
-
-impl IngestPolicy {
-    /// The paper-faithful policy (5 s horizon, gap windows on).
-    pub fn paper() -> Self {
-        Self::default()
-    }
-
-    /// A strict policy that refuses any reordering (horizon zero).
-    pub fn zero_horizon() -> Self {
-        Self {
-            lateness_horizon_s: 0.0,
-            ..Self::default()
-        }
-    }
-}
+/// Upper bound of NaN windows emitted per whole-window gap, so a
+/// pathological timestamp jump cannot allocate unbounded output. Longer
+/// gaps are truncated to this many windows.
+pub const MAX_GAP_WINDOWS: usize = 1_000;
 
 /// Ingest-health counters: every frame offered to the tolerant path is
 /// accounted for exactly once as accepted or as one fault kind, plus
 /// the gap windows synthesized on the output side.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestHealth {
     /// Frames accepted into a window (includes reordered frames).
     pub accepted: u64,
@@ -175,15 +142,6 @@ impl IngestHealth {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
-
-    #[test]
-    fn default_policy_matches_delay_model() {
-        let p = IngestPolicy::default();
-        assert_eq!(p.lateness_horizon_s, 5.0);
-        assert!(p.emit_gap_windows);
-        assert_eq!(IngestPolicy::paper(), p);
-        assert_eq!(IngestPolicy::zero_horizon().lateness_horizon_s, 0.0);
-    }
 
     #[test]
     fn health_merges_and_accounts() {

@@ -10,13 +10,12 @@ use crate::convert;
 use crate::ids::{AllocationId, GpuSlot, Socket};
 use crate::records::NodeAllocation;
 use crate::window::NodeWindow;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use summit_analysis::series::Series;
 use summit_analysis::stats::Welford;
 
 /// One Dataset-3 row: per-job per-window power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobPowerRow {
     /// Scheduler allocation identifier.
     pub allocation_id: AllocationId,
@@ -33,7 +32,7 @@ pub struct JobPowerRow {
 }
 
 /// One Dataset-4 row: per-job per-window component power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobComponentRow {
     /// Scheduler allocation identifier.
     pub allocation_id: AllocationId,
@@ -57,7 +56,7 @@ pub struct JobComponentRow {
 }
 
 /// Dataset-5 row: whole-job power aggregate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobLevelPower {
     /// Scheduler allocation identifier.
     pub allocation_id: AllocationId,

@@ -50,7 +50,7 @@ pub mod prelude {
     pub use crate::datasets::{thermal_cluster, thermal_per_job, ThermalRow};
     pub use crate::delivery::NodeDelivery;
     pub use crate::ids::{AllocationId, CabinetId, GpuId, GpuSlot, Msb, NodeId, Socket};
-    pub use crate::ingest::{IngestError, IngestHealth, IngestPolicy};
+    pub use crate::ingest::{IngestError, IngestHealth};
     pub use crate::jobjoin::{job_level_power, job_power_series, join_jobs, AllocationIndex};
     pub use crate::records::{
         CepRecord, JobRecord, NodeAllocation, NodeFrame, ScienceDomain, XidErrorKind, XidEvent,

@@ -6,7 +6,6 @@
 
 use crate::catalog::METRIC_COUNT;
 use crate::ids::{AllocationId, GpuSlot, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// One 1 Hz telemetry frame from one node: a dense vector of all catalog
 /// metrics sampled at `t_sample`, timestamped at the aggregation point at
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// slice: a frame is plain value data, so routing, fault delivery and
 /// window buffering move it with a memcpy instead of a per-frame heap
 /// allocation — the hot paths stay allocation-free in steady state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeFrame {
     /// Compute node identifier.
     pub node: NodeId,
@@ -72,7 +71,7 @@ impl NodeFrame {
 /// the failure-rate-by-project analysis (Figure 14). The list follows the
 /// DOE Office of Science areas named in the paper plus the long-tail
 /// domains visible in Figure 8's axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ScienceDomain {
     /// Materials science.
     Materials,
@@ -182,7 +181,7 @@ impl ScienceDomain {
 }
 
 /// One completed job from the scheduler allocation history (Dataset C).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     /// Scheduler allocation identifier.
     pub allocation_id: AllocationId,
@@ -213,7 +212,7 @@ impl JobRecord {
 }
 
 /// Per-node allocation entry (Dataset D): which nodes a job ran on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeAllocation {
     /// Scheduler allocation identifier.
     pub allocation_id: AllocationId,
@@ -229,7 +228,7 @@ pub struct NodeAllocation {
 /// The double-ruler in the table separates types that can be associated
 /// with user applications (`user_associated() == true`) from those that
 /// cannot (hardware/driver failures).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum XidErrorKind {
     /// GPU memory page fault (XID 31).
     MemoryPageFault,
@@ -345,7 +344,7 @@ impl XidErrorKind {
 }
 
 /// One GPU XID error event (Dataset E row).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct XidEvent {
     /// Event/error kind.
     pub kind: XidErrorKind,
@@ -366,7 +365,7 @@ pub struct XidEvent {
 }
 
 /// One central-energy-plant record (Dataset B row, ~15 s cadence).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CepRecord {
     /// Seconds since epoch.
     pub time: f64,

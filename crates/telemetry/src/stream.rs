@@ -15,7 +15,6 @@
 use crate::catalog::METRIC_COUNT;
 use crate::ingest::IngestHealth;
 use crate::records::NodeFrame;
-use serde::{Deserialize, Serialize};
 
 /// The paper's maximum propagation delay (s): payloads reach the
 /// aggregation point "after an average 2.5-second delay (max. 5
@@ -49,7 +48,7 @@ fn unit_f64(h: u64) -> f64 {
 }
 
 /// Ingest-side statistics, matching the rates the paper reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IngestStats {
     /// Frames received.
     pub frames: u64,
@@ -177,7 +176,7 @@ impl IngestStats {
 /// at most one class), so the injected counts account exactly for every
 /// affected frame. The draw is a deterministic hash of
 /// `(seed, node, t_sample)` — replays are exact without any RNG state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Probability a frame is lost in flight.
     pub drop_p: f64,
@@ -280,7 +279,7 @@ pub enum FrameFate {
 }
 
 /// Exact counts of the faults a [`FaultInjector`] introduced.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InjectedFaults {
     /// Frames dropped in flight.
     pub dropped: u64,

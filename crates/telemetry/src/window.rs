@@ -7,18 +7,18 @@
 //!
 //! The coarsener is fault-tolerant by construction: the fan-in fabric it
 //! sits behind delivers frames with up-to-5 s propagation delay, so
-//! frames are buffered and re-ordered within a configurable lateness
-//! horizon ([`IngestPolicy`]), duplicates are deduped, late or misrouted
+//! frames are buffered and re-ordered within the fixed lateness horizon
+//! ([`LATENESS_HORIZON_S`]), duplicates are deduped, late or misrouted
 //! frames are counted and dropped via a typed [`IngestError`] — never a
 //! panic — and whole-window gaps emit the NaN-filled windows the cluster
-//! aggregation already treats as missing.
+//! aggregation already treats as missing (at most [`MAX_GAP_WINDOWS`]
+//! per gap).
 
 use crate::catalog::METRIC_COUNT;
 use crate::ids::NodeId;
-use crate::ingest::{IngestError, IngestHealth, IngestPolicy};
+use crate::ingest::{IngestError, IngestHealth, LATENESS_HORIZON_S, MAX_GAP_WINDOWS};
 use crate::records::NodeFrame;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use summit_analysis::stats::{Welford, WelfordColumns, WindowStats};
 
@@ -27,7 +27,7 @@ pub const PAPER_WINDOW_S: f64 = 10.0;
 
 /// One coarsened window for one node: the `count/min/max/mean/std`
 /// quintuple for every catalog metric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeWindow {
     /// Compute node identifier.
     pub node: NodeId,
@@ -48,14 +48,14 @@ impl NodeWindow {
 /// Streaming coarsener for a single node's frame sequence, tolerant of
 /// the delivery faults the stream layer models.
 ///
-/// Frames may arrive out of `t_sample` order: anything within the
-/// [`IngestPolicy::lateness_horizon_s`] of the newest accepted sample is
+/// Frames may arrive out of `t_sample` order: anything within
+/// [`LATENESS_HORIZON_S`] of the newest accepted sample is
 /// buffered and re-ordered before it reaches a window; frames beyond the
 /// horizon are counted in [`IngestHealth::late_dropped`] and dropped;
 /// exact-timestamp duplicates are deduped. A window only closes once the
 /// watermark has moved a full horizon past its end, so every in-horizon
 /// frame lands in its correct window. Whole-window gaps emit NaN-filled
-/// windows (count 0) when [`IngestPolicy::emit_gap_windows`] is set.
+/// windows (count 0), at most [`MAX_GAP_WINDOWS`] per gap.
 ///
 /// ```
 /// use summit_telemetry::{catalog, ids::NodeId, records::NodeFrame};
@@ -77,7 +77,6 @@ impl NodeWindow {
 pub struct WindowAggregator {
     node: NodeId,
     window_s: f64,
-    policy: IngestPolicy,
     health: IngestHealth,
     /// Newest accepted sample timestamp.
     watermark: Option<f64>,
@@ -167,15 +166,10 @@ fn time_key(t: f64) -> i64 {
 }
 
 impl WindowAggregator {
-    /// Creates a coarsener with the given window length (seconds) and
-    /// the default (paper) ingest policy. A non-finite or non-positive
-    /// window length falls back to [`PAPER_WINDOW_S`].
+    /// Creates a coarsener with the given window length (seconds). A
+    /// non-finite or non-positive window length falls back to
+    /// [`PAPER_WINDOW_S`].
     pub fn new(node: NodeId, window_s: f64) -> Self {
-        Self::with_policy(node, window_s, IngestPolicy::default())
-    }
-
-    /// Creates a coarsener with an explicit ingest policy.
-    pub fn with_policy(node: NodeId, window_s: f64, policy: IngestPolicy) -> Self {
         debug_assert!(
             window_s.is_finite() && window_s > 0.0,
             "window length must be positive"
@@ -185,14 +179,9 @@ impl WindowAggregator {
         } else {
             PAPER_WINDOW_S
         };
-        let mut policy = policy;
-        if !(policy.lateness_horizon_s.is_finite() && policy.lateness_horizon_s >= 0.0) {
-            policy.lateness_horizon_s = 0.0;
-        }
         Self {
             node,
             window_s,
-            policy,
             health: IngestHealth::default(),
             watermark: None,
             pending: PendingStore::default(),
@@ -211,11 +200,6 @@ impl WindowAggregator {
     /// The node this aggregator coarsens.
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// The active ingest policy.
-    pub fn policy(&self) -> &IngestPolicy {
-        &self.policy
     }
 
     /// Ingest-health counters accumulated so far.
@@ -241,13 +225,13 @@ impl WindowAggregator {
     }
 
     /// Emits NaN-filled windows covering `(closed, next)` exclusive on
-    /// both ends, truncated to the policy's gap cap.
+    /// both ends, truncated to [`MAX_GAP_WINDOWS`].
     fn emit_gap_windows(&mut self, closed: f64, next: f64) {
         let gaps = ((next - closed) / self.window_s).round() as i64 - 1;
         if gaps <= 0 {
             return;
         }
-        let emit = (gaps as usize).min(self.policy.max_gap_windows);
+        let emit = (gaps as usize).min(MAX_GAP_WINDOWS);
         for k in 1..=emit as i64 {
             let stats: Vec<WindowStats> =
                 (0..METRIC_COUNT).map(|_| Welford::new().finish()).collect();
@@ -270,10 +254,8 @@ impl WindowAggregator {
             }
         }
         if self.current_start.is_none() {
-            if self.policy.emit_gap_windows {
-                if let Some(last) = self.last_closed {
-                    self.emit_gap_windows(last, ws);
-                }
+            if let Some(last) = self.last_closed {
+                self.emit_gap_windows(last, ws);
             }
             self.current_start = Some(ws);
         }
@@ -287,7 +269,7 @@ impl WindowAggregator {
     /// and closes the current window once the watermark passes its end.
     fn flush_ready(&mut self) {
         let Some(wm) = self.watermark else { return };
-        let cutoff_start = self.window_start_of(wm - self.policy.lateness_horizon_s);
+        let cutoff_start = self.window_start_of(wm - LATENESS_HORIZON_S);
         let cutoff = time_key(cutoff_start);
         // Accumulate straight out of the reorder buffer: the store is
         // moved aside so its rows can be borrowed across the
@@ -341,12 +323,12 @@ impl WindowAggregator {
             return Err(IngestError::NonFiniteTimestamp);
         }
         let wm = self.watermark.unwrap_or(t_sample);
-        if t_sample < wm - self.policy.lateness_horizon_s {
+        if t_sample < wm - LATENESS_HORIZON_S {
             self.health.late_dropped += 1;
             return Err(IngestError::Late {
                 t_sample,
                 watermark: wm,
-                horizon_s: self.policy.lateness_horizon_s,
+                horizon_s: LATENESS_HORIZON_S,
             });
         }
         let key = time_key(t_sample);
@@ -419,26 +401,16 @@ impl WindowAggregator {
 #[derive(Debug)]
 pub struct StreamingCoarsener {
     window_s: f64,
-    policy: IngestPolicy,
     slots: Vec<Option<WindowAggregator>>,
 }
 
 impl StreamingCoarsener {
     /// Creates a coarsener with `slots` node slots (more are grown on
-    /// demand) and the default ingest policy.
+    /// demand).
     pub fn new(slots: usize, window_s: f64) -> Self {
-        Self::with_policy(slots, window_s, IngestPolicy::default())
-    }
-
-    /// Creates a coarsener with an explicit ingest policy.
-    pub fn with_policy(slots: usize, window_s: f64, policy: IngestPolicy) -> Self {
         let mut v = Vec::new();
         v.resize_with(slots, || None);
-        Self {
-            window_s,
-            policy,
-            slots: v,
-        }
+        Self { window_s, slots: v }
     }
 
     /// Offers one frame to the given node slot, lazily creating that
@@ -448,9 +420,8 @@ impl StreamingCoarsener {
         if slot >= self.slots.len() {
             self.slots.resize_with(slot + 1, || None);
         }
-        let agg = self.slots[slot].get_or_insert_with(|| {
-            WindowAggregator::with_policy(frame.node, self.window_s, self.policy)
-        });
+        let agg = self.slots[slot]
+            .get_or_insert_with(|| WindowAggregator::new(frame.node, self.window_s));
         agg.push(frame)
     }
 
@@ -613,33 +584,17 @@ mod tests {
     }
 
     #[test]
-    fn gap_windows_can_be_disabled() {
-        let policy = IngestPolicy {
-            emit_gap_windows: false,
-            ..IngestPolicy::default()
-        };
-        let mut agg = WindowAggregator::with_policy(NodeId(0), PAPER_WINDOW_S, policy);
-        agg.push(&frame(0, 5.0, 1.0)).unwrap();
-        agg.push(&frame(0, 95.0, 2.0)).unwrap();
-        let (windows, health) = agg.finish_with_health();
-        assert_eq!(windows.len(), 2);
-        assert_eq!(windows[0].window_start, 0.0);
-        assert_eq!(windows[1].window_start, 90.0);
-        assert_eq!(health.gap_windows, 0);
-    }
-
-    #[test]
     fn pathological_gap_is_capped() {
-        let policy = IngestPolicy {
-            max_gap_windows: 10,
-            ..IngestPolicy::default()
-        };
-        let mut agg = WindowAggregator::with_policy(NodeId(0), PAPER_WINDOW_S, policy);
+        let mut agg = WindowAggregator::paper(NodeId(0));
         agg.push(&frame(0, 0.0, 1.0)).unwrap();
         agg.push(&frame(0, 1.0e9, 2.0)).unwrap();
         let (windows, health) = agg.finish_with_health();
-        assert_eq!(windows.len(), 12, "two data windows + capped gap");
-        assert_eq!(health.gap_windows, 10);
+        assert_eq!(
+            windows.len(),
+            MAX_GAP_WINDOWS + 2,
+            "two data windows + capped gap"
+        );
+        assert_eq!(health.gap_windows, MAX_GAP_WINDOWS as u64);
     }
 
     #[test]
@@ -1063,19 +1018,5 @@ mod tests {
         let s = windows[0].metric(catalog::input_power());
         let expect = (32.0f64 / 7.0).sqrt();
         assert!((s.std - expect).abs() < 1e-6);
-    }
-
-    #[test]
-    fn degenerate_window_length_falls_back() {
-        // Release builds sanitize instead of panicking.
-        let agg = WindowAggregator::with_policy(
-            NodeId(0),
-            PAPER_WINDOW_S,
-            IngestPolicy {
-                lateness_horizon_s: f64::NAN,
-                ..IngestPolicy::default()
-            },
-        );
-        assert_eq!(agg.policy().lateness_horizon_s, 0.0);
     }
 }

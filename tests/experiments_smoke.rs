@@ -10,8 +10,8 @@ use std::collections::BTreeMap;
 use summit_repro::core::cache::{ScenarioCache, HITS_COUNTER, MISSES_COUNTER};
 use summit_repro::core::experiments::registry::run_by_name;
 use summit_repro::core::experiments::{
-    fig04, fig05, fig06, fig07, fig08, fig09, fig11, fig17, table2, table4, ExperimentError,
-    REGISTRY,
+    fig04, fig05, fig06, fig07, fig08, fig09, fig10, fig11, fig12, fig17, table2, table4,
+    ExperimentError, REGISTRY,
 };
 use summit_repro::core::json::Json;
 use summit_repro::obs::registry::Registry;
@@ -256,6 +256,59 @@ fn config_validation_returns_typed_errors() {
                     repeats: 0,
                     burst_duration_s: 120.0,
                     spacing_s: 420.0,
+                },
+            )
+            .err(),
+        ),
+        (
+            "dt_s",
+            fig05::run(
+                &cache,
+                &fig05::Config {
+                    population_scale: 0.01,
+                    dt_s: 1e-9,
+                    maintenance_days: None,
+                },
+            )
+            .err(),
+        ),
+        (
+            "dt_s",
+            fig10::run(
+                &cache,
+                &fig10::Config {
+                    population_scale: 0.01,
+                    dt_s: 1e-9,
+                },
+            )
+            .err(),
+        ),
+        (
+            "burst_duration_s",
+            fig11::run(
+                &cache,
+                &fig11::Config {
+                    cabinets: 12,
+                    amplitudes_mw: vec![0.15],
+                    repeats: 1,
+                    burst_duration_s: 1e-9,
+                    spacing_s: 420.0,
+                },
+            )
+            .err(),
+        ),
+        (
+            "burst_duration_s",
+            fig12::run(
+                &cache,
+                &fig12::Config {
+                    burst: fig11::Config {
+                        cabinets: 12,
+                        amplitudes_mw: vec![0.15],
+                        repeats: 1,
+                        burst_duration_s: 1e-9,
+                        spacing_s: 420.0,
+                    },
                 },
             )
             .err(),

@@ -24,7 +24,7 @@ use summit_repro::telemetry::window::{
     coarsen_parallel_with_health, NodeWindow, WindowAggregator, PAPER_WINDOW_S,
 };
 
-const HORIZON_S: f64 = 5.0; // default IngestPolicy lateness horizon
+const HORIZON_S: f64 = 5.0; // ingest::LATENESS_HORIZON_S
 
 fn frames_for(node: NodeId, seconds: usize) -> Vec<NodeFrame> {
     (0..seconds)
