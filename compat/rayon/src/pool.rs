@@ -817,6 +817,44 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_at_every_chunk_index_resurfaces_and_loses_no_worker() {
+        // 4096 elements lay the full 64-chunk grid: chunk `k` starts at
+        // element `k * 64`. Wherever the panicking chunk runs (the
+        // dispatcher or a worker, first or last), the execution must
+        // re-raise its payload, the erased epoch must retire without
+        // deadlock, and the pool must serve the next execution exactly.
+        let generation = warm_pool();
+        let v: Vec<usize> = (0..4096).collect();
+        assert_eq!(v.len().div_ceil(chunk_size(v.len(), 1)), MAX_CHUNKS);
+        let want: Vec<usize> = v.iter().map(|&x| x * 3 + 1).collect();
+        for threads in [2, 4] {
+            for round in 0..3 {
+                for k in 0..MAX_CHUNKS {
+                    let caught = std::panic::catch_unwind(|| {
+                        with_thread_count(threads, || {
+                            v.par_iter()
+                                .map(|&x| {
+                                    if x == k * 64 {
+                                        std::panic::panic_any(k);
+                                    }
+                                    x
+                                })
+                                .collect::<Vec<usize>>()
+                        })
+                    });
+                    let at = format!("{threads} threads, round {round}, chunk {k}");
+                    let payload = caught.expect_err(&at);
+                    assert_eq!(payload.downcast_ref::<usize>(), Some(&k), "{at}");
+                    assert_eq!(pool_generation(), generation, "{at}");
+                    let out: Vec<usize> =
+                        with_thread_count(threads, || v.par_iter().map(|&x| x * 3 + 1).collect());
+                    assert_eq!(out, want, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn workers_inherit_the_dispatching_stage() {
         let registry = summit_obs::registry::Registry::new();
         let _scope = registry.install();

@@ -45,21 +45,3 @@ pub mod snapshot;
 pub mod special;
 pub mod stats;
 pub mod zscore;
-
-/// Convenient re-exports of the most-used types.
-pub mod prelude {
-    pub use crate::cdf::Ecdf;
-    pub use crate::correlation::{pearson, CorrelationMatrix};
-    pub use crate::edges::{
-        detect_edges, detect_edges_for_job, Edge, EdgeKind, OnlineEdgeDetector,
-    };
-    pub use crate::fft::{amplitude_spectrum, dominant_component, DominantComponent};
-    pub use crate::histogram::{Histogram, Histogram2d};
-    pub use crate::kde::{Bandwidth, Kde1d, Kde2d};
-    pub use crate::pue::{average_pue, integrate_energy, pue, pue_series};
-    pub use crate::rolling::{RollingSketch, RollingStats};
-    pub use crate::series::{sum_aligned, Series};
-    pub use crate::snapshot::{superimpose, superimpose_paper_window, Superposition};
-    pub use crate::stats::{BoxStats, Summary, Welford, WindowStats};
-    pub use crate::zscore::{zscore, ExtremitySummary};
-}

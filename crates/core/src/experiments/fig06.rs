@@ -72,10 +72,11 @@ fn overlap(a: (f64, f64), b: (f64, f64)) -> f64 {
 /// Runs the Figure 6 study, acquiring the population through `cache`.
 pub fn run(cache: &ScenarioCache, config: &Config) -> Result<Fig06Result, ExperimentError> {
     ensure_population_scale("fig06", config.population_scale)?;
-    if config.grid == 0 || config.max_samples == 0 {
+    // A density grid needs both ends of the data range on each axis.
+    if config.grid < 2 || config.max_samples == 0 {
         return Err(ExperimentError::invalid(
             "fig06",
-            "grid and max_samples must be positive",
+            "`grid` must be at least 2 and `max_samples` positive",
         ));
     }
     let _obs = summit_obs::span("summit_core_fig06");

@@ -23,6 +23,7 @@ use rand::SeedableRng;
 use summit_analysis::correlation::pearson;
 use summit_analysis::stats::BoxStats;
 use summit_sim::engine::{Engine, EngineConfig, StepOptions};
+use summit_sim::failures::CabinetOutage;
 use summit_sim::jobs::JobGenerator;
 use summit_sim::topology::CABINETS_PER_ROW;
 use summit_sim::workload::AppProfile;
@@ -122,7 +123,13 @@ pub fn run(config: &Config) -> Result<Fig17Result, ExperimentError> {
         EngineConfig::small(config.cabinets)
     };
     engine_cfg.seed = config.seed;
-    engine_cfg.missing_cabinet = config.missing_cabinet.map(CabinetId);
+    engine_cfg
+        .cabinet_outages
+        .extend(config.missing_cabinet.map(|c| CabinetOutage {
+            cabinet: CabinetId(c),
+            start_s: f64::NEG_INFINITY,
+            end_s: f64::INFINITY,
+        }));
     let mut engine = Engine::new(engine_cfg, 0.0);
     let node_count = engine.topology().node_count();
     let job_nodes = (node_count as u32).min(summit_sim::spec::MAX_JOB_NODES);

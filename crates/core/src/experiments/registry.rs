@@ -322,6 +322,59 @@ mod tests {
     }
 
     #[test]
+    fn json_parse_survives_seeded_fuzzing_and_round_trips() {
+        // A fixed seed and case budget: random strings of JSON tokens,
+        // then byte mutations of every default config. Parsing must never
+        // panic, and whatever parses must read back equal through its
+        // Display form.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const CASES: usize = 20_000;
+        const WORDS: &[&str] = &["\\u", "\\ud800", "\\n", "1e400", "null", "true", "false"];
+        let tokens: Vec<String> = "{}[]\":, \n\\+-.eE07aé\u{7}\u{1f600}"
+            .chars()
+            .map(String::from)
+            .chain(WORDS.iter().map(|w| w.to_string()))
+            .collect();
+        let check = |text: &str| {
+            if let Ok(v) = Json::parse(text) {
+                let back = Json::parse(&v.to_string());
+                assert_eq!(back, Ok(sanitize(v)), "{text:?}");
+            }
+        };
+        let mut rng = StdRng::seed_from_u64(0x150_7e57);
+        for _ in 0..CASES {
+            let len = rng.gen_range(0..24);
+            let text: String = (0..len)
+                .map(|_| tokens[rng.gen_range(0..tokens.len())].as_str())
+                .collect();
+            check(&text);
+        }
+        let docs: Vec<String> = REGISTRY
+            .iter()
+            .map(|e| e.default_config(0.05).to_string())
+            .collect();
+        for _ in 0..CASES {
+            let mut bytes = docs[rng.gen_range(0..docs.len())].clone().into_bytes();
+            for _ in 0..rng.gen_range(1..4) {
+                let at = rng.gen_range(0..=bytes.len());
+                match rng.gen_range(0..4) {
+                    0 => bytes.truncate(at),
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    2 => bytes.insert(at, rng.gen()),
+                    _ => {
+                        let token = &tokens[rng.gen_range(0..tokens.len())];
+                        bytes.splice(at..at, token.bytes());
+                    }
+                }
+            }
+            check(&String::from_utf8_lossy(&bytes));
+        }
+    }
+
+    #[test]
     fn unknown_experiment_is_a_typed_error() {
         let cache = ScenarioCache::new();
         let err = run_by_name(&cache, "fig99", 0.01, None).unwrap_err();

@@ -55,19 +55,3 @@ pub(crate) fn weighted_pick<R: rand::Rng + ?Sized>(rng: &mut R, weights: &[f64])
     }
     weights.iter().rposition(|w| w.is_finite() && *w > 0.0)
 }
-
-/// Convenient re-exports.
-pub mod prelude {
-    pub use crate::cache::ScenarioCache;
-    pub use crate::experiments;
-    pub use crate::experiments::{Experiment, ExperimentError, REGISTRY};
-    pub use crate::fingerprint::{
-        evaluate as evaluate_fingerprints, extract, Fingerprint, KMeans, PortraitModel,
-    };
-    pub use crate::json::Json;
-    pub use crate::pipeline::{
-        cluster_power_sweep, quick_dynamics, run_burst_schedule, summer_t0, Burst, DynamicsRun,
-        FailureScenario, PopulationScenario,
-    };
-    pub use crate::report::{bar, eng, heatmap, joules, pct, sparkline, watts, Table};
-}

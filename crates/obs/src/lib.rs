@@ -128,13 +128,6 @@ pub fn histogram(name: &str) -> Histogram {
     current().histogram(name)
 }
 
-/// Convenient re-exports.
-pub mod prelude {
-    pub use crate::expose::{parse_prometheus, write_csv, write_json, write_prometheus};
-    pub use crate::registry::{Counter, Gauge, Histogram, Registry, Snapshot};
-    pub use crate::span::{span, SpanGuard};
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

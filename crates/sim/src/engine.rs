@@ -17,6 +17,7 @@ use crate::failures::CabinetOutage;
 use crate::msb::MsbMeterModel;
 use crate::power::{NodeUtilization, PowerModel};
 use crate::scheduler::Scheduler;
+use crate::spec::NODES_PER_CABINET;
 use crate::thermal::{NodeThermals, ThermalModel};
 use crate::topology::Topology;
 use crate::weather::Weather;
@@ -36,15 +37,12 @@ pub struct EngineConfig {
     /// Non-compute IT power (storage, network, service nodes) included in
     /// the PUE's IT denominator, scaled to the floor fraction.
     pub infrastructure_it_w: f64,
-    /// Cabinet whose telemetry is missing (the Figure 17 bright-green
-    /// cabinet), if any.
-    pub missing_cabinet: Option<CabinetId>,
-    /// Window `[start, end)` during which temperature telemetry is lost
-    /// (the paper's spring-2020 aggregation-path outage), if any.
-    pub temp_outage: Option<(f64, f64)>,
-    /// Transient whole-cabinet telemetry outages (typically sampled via
-    /// [`crate::failures::FailureModel::cabinet_outages`]): affected
-    /// nodes emit all-NaN frames while an outage is active.
+    /// Whole-cabinet telemetry outages, the only source of dark
+    /// cabinets: a cabinet's nodes emit all-NaN frames while one of its
+    /// outages is active. Transient ones are typically sampled via
+    /// [`crate::failures::FailureModel::cabinet_outages`]; one from
+    /// `-inf` to `+inf` darkens a cabinet for the whole run (the
+    /// Figure 17 bright-green cabinet).
     pub cabinet_outages: Vec<CabinetOutage>,
 }
 
@@ -56,8 +54,6 @@ impl Default for EngineConfig {
             seed: 2020,
             facility: FacilityConfig::default(),
             infrastructure_it_w: 0.6e6,
-            missing_cabinet: None,
-            temp_outage: None,
             cabinet_outages: Vec::new(),
         }
     }
@@ -95,26 +91,28 @@ pub struct TickOutput {
     pub t: f64,
     /// True total compute power (W).
     pub true_compute_power_w: f64,
-    /// Sensor-summed compute power (what the telemetry path reports, W).
+    /// Sensor-summed compute power over the reporting nodes (what the
+    /// telemetry path reports, W).
     pub sensor_compute_power_w: f64,
-    /// Total IT power (compute + infrastructure, W).
-    pub it_power_w: f64,
-    /// Facility record for this tick.
+    /// Facility record for this tick (`cep.it_power_w` is the compute
+    /// power plus the infrastructure load).
     pub cep: CepRecord,
-    /// Per-MSB physical meter readings (W).
+    /// Per-MSB physical meter readings: each board's summed true node
+    /// power plus its distribution overhead (W).
     pub msb_meter_w: [f64; 5],
     /// Per-MSB summation of the node sensor readings the frames carry
     /// (f32-quantized, dark cabinets skipped; W) — what Figure 4
     /// compares with the meter.
     pub msb_sensor_w: [f64; 5],
-    /// Cluster GPU core temperature mean/max (°C; NaN during outages).
+    /// Mean GPU core temperature over the reporting nodes (°C; NaN
+    /// only when every cabinet is dark).
     pub gpu_temp_mean_c: f64,
-    /// Gpu temp max c.
+    /// Max GPU core temperature over the reporting nodes (°C; NaN only
+    /// when every cabinet is dark).
     pub gpu_temp_max_c: f64,
-    /// Cluster CPU temperature mean/max (°C; NaN during outages).
+    /// Mean CPU temperature over the reporting nodes (°C; NaN only when
+    /// every cabinet is dark).
     pub cpu_temp_mean_c: f64,
-    /// Cpu temp max c.
-    pub cpu_temp_max_c: f64,
     /// Running job count and busy-node count.
     pub running_jobs: usize,
     /// Busy nodes.
@@ -145,7 +143,6 @@ pub struct Engine {
     /// Tick-loop arenas, reused every tick so the steady-state tick
     /// path performs no per-tick (let alone per-frame) heap allocation.
     assignment_scratch: Vec<Option<(WorkloadSignal, f64, u32)>>,
-    node_power_scratch: Vec<f64>,
     t: f64,
     tick: u64,
 }
@@ -155,8 +152,6 @@ struct NodeTick {
     sensor_power: f64,
     gpu_power: [f64; 6],
     cpu_power: [f64; 2],
-    gpu_temp: [f64; 6],
-    cpu_temp: [f64; 2],
     thermals: NodeThermals,
     busy: bool,
 }
@@ -196,7 +191,6 @@ impl Engine {
             scheduler: Scheduler::new(node_count),
             thermals: vec![NodeThermals::at_water(supply + 8.0); node_count],
             assignment_scratch: Vec::new(),
-            node_power_scratch: Vec::new(),
             topology,
             t: t0,
             tick: 0,
@@ -233,24 +227,6 @@ impl Engine {
         &self.thermal_model
     }
 
-    fn temps_available(&self) -> bool {
-        match self.config.temp_outage {
-            Some((a, b)) => !(self.t >= a && self.t < b),
-            None => true,
-        }
-    }
-
-    fn cabinet_missing(&self, node: NodeId) -> bool {
-        let cab = self.topology.cabinet_of(node);
-        if self.config.missing_cabinet == Some(cab) {
-            return true;
-        }
-        self.config
-            .cabinet_outages
-            .iter()
-            .any(|o| o.cabinet == cab && o.is_active(self.t))
-    }
-
     /// Advances one tick and returns its summary.
     pub fn step(&mut self) -> TickOutput {
         self.step_impl(None)
@@ -269,7 +245,7 @@ impl Engine {
         }
     }
 
-    fn step_impl(&mut self, frame_batch: Option<&mut FrameBatch>) -> TickOutput {
+    fn step_impl(&mut self, mut frame_batch: Option<&mut FrameBatch>) -> TickOutput {
         let dt = self.config.dt_s;
         let t = self.t;
         let tick = self.tick;
@@ -320,8 +296,6 @@ impl Engine {
                     sensor_power: sensor,
                     gpu_power: power.gpu_w,
                     cpu_power: power.cpu_w,
-                    gpu_temp: th.gpu_core_c,
-                    cpu_temp: th.cpu_c,
                     thermals: th,
                     busy,
                 }
@@ -329,37 +303,56 @@ impl Engine {
             .collect();
         self.assignment_scratch = assignment;
 
-        for (slot, r) in self.thermals.iter_mut().zip(&results) {
-            *slot = r.thermals;
+        // One pass in node order, cabinet by cabinet. A board's cabinets
+        // are a contiguous run, so its sums add its nodes in the order
+        // `Topology::nodes_of_msb` lists them; they start at -0.0, where
+        // `Iterator::sum` starts, so an empty board reads -0.0.
+        if let Some(batch) = frame_batch.as_deref_mut() {
+            batch.reset(node_count);
         }
-
-        let true_compute: f64 = results.iter().map(|r| r.true_power).sum();
-        let temps_ok = self.temps_available();
+        let mut true_compute = -0.0;
         let mut sensor_compute = 0.0;
-        let mut gpu_t_sum = 0.0;
-        let mut gpu_t_max = f64::NEG_INFINITY;
-        let mut gpu_t_n = 0usize;
-        let mut cpu_t_sum = 0.0;
-        let mut cpu_t_max = f64::NEG_INFINITY;
-        let mut cpu_t_n = 0usize;
+        let mut board_true_w = [-0.0f64; 5];
+        let mut msb_sensor_w = [-0.0f64; 5];
+        let (mut gpu_t_sum, mut gpu_t_max, mut gpu_t_n) = (0.0, f64::NEG_INFINITY, 0usize);
+        let (mut cpu_t_sum, mut cpu_t_n) = (0.0, 0usize);
         let mut busy_nodes = 0usize;
-        for (i, r) in results.iter().enumerate() {
-            if r.busy {
-                busy_nodes += 1;
-            }
-            if self.cabinet_missing(NodeId(i as u32)) {
-                continue;
-            }
-            sensor_compute += r.sensor_power;
-            if temps_ok {
-                for &g in &r.gpu_temp {
+        let cabinets = results
+            .chunks(NODES_PER_CABINET)
+            .zip(self.thermals.chunks_mut(NODES_PER_CABINET));
+        for (c, (nodes, thermals)) in cabinets.enumerate() {
+            let cabinet = CabinetId(c as u16);
+            let dark = self
+                .config
+                .cabinet_outages
+                .iter()
+                .any(|o| o.cabinet == cabinet && o.is_active(t));
+            let board = self.topology.msb_of(cabinet).index();
+            for (k, (r, slot)) in nodes.iter().zip(thermals).enumerate() {
+                *slot = r.thermals;
+                true_compute += r.true_power;
+                board_true_w[board] += r.true_power;
+                busy_nodes += usize::from(r.busy);
+                if let Some(batch) = frame_batch.as_deref_mut() {
+                    let row = batch.push_row(NodeId((c * NODES_PER_CABINET + k) as u32), t);
+                    if !dark {
+                        write_frame_metrics(batch, row, r);
+                    }
+                }
+                // A dark cabinet's rows stay as reset left them, all-NaN:
+                // the bright-green cabinet.
+                if dark {
+                    continue;
+                }
+                sensor_compute += r.sensor_power;
+                msb_sensor_w[board] += f64::from(frame_value(r.sensor_power));
+                for &g in &r.thermals.gpu_core_c {
                     gpu_t_sum += g;
                     gpu_t_max = gpu_t_max.max(g);
                     gpu_t_n += 1;
                 }
-                for &c in &r.cpu_temp {
-                    cpu_t_sum += c;
-                    cpu_t_max = cpu_t_max.max(c);
+                for &cpu in &r.thermals.cpu_c {
+                    cpu_t_sum += cpu;
                     cpu_t_n += 1;
                 }
             }
@@ -368,75 +361,23 @@ impl Engine {
         let it_power = true_compute + self.config.infrastructure_it_w;
         let wet_bulb = self.weather.wet_bulb_c(t);
         let cep = self.facility.step(t, it_power, wet_bulb, dt);
-
-        // MSB meters read the true power plus distribution overheads
-        // (arena: the per-node power vector is reused across ticks); the
-        // sensor summation adds up the readings the reporting nodes'
-        // frames carry, quantized as the frames store them.
-        let mut true_node_power = std::mem::take(&mut self.node_power_scratch);
-        true_node_power.clear();
-        true_node_power.extend(results.iter().map(|r| r.true_power));
-        let mut msb_meter_w = [0.0f64; 5];
-        let mut msb_sensor_w = [0.0f64; 5];
-        for m in Msb::ALL {
-            msb_meter_w[m.index()] =
-                self.msb_model
-                    .meter_reading(&self.topology, m, &true_node_power);
-            msb_sensor_w[m.index()] = self
-                .topology
-                .nodes_of_msb(m)
-                .into_iter()
-                .filter(|&node| !self.cabinet_missing(node))
-                .filter_map(|node| results.get(node.index()))
-                .map(|r| f64::from(frame_value(r.sensor_power)))
-                .sum();
-        }
-        self.node_power_scratch = true_node_power;
-
-        if let Some(batch) = frame_batch {
-            batch.reset(node_count);
-            for (i, r) in results.iter().enumerate() {
-                let node = NodeId(i as u32);
-                let row = batch.push_row(node, self.t);
-                if !self.cabinet_missing(node) {
-                    // All-NaN rows stay as reset left them: the
-                    // bright-green cabinet.
-                    write_frame_metrics(batch, row, r, temps_ok);
-                }
-            }
-        }
+        let msb_meter_w =
+            Msb::ALL.map(|m| self.msb_model.meter_reading(m, board_true_w[m.index()]));
 
         self.t += dt;
         self.tick += 1;
 
+        let mean = |sum: f64, n: usize| if n > 0 { sum / n as f64 } else { f64::NAN };
         TickOutput {
             t,
             true_compute_power_w: true_compute,
             sensor_compute_power_w: sensor_compute,
-            it_power_w: it_power,
             cep,
             msb_meter_w,
             msb_sensor_w,
-            gpu_temp_mean_c: if temps_ok && gpu_t_n > 0 {
-                gpu_t_sum / gpu_t_n as f64
-            } else {
-                f64::NAN
-            },
-            gpu_temp_max_c: if temps_ok && gpu_t_n > 0 {
-                gpu_t_max
-            } else {
-                f64::NAN
-            },
-            cpu_temp_mean_c: if temps_ok && cpu_t_n > 0 {
-                cpu_t_sum / cpu_t_n as f64
-            } else {
-                f64::NAN
-            },
-            cpu_temp_max_c: if temps_ok && cpu_t_n > 0 {
-                cpu_t_max
-            } else {
-                f64::NAN
-            },
+            gpu_temp_mean_c: mean(gpu_t_sum, gpu_t_n),
+            gpu_temp_max_c: if gpu_t_n > 0 { gpu_t_max } else { f64::NAN },
+            cpu_temp_mean_c: mean(cpu_t_sum, cpu_t_n),
             running_jobs: self.scheduler.running().len(),
             busy_nodes,
         }
@@ -449,7 +390,7 @@ impl Engine {
 }
 
 /// Writes one reporting node's metric readings into its batch row.
-fn write_frame_metrics(batch: &mut FrameBatch, row: usize, r: &NodeTick, temps_ok: bool) {
+fn write_frame_metrics(batch: &mut FrameBatch, row: usize, r: &NodeTick) {
     batch.set(row, catalog::input_power(), r.sensor_power);
     batch.set(row, catalog::ps_input_power(0), r.sensor_power * 0.5);
     batch.set(row, catalog::ps_input_power(1), r.sensor_power * 0.5);
@@ -458,19 +399,19 @@ fn write_frame_metrics(batch: &mut FrameBatch, row: usize, r: &NodeTick, temps_o
     }
     for g in GpuSlot::ALL {
         batch.set(row, catalog::gpu_power(g), r.gpu_power[g.index()]);
-        if temps_ok {
-            batch.set(row, catalog::gpu_core_temp(g), r.gpu_temp[g.index()]);
-            batch.set(
-                row,
-                catalog::gpu_mem_temp(g),
-                r.thermals.gpu_mem_c[g.index()],
-            );
-        }
+        batch.set(
+            row,
+            catalog::gpu_core_temp(g),
+            r.thermals.gpu_core_c[g.index()],
+        );
+        batch.set(
+            row,
+            catalog::gpu_mem_temp(g),
+            r.thermals.gpu_mem_c[g.index()],
+        );
     }
-    if temps_ok {
-        for s in Socket::ALL {
-            batch.set(row, catalog::cpu_pkg_temp(s), r.cpu_temp[s.index()]);
-        }
+    for s in Socket::ALL {
+        batch.set(row, catalog::cpu_pkg_temp(s), r.thermals.cpu_c[s.index()]);
     }
 }
 
@@ -565,7 +506,11 @@ mod tests {
     #[test]
     fn missing_cabinet_blanks_telemetry_but_not_truth() {
         let mut cfg = EngineConfig::small(3);
-        cfg.missing_cabinet = Some(CabinetId(1));
+        cfg.cabinet_outages.push(CabinetOutage {
+            cabinet: CabinetId(1),
+            start_s: f64::NEG_INFINITY,
+            end_s: f64::INFINITY,
+        });
         let mut e = Engine::new(cfg, 0.0);
         let mut batch = FrameBatch::new();
         let out = e.step_batch(&StepOptions { frames: true }, &mut batch);
@@ -606,24 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn temp_outage_blanks_temperatures() {
-        let mut cfg = EngineConfig::small(2);
-        cfg.temp_outage = Some((0.0, 100.0));
-        let mut e = Engine::new(cfg, 0.0);
-        let out = e.step();
-        assert!(out.gpu_temp_mean_c.is_nan());
-        assert!(out.cpu_temp_max_c.is_nan());
-        // Power is unaffected.
-        assert!(out.true_compute_power_w > 0.0);
-        // After the outage, temps return.
-        for _ in 0..100 {
-            e.step();
-        }
-        let later = e.step();
-        assert!(later.gpu_temp_mean_c.is_finite());
-    }
-
-    #[test]
     fn frames_carry_catalog_metrics() {
         let mut e = Engine::new(EngineConfig::small(1), 0.0);
         let mut batch = FrameBatch::new();
@@ -638,38 +565,70 @@ mod tests {
     #[test]
     fn msb_sensor_sums_add_up_the_reporting_frames() {
         // Each MSB's sensor summation is the frames' own input power
-        // over that board's nodes in topology order, dark cabinet
-        // skipped; a tick without frames leaves the batch empty.
-        let mut cfg = EngineConfig::small(3);
-        cfg.missing_cabinet = Some(CabinetId(1));
-        let mut e = Engine::new(cfg, 0.0);
-        let topology = e.topology().clone();
-        let mut batch = FrameBatch::new();
-        for tick in 0..3 {
-            let out = e.step_batch(&StepOptions { frames: true }, &mut batch);
-            let power = batch.column(catalog::input_power());
-            for m in Msb::ALL {
-                let nodes = topology.nodes_of_msb(m);
-                let want: f64 = nodes
+        // over that board's nodes in topology order, dark cabinets
+        // skipped; the meters add up the true power; a cabinet's rows
+        // are all-NaN exactly while one of its outages is active; a
+        // tick without frames leaves the batch empty. On three cabinets
+        // some boards have no nodes; on six, one cabinet is dark all run
+        // and another goes dark for [2, 5).
+        let whole_run = |c| CabinetOutage {
+            cabinet: CabinetId(c),
+            start_s: f64::NEG_INFINITY,
+            end_s: f64::INFINITY,
+        };
+        let timed = CabinetOutage {
+            cabinet: CabinetId(4),
+            start_s: 2.0,
+            end_s: 5.0,
+        };
+        let overhead = MsbMeterModel::default().overhead;
+        for (cabinets, outages) in [(3, vec![whole_run(1)]), (6, vec![whole_run(2), timed])] {
+            let mut cfg = EngineConfig::small(cabinets);
+            cfg.cabinet_outages = outages.clone();
+            let mut e = Engine::new(cfg, 0.0);
+            let topology = e.topology().clone();
+            let mut batch = FrameBatch::new();
+            for _ in 0..4 {
+                let out = e.step_batch(&StepOptions { frames: true }, &mut batch);
+                let at = format!("{cabinets} cabinets, t {}", out.t);
+                for c in 0..cabinets {
+                    let dark = (c * 18..(c + 1) * 18)
+                        .all(|i| batch.read_frame(i).values.iter().all(|v| v.is_nan()));
+                    let active = outages
+                        .iter()
+                        .any(|o| o.cabinet.index() == c && o.is_active(out.t));
+                    assert_eq!(dark, active, "{at}: cabinet {c}");
+                }
+                let power = batch.column(catalog::input_power());
+                for m in Msb::ALL {
+                    let nodes = topology.nodes_of_msb(m);
+                    let want: f64 = nodes
+                        .iter()
+                        .map(|n| f64::from(power[n.index()]))
+                        .filter(|v| !v.is_nan())
+                        .sum();
+                    let (got, meter) = (out.msb_sensor_w[m.index()], out.msb_meter_w[m.index()]);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{at} {m:?}");
+                    // Three cabinets leave some boards without nodes: both
+                    // readings are then zero.
+                    assert!(
+                        got < meter || (nodes.is_empty() && got == 0.0 && meter == 0.0),
+                        "{at} {m:?}: summation {got} vs meter {meter}"
+                    );
+                }
+                let total: f64 = out.msb_sensor_w.iter().sum();
+                let rel = (total - out.sensor_compute_power_w).abs() / out.sensor_compute_power_w;
+                assert!(rel < 1e-6, "{at}: MSB sums {total} off by {rel}");
+                let metered: f64 = Msb::ALL
                     .iter()
-                    .map(|n| f64::from(power[n.index()]))
-                    .filter(|v| !v.is_nan())
+                    .map(|m| out.msb_meter_w[m.index()] / (1.0 + overhead[m.index()]))
                     .sum();
-                let (got, meter) = (out.msb_sensor_w[m.index()], out.msb_meter_w[m.index()]);
-                assert_eq!(got.to_bits(), want.to_bits(), "tick {tick} {m:?}");
-                // Three cabinets leave some boards without nodes: both
-                // readings are then zero.
-                assert!(
-                    got < meter || (nodes.is_empty() && got == 0.0 && meter == 0.0),
-                    "tick {tick} {m:?}: summation {got} vs meter {meter}"
-                );
-            }
-            let total: f64 = out.msb_sensor_w.iter().sum();
-            let rel = (total - out.sensor_compute_power_w).abs() / out.sensor_compute_power_w;
-            assert!(rel < 1e-6, "tick {tick}: MSB sums {total} off by {rel}");
+                let rel = (metered - out.true_compute_power_w).abs() / out.true_compute_power_w;
+                assert!(rel < 1e-12, "{at}: meters {metered} off by {rel}");
 
-            e.step_batch(&StepOptions { frames: false }, &mut batch);
-            assert!(batch.is_empty(), "tick {tick}");
+                e.step_batch(&StepOptions { frames: false }, &mut batch);
+                assert!(batch.is_empty(), "{at}");
+            }
         }
     }
 

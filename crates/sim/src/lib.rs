@@ -40,21 +40,3 @@ pub mod thermal;
 pub mod topology;
 pub mod weather;
 pub mod workload;
-
-/// Convenient re-exports of the most-used types.
-pub mod prelude {
-    pub use crate::apps::{domain_character, sample_domain, sample_profile};
-    pub use crate::engine::{Engine, EngineConfig, StepOptions, TickOutput};
-    pub use crate::facility::{Facility, FacilityConfig};
-    pub use crate::failures::{FailureConfig, FailureModel};
-    pub use crate::jobs::{JobGenerator, SyntheticJob, PAPER_JOB_COUNT};
-    pub use crate::jobstats::{job_stats, population_stats, JobStats, JobStatsRow};
-    pub use crate::msb::MsbMeterModel;
-    pub use crate::power::{NodePower, NodeUtilization, PowerModel};
-    pub use crate::scheduler::{PlacedJob, Scheduler};
-    pub use crate::spec::{class_of_node_count, class_spec, SchedulingClass, SCHEDULING_CLASSES};
-    pub use crate::thermal::{NodeThermals, ThermalModel};
-    pub use crate::topology::Topology;
-    pub use crate::weather::Weather;
-    pub use crate::workload::{AppProfile, WorkloadSignal};
-}

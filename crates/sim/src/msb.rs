@@ -50,15 +50,10 @@ impl MsbMeterModel {
         }
     }
 
-    /// The physical meter reading of one MSB given the true input powers
-    /// of all nodes (indexed by node id) on the floor.
-    pub fn meter_reading(&self, topology: &Topology, msb: Msb, true_node_power: &[f64]) -> f64 {
-        let sum: f64 = topology
-            .nodes_of_msb(msb)
-            .iter()
-            .map(|n| true_node_power[n.index()])
-            .sum();
-        sum * (1.0 + self.overhead[msb.index()])
+    /// The physical meter reading of one MSB given the summed true input
+    /// power of the nodes it feeds.
+    pub fn meter_reading(&self, msb: Msb, true_power_w: f64) -> f64 {
+        true_power_w * (1.0 + self.overhead[msb.index()])
     }
 
     /// What the node's BMC sensor reports for a true input power: biased
@@ -95,6 +90,15 @@ mod tests {
         vec![w; topology.node_count()]
     }
 
+    /// The true power of the nodes one board feeds.
+    fn board_power(topology: &Topology, msb: Msb, power: &[f64]) -> f64 {
+        topology
+            .nodes_of_msb(msb)
+            .iter()
+            .map(|n| power[n.index()])
+            .sum()
+    }
+
     #[test]
     fn meter_exceeds_summation_by_about_11_percent() {
         let topo = Topology::summit();
@@ -103,7 +107,7 @@ mod tests {
         let mut total_meter = 0.0;
         let mut total_sum = 0.0;
         for msb in Msb::ALL {
-            total_meter += model.meter_reading(&topo, msb, &power);
+            total_meter += model.meter_reading(msb, board_power(&topo, msb, &power));
             total_sum += model.sensor_summation(&topo, msb, 0, &power);
         }
         let gap = (total_meter - total_sum) / total_meter;
@@ -120,7 +124,7 @@ mod tests {
         let power = uniform_power(&topo, 1000.0);
         let mut diffs = Vec::new();
         for msb in Msb::ALL {
-            let meter = model.meter_reading(&topo, msb, &power);
+            let meter = model.meter_reading(msb, board_power(&topo, msb, &power));
             let sum = model.sensor_summation(&topo, msb, 0, &power);
             diffs.push((meter - sum) / meter);
         }
@@ -139,8 +143,8 @@ mod tests {
         let model = MsbMeterModel::default();
         let low = uniform_power(&topo, 800.0);
         let high = uniform_power(&topo, 1600.0);
-        let m_low = model.meter_reading(&topo, Msb::A, &low);
-        let m_high = model.meter_reading(&topo, Msb::A, &high);
+        let m_low = model.meter_reading(Msb::A, board_power(&topo, Msb::A, &low));
+        let m_high = model.meter_reading(Msb::A, board_power(&topo, Msb::A, &high));
         let s_low = model.sensor_summation(&topo, Msb::A, 1, &low);
         let s_high = model.sensor_summation(&topo, Msb::A, 1, &high);
         let meter_swing = m_high - m_low;

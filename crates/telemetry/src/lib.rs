@@ -40,22 +40,3 @@ pub mod records;
 pub mod store;
 pub mod stream;
 pub mod window;
-
-/// Convenient re-exports of the most-used types.
-pub mod prelude {
-    pub use crate::batch::FrameBatch;
-    pub use crate::catalog::{self, MetricDef, MetricId, Unit, METRIC_COUNT};
-    pub use crate::cluster::{cluster_component_power, cluster_power, cluster_power_series};
-    pub use crate::codec::{ColumnBlock, CompressionStats};
-    pub use crate::datasets::{thermal_cluster, thermal_per_job, ThermalRow};
-    pub use crate::delivery::NodeDelivery;
-    pub use crate::ids::{AllocationId, CabinetId, GpuId, GpuSlot, Msb, NodeId, Socket};
-    pub use crate::ingest::{IngestError, IngestHealth};
-    pub use crate::jobjoin::{job_level_power, job_power_series, join_jobs, AllocationIndex};
-    pub use crate::records::{
-        CepRecord, JobRecord, NodeAllocation, NodeFrame, ScienceDomain, XidErrorKind, XidEvent,
-    };
-    pub use crate::store::TelemetryStore;
-    pub use crate::stream::{FaultConfig, FaultInjector, FrameFate, IngestStats, InjectedFaults};
-    pub use crate::window::{NodeWindow, StreamingCoarsener, WindowAggregator, PAPER_WINDOW_S};
-}

@@ -35,17 +35,3 @@ pub use summit_core as core;
 pub use summit_obs as obs;
 pub use summit_sim as sim;
 pub use summit_telemetry as telemetry;
-
-/// One-stop prelude re-exporting the most-used types of all crates.
-pub mod prelude {
-    pub use summit_analysis::prelude::*;
-    pub use summit_core::prelude::*;
-    // Explicit list: the obs `Histogram` handle would otherwise shadow
-    // the statistical `analysis::histogram::Histogram`.
-    pub use summit_obs::prelude::{
-        parse_prometheus, span, write_csv, write_json, write_prometheus, Counter, Gauge,
-        Histogram as ObsHistogram, Registry, Snapshot, SpanGuard,
-    };
-    pub use summit_sim::prelude::*;
-    pub use summit_telemetry::prelude::*;
-}

@@ -215,6 +215,18 @@ fn config_validation_returns_typed_errors() {
             .err(),
         ),
         (
+            "grid",
+            fig06::run(
+                &cache,
+                &fig06::Config {
+                    population_scale: 0.01,
+                    grid: 1,
+                    max_samples: 100,
+                },
+            )
+            .err(),
+        ),
+        (
             "population_scale",
             fig07::run(
                 &cache,

@@ -5,11 +5,12 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use summit_repro::sim::engine::{Engine, EngineConfig, StepOptions};
+use summit_repro::sim::failures::CabinetOutage;
 use summit_repro::sim::jobs::JobGenerator;
 use summit_repro::telemetry::batch::FrameBatch;
 use summit_repro::telemetry::catalog;
 use summit_repro::telemetry::cluster::{cluster_power, cluster_power_series};
-use summit_repro::telemetry::ids::NodeId;
+use summit_repro::telemetry::ids::{CabinetId, NodeId};
 use summit_repro::telemetry::jobjoin::{job_level_power, join_jobs, AllocationIndex};
 use summit_repro::telemetry::store::TelemetryStore;
 use summit_repro::telemetry::window::WindowAggregator;
@@ -160,7 +161,11 @@ fn deterministic_under_fixed_seed() {
 #[test]
 fn missing_cabinet_flows_through_aggregation() {
     let mut cfg = EngineConfig::small(3);
-    cfg.missing_cabinet = Some(summit_repro::telemetry::ids::CabinetId(1));
+    cfg.cabinet_outages.push(CabinetOutage {
+        cabinet: CabinetId(1),
+        start_s: f64::NEG_INFINITY,
+        end_s: f64::INFINITY,
+    });
     let mut engine = Engine::new(cfg, 0.0);
     let nodes = engine.topology().node_count();
     let mut frames_by_node = vec![Vec::new(); nodes];
