@@ -13,7 +13,7 @@
 //!    future-work tuning target).
 
 use summit_bench::{fidelity, header, Fidelity};
-use summit_core::pipeline::PopulationScenario;
+use summit_core::pipeline::{PopulationScenario, POPULATION_SEED};
 use summit_core::report::{pct, Table};
 use summit_sim::engine::{Engine, EngineConfig, StepOptions};
 use summit_sim::facility::{Facility, FacilityConfig};
@@ -98,7 +98,7 @@ fn window_ablation(cabinets: usize) {
 fn edge_threshold_ablation(scale: f64) {
     let scenario = PopulationScenario::paper_year(scale);
     let jobs = scenario.generate();
-    let pm = PowerModel::new(scenario.seed);
+    let pm = PowerModel::new(POPULATION_SEED);
     let mut t = Table::new(
         "ablation 3: edge-threshold sensitivity",
         &["threshold (W/node)", "edge-free jobs"],

@@ -8,22 +8,19 @@
 //!     --config '{"weeks": 12}'
 //! ```
 
+use std::io::Write;
 use std::process::ExitCode;
 use summit_bench::driver::{self, Invocation};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let inv = match Invocation::parse(args) {
-        Ok(inv) => inv,
-        Err(err) => {
-            eprintln!("error: {err}\n\n{}", driver::USAGE);
-            return ExitCode::FAILURE;
-        }
-    };
-    match driver::run(&inv) {
+    let result = Invocation::parse(args).and_then(|inv| driver::run(&inv));
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(err) => {
-            eprintln!("error: {err}\n\n{}", driver::USAGE);
+            // A reader that closes stderr early (`2>&1 | head -1`) must
+            // not turn the rejection into a panic: the status stays 1.
+            let _ = writeln!(std::io::stderr(), "error: {err}\n\n{}", driver::USAGE);
             ExitCode::FAILURE
         }
     }

@@ -12,7 +12,7 @@ use std::fs::File;
 use std::io::BufWriter;
 use std::path::PathBuf;
 use summit_sim::engine::{Engine, EngineConfig, StepOptions};
-use summit_sim::failures::FailureModel;
+use summit_sim::failures::{FailureModel, ThermalRegime};
 use summit_sim::jobs::JobGenerator;
 use summit_telemetry::batch::FrameBatch;
 use summit_telemetry::cluster::cluster_power;
@@ -85,7 +85,7 @@ fn main() -> std::io::Result<()> {
     let job_level = job_level_power(&job_rows, 10.0);
     let thermal = thermal_cluster(&windows, &ceps);
     let failures = {
-        let model = FailureModel::new(summit_sim::failures::FailureConfig::default(), nodes);
+        let model = FailureModel::new(ThermalRegime::SummitLiquidCooled, nodes);
         let jobs: Vec<summit_sim::jobs::SyntheticJob> = Vec::new();
         let mut ev = model.generate(&mut rng, &jobs, nodes, 0.0, duration as f64);
         ev.truncate(200);

@@ -1,10 +1,8 @@
 //! Trains and scores the GPU failure predictor (related work [23]/[24]).
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use summit_bench::{fidelity, header, Fidelity};
 use summit_core::failure_prediction::evaluate;
-use summit_sim::jobs::JobGenerator;
-use summit_sim::spec::{TOTAL_NODES, YEAR_S};
+use summit_core::pipeline::FailureScenario;
+use summit_sim::failures::ThermalRegime;
 
 fn main() {
     let f = fidelity();
@@ -13,12 +11,8 @@ fn main() {
         Fidelity::Quick => 4.0,
         Fidelity::Full => 26.0,
     };
-    let span = weeks * 7.0 * 86400.0;
-    let mut rng = StdRng::seed_from_u64(17);
-    let mut gen = JobGenerator::new();
-    let n_jobs = (840_000.0 * span / YEAR_S) as usize;
-    let jobs = gen.generate_population(&mut rng, n_jobs, 0.0, span);
-    println!("labeling {} jobs over {weeks} weeks ...", jobs.len());
-    let report = evaluate(&mut rng, &jobs, span, TOTAL_NODES);
+    let year = FailureScenario { weeks, seed: 17 }.generate(ThermalRegime::SummitLiquidCooled);
+    println!("labeling {} jobs over {weeks} weeks ...", year.jobs.len());
+    let report = evaluate(&year.jobs, &year.events);
     println!("{}", report.render());
 }

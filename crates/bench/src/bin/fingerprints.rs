@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use summit_bench::{fidelity, header, Fidelity};
 use summit_core::fingerprint::evaluate;
-use summit_core::pipeline::PopulationScenario;
+use summit_core::pipeline::{PopulationScenario, POPULATION_SEED};
 use summit_sim::power::PowerModel;
 
 fn main() {
@@ -18,8 +18,8 @@ fn main() {
     let scenario = PopulationScenario::paper_year(scale);
     let jobs = scenario.generate();
     println!("fingerprinting {} jobs ...", jobs.len());
-    let pm = PowerModel::new(scenario.seed);
-    let mut rng = StdRng::seed_from_u64(scenario.seed);
+    let pm = PowerModel::new(POPULATION_SEED);
+    let mut rng = StdRng::seed_from_u64(POPULATION_SEED);
     let report = evaluate(&mut rng, &jobs, &pm, 8);
     println!("{}", report.render());
 }

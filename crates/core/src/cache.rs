@@ -11,9 +11,9 @@
 //!   14; power_aware);
 //! - **dynamics** — [`DynamicsRun`]: staged-burst engine runs
 //!   (Figures 11/12 share one run per burst schedule);
-//! - **failures** — [`FailureArtifact`]: the XID failure log plus the
-//!   job population it was drawn over (Table 4; Figures 13-16;
-//!   early_warning).
+//! - **failures** — [`FailureArtifact`]: the Summit-regime XID failure
+//!   log plus the job population it was drawn over (Table 4; Figures
+//!   13-16; early_warning).
 //!
 //! Entries are keyed by an FNV-1a fingerprint of the scenario config's
 //! `Debug` rendering (configs derive `Debug` and render every field, so
@@ -33,6 +33,7 @@ use crate::pipeline::{
 };
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
+use summit_sim::failures::ThermalRegime;
 
 /// Counter name for cache hits.
 pub const HITS_COUNTER: &str = "summit_core_scenario_cache_hits_total";
@@ -122,11 +123,11 @@ impl ScenarioCache {
         memo(&self.dynamics, "dynamics", key, build)
     }
 
-    /// The failure log (and the job population it was drawn over) for
-    /// `scenario`, generating it on first use.
+    /// The Summit-regime failure log (and the job population it was
+    /// drawn over) for `scenario`, generating it on first use.
     pub fn failures(&self, scenario: &FailureScenario) -> Arc<FailureArtifact> {
         memo(&self.failures, "failures", &format!("{scenario:?}"), || {
-            scenario.generate()
+            scenario.generate(ThermalRegime::SummitLiquidCooled)
         })
     }
 

@@ -81,9 +81,7 @@ pub fn run(config: &Config) -> Result<Fig04Result, ExperimentError> {
         ));
     }
     let _obs = summit_obs::span("summit_core_fig04");
-    let mut engine_cfg = EngineConfig::small(config.cabinets);
-    engine_cfg.dt_s = 1.0;
-    let mut engine = Engine::new(engine_cfg, 0.0);
+    let mut engine = Engine::new(EngineConfig::small(config.cabinets), 0.0);
     let node_count = engine.topology().node_count();
 
     // A busy background workload so the series oscillates.

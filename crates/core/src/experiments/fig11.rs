@@ -74,15 +74,12 @@ fn engine_run(config: &Config) -> DynamicsRun {
         }
     }
     let duration = at + 300.0;
-    let engine_cfg = if config.cabinets == 257 {
-        EngineConfig {
-            dt_s: 1.0,
-            ..EngineConfig::default()
-        }
-    } else {
-        EngineConfig::small(config.cabinets)
-    };
-    run_burst_schedule(engine_cfg, summer_t0(), duration, &bursts)
+    run_burst_schedule(
+        EngineConfig::small(config.cabinets),
+        summer_t0(),
+        duration,
+        &bursts,
+    )
 }
 
 /// One amplitude class summary.

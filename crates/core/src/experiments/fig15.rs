@@ -15,7 +15,7 @@ use crate::json::Json;
 use crate::pipeline::FailureScenario;
 use crate::report::{pct, Table};
 use summit_analysis::zscore::ExtremitySummary;
-use summit_sim::failures::FailureModel;
+use summit_sim::failures::SUPER_OFFENDER;
 use summit_telemetry::records::XidErrorKind;
 
 /// Experiment configuration.
@@ -62,9 +62,9 @@ pub fn run(cache: &ScenarioCache, config: &Config) -> Result<Fig15Result, Experi
     });
     // "We removed the data for a super-offender node accounting for 97 %
     // of all the NVLink errors."
-    let offender = FailureModel::paper().super_offender();
-    let removed = art.events.iter().filter(|e| e.node == offender).count();
-    let kept: Vec<_> = art.events.iter().filter(|e| e.node != offender).collect();
+    let (offender, kept): (Vec<_>, Vec<_>) =
+        art.events.iter().partition(|e| e.node == SUPER_OFFENDER);
+    let removed = offender.len();
 
     let mut kinds = Vec::new();
     for kind in XidErrorKind::ALL {

@@ -117,11 +117,7 @@ pub fn run(config: &Config) -> Result<Fig17Result, ExperimentError> {
         ));
     }
     let _obs = summit_obs::span("summit_core_fig17");
-    let mut engine_cfg = if config.cabinets == 257 {
-        EngineConfig::default()
-    } else {
-        EngineConfig::small(config.cabinets)
-    };
+    let mut engine_cfg = EngineConfig::small(config.cabinets);
     engine_cfg.seed = config.seed;
     engine_cfg
         .cabinet_outages

@@ -14,13 +14,10 @@ use crate::cache::ScenarioCache;
 use crate::experiments::registry::{clamp_scale, Cfg, Experiment, ExperimentError};
 use crate::experiments::table4;
 use crate::json::Json;
+use crate::pipeline::FailureScenario;
 use crate::report::{pct, Table};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use summit_analysis::zscore::ExtremitySummary;
-use summit_sim::failures::{FailureConfig, FailureModel, ThermalRegime};
-use summit_sim::jobs::JobGenerator;
-use summit_sim::spec::{TOTAL_NODES, YEAR_S};
+use summit_sim::failures::ThermalRegime;
 use summit_telemetry::records::XidErrorKind;
 
 /// Experiment configuration.
@@ -67,20 +64,15 @@ pub const CONTRAST_KINDS: [XidErrorKind; 3] = [
     XidErrorKind::PageRetirementFailure,
 ];
 
+/// Profiles one regime's failure year. The artifact is generated here
+/// and dropped on return, never cached: the study runs last in the
+/// suite, where holding both regimes' logs would set the peak memory.
 fn profile(config: &Config, regime: ThermalRegime) -> Vec<RegimeKind> {
-    let span = config.weeks * 7.0 * 86_400.0;
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut gen = JobGenerator::new();
-    let n_jobs = (840_000.0 * span / YEAR_S) as usize;
-    let jobs = gen.generate_population(&mut rng, n_jobs, 0.0, span);
-    let model = FailureModel::new(
-        FailureConfig {
-            thermal_regime: regime,
-            ..Default::default()
-        },
-        TOTAL_NODES,
-    );
-    let events = model.generate(&mut rng, &jobs, TOTAL_NODES, 0.0, span);
+    let scenario = FailureScenario {
+        weeks: config.weeks,
+        seed: config.seed,
+    };
+    let events = scenario.generate(regime).events;
     CONTRAST_KINDS
         .iter()
         .filter_map(|&kind| {
@@ -119,9 +111,9 @@ pub fn run(config: &Config) -> Result<TitanContrastResult, ExperimentError> {
     })
 }
 
-/// Registry adapter for the Summit-vs-Titan contrast study. The Titan
-/// regime re-generates events under air-cooled thermals, so this study
-/// never shares the cached Summit failure log.
+/// Registry adapter for the Summit-vs-Titan contrast study. Both
+/// regimes generate their own failure year, so this study neither reads
+/// nor fills the scenario cache.
 pub struct Study;
 
 impl Experiment for Study {

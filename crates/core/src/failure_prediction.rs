@@ -9,7 +9,6 @@
 //! intensity scales with node-hours and per-project/domain multipliers,
 //! so a well-calibrated model must recover that structure.
 
-use rand::Rng;
 use std::collections::HashSet;
 use summit_sim::apps::{domain_character, project_failure_multiplier};
 use summit_sim::jobs::SyntheticJob;
@@ -219,21 +218,11 @@ pub struct FailurePredictionReport {
     pub weights: [f64; FEATURES],
 }
 
-/// Generates labels from the failure model, splits 70/30, trains and
-/// scores the classifier.
-pub fn evaluate<R: Rng + ?Sized>(
-    rng: &mut R,
-    jobs: &[SyntheticJob],
-    span_s: f64,
-    node_count: usize,
-) -> FailurePredictionReport {
+/// Labels `jobs` by the XID `events` drawn over them, splits 70/30,
+/// trains and scores the classifier.
+pub fn evaluate(jobs: &[SyntheticJob], events: &[XidEvent]) -> FailurePredictionReport {
     assert!(jobs.len() >= 50, "need a meaningful population");
-    let model = summit_sim::failures::FailureModel::new(
-        summit_sim::failures::FailureConfig::default(),
-        node_count,
-    );
-    let events = model.generate(rng, jobs, node_count, 0.0, span_s);
-    let labels = label_jobs(jobs, &events);
+    let labels = label_jobs(jobs, events);
     let features: Vec<[f64; FEATURES]> = jobs.iter().map(job_features).collect();
 
     let split = jobs.len() * 7 / 10;
@@ -299,6 +288,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use summit_sim::failures::{FailureModel, ThermalRegime};
     use summit_sim::jobs::JobGenerator;
     use summit_sim::spec::TOTAL_NODES;
 
@@ -308,7 +298,9 @@ mod tests {
         let mut gen = JobGenerator::new();
         let n_jobs = (840_000.0 * span / summit_sim::spec::YEAR_S) as usize;
         let jobs = gen.generate_population(&mut rng, n_jobs.min(30_000), 0.0, span);
-        evaluate(&mut rng, &jobs, span, TOTAL_NODES)
+        let model = FailureModel::new(ThermalRegime::SummitLiquidCooled, TOTAL_NODES);
+        let events = model.generate(&mut rng, &jobs, TOTAL_NODES, 0.0, span);
+        evaluate(&jobs, &events)
     }
 
     #[test]

@@ -302,14 +302,41 @@ impl<'a> Parser<'a> {
         value
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// Consumes the next byte if it is one of `set`.
+    fn eat(&mut self, set: &[u8]) -> bool {
+        let hit = self.peek().is_some_and(|b| set.contains(&b));
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Consumes one or more ASCII digits.
+    fn digits(&mut self) -> Result<(), JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
+        if self.pos == start {
+            return Err(self.err("expected a digit in a number"));
+        }
+        Ok(())
+    }
+
+    /// RFC 8259 numbers: an optional `-`, `0` or a digit run, then an
+    /// optional fraction and exponent, each with at least one digit. A
+    /// lone `0` ends the integer part, so a digit after it (`01`) is
+    /// left over as trailing text the caller rejects.
+    fn number(&mut self) -> Result<Json, JsonError> {
+        let start = self.pos;
+        self.eat(b"-");
+        if !self.eat(b"0") {
+            self.digits()?;
+        }
+        if self.eat(b".") {
+            self.digits()?;
+        }
+        if self.eat(b"eE") {
+            self.eat(b"+-");
+            self.digits()?;
         }
         let text = &self.text[start..self.pos];
         text.parse::<f64>()
@@ -341,14 +368,14 @@ impl<'a> Parser<'a> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            let hex = self
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign.
+                            let code = self
                                 .text
-                                .as_bytes()
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| self.err("\\u takes exactly four hex digits"))?;
                             self.pos += 4;
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
@@ -476,6 +503,19 @@ mod tests {
         for bad in ["{", "[1,]", "{\"a\" 1}", "tru", "1 2", "\"\\q\""] {
             assert!(Json::parse(bad).is_err(), "{bad} should fail");
         }
+        // RFC 8259 numbers: no leading zero before another digit, and a
+        // digit after `-`, after `.` and in the exponent; `\u` takes
+        // exactly four hex digits.
+        for bad in [
+            "01", "-01", "0.", "1.e5", "-.5", ".5", "-", "1e", "1e+", "1E-", "+1",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad} should fail");
+        }
+        for bad in [r#"{"a": 01}"#, r#""k\u+041""#, r#""\u-041""#, r#""\u041""#] {
+            assert!(Json::parse(bad).is_err(), "{bad} should fail");
+        }
+        assert_eq!(Json::parse(r#""k\u0041""#), Ok(Json::from("kA")));
+        assert_eq!(Json::parse("-0.5e+1"), Ok(Json::Num(-5.0)));
         // Nesting is capped instead of overflowing the stack.
         let nest = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
         let err = Json::parse(&nest("[", "]", 100_000)).unwrap_err();

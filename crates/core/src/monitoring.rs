@@ -94,7 +94,6 @@ impl Default for Thresholds {
 /// The console state.
 pub struct OpsConsole {
     thresholds: Thresholds,
-    history: usize,
     power: VecDeque<f64>,
     pue: VecDeque<f64>,
     gpu_max: VecDeque<f64>,
@@ -117,19 +116,19 @@ pub struct OpsConsole {
     win_late_folds: u64,
 }
 
+/// Samples of each signal the console keeps: five minutes at 1 Hz.
+const HISTORY: usize = 300;
+
 impl OpsConsole {
-    /// Creates a console keeping `history` samples of each signal.
-    /// Histories shorter than two samples cannot express a trend, so
-    /// the depth is clamped up to 2 instead of rejected.
-    pub fn new(thresholds: Thresholds, history: usize) -> Self {
-        let history = history.max(2);
+    /// Creates a console with the given alert thresholds, keeping five
+    /// minutes of 1 Hz samples of each signal.
+    pub fn new(thresholds: Thresholds) -> Self {
         Self {
             thresholds,
-            history,
-            power: VecDeque::with_capacity(history),
-            pue: VecDeque::with_capacity(history),
-            gpu_max: VecDeque::with_capacity(history),
-            mtw_return: VecDeque::with_capacity(history),
+            power: VecDeque::with_capacity(HISTORY),
+            pue: VecDeque::with_capacity(HISTORY),
+            gpu_max: VecDeque::with_capacity(HISTORY),
+            mtw_return: VecDeque::with_capacity(HISTORY),
             last: None,
             last_minute_power: VecDeque::new(),
             alerts: Vec::new(),
@@ -139,8 +138,8 @@ impl OpsConsole {
             win_folded_through: None,
             win_next_start: 0.0,
             win_edges: None,
-            win_power: RollingStats::new(history),
-            win_sketch: RollingSketch::new(history),
+            win_power: RollingStats::new(HISTORY),
+            win_sketch: RollingSketch::new(HISTORY),
             win_spark: VecDeque::new(),
             win_last: None,
             windows_seen: 0,
@@ -148,15 +147,14 @@ impl OpsConsole {
         }
     }
 
-    /// Creates a console with default thresholds and a 5-minute history
-    /// at 1 Hz.
+    /// Creates a console with default thresholds.
     pub fn with_defaults() -> Self {
-        Self::new(Thresholds::default(), 300)
+        Self::new(Thresholds::default())
     }
 
-    fn push_capped(dq: &mut VecDeque<f64>, cap: usize, v: f64) {
+    fn push_capped(dq: &mut VecDeque<f64>, v: f64) {
         dq.push_back(v);
-        if dq.len() > cap {
+        if dq.len() > HISTORY {
             dq.pop_front();
         }
     }
@@ -188,10 +186,10 @@ impl OpsConsole {
     pub fn observe(&mut self, tick: &TickOutput) {
         self.ticks_seen += 1;
         let th = self.thresholds;
-        Self::push_capped(&mut self.power, self.history, tick.true_compute_power_w);
-        Self::push_capped(&mut self.pue, self.history, tick.cep.pue());
-        Self::push_capped(&mut self.gpu_max, self.history, tick.gpu_temp_max_c);
-        Self::push_capped(&mut self.mtw_return, self.history, tick.cep.mtw_return_c);
+        Self::push_capped(&mut self.power, tick.true_compute_power_w);
+        Self::push_capped(&mut self.pue, tick.cep.pue());
+        Self::push_capped(&mut self.gpu_max, tick.gpu_temp_max_c);
+        Self::push_capped(&mut self.mtw_return, tick.cep.mtw_return_c);
 
         if tick.gpu_temp_max_c.is_finite() && tick.gpu_temp_max_c > th.gpu_hot_c {
             self.raise(
@@ -307,7 +305,7 @@ impl OpsConsole {
         self.win_folded_through = Some(key);
         self.win_power.push(sum);
         self.win_sketch.push(sum);
-        Self::push_capped(&mut self.win_spark, self.history, sum);
+        Self::push_capped(&mut self.win_spark, sum);
         self.win_last = Some((key as f64, sum));
     }
 

@@ -19,7 +19,7 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use summit_analysis::series::Series;
 use summit_sim::engine::{Engine, EngineConfig, StepOptions, TickOutput};
-use summit_sim::failures::{CabinetOutage, FailureModel};
+use summit_sim::failures::{CabinetOutage, FailureModel, ThermalRegime};
 use summit_sim::jobs::{JobGenerator, SyntheticJob};
 use summit_sim::jobstats::{population_stats, JobStatsRow};
 use summit_sim::power::PowerModel;
@@ -34,15 +34,16 @@ use summit_telemetry::store::TelemetryStore;
 use summit_telemetry::stream::{FaultConfig, IngestStats, InjectedFaults};
 use summit_telemetry::window::{NodeWindow, WindowAggregator, PAPER_WINDOW_S};
 
-/// The scaled statistical-year scenario.
+/// Seed of the statistical-year population and of the power model its
+/// closed-form stats are computed with.
+pub const POPULATION_SEED: u64 = 2020;
+
+/// The scaled statistical-year scenario: `job_count` arrivals spread
+/// over the full paper year, drawn from [`POPULATION_SEED`].
 #[derive(Debug, Clone, Copy)]
 pub struct PopulationScenario {
     /// Number of jobs to draw (paper year = 840,000).
     pub job_count: usize,
-    /// Span of arrivals (paper year = 366 days).
-    pub span_s: f64,
-    /// Seed.
-    pub seed: u64,
 }
 
 impl PopulationScenario {
@@ -52,35 +53,29 @@ impl PopulationScenario {
         assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
         Self {
             job_count: (840_000.0 * scale) as usize,
-            span_s: spec::YEAR_S,
-            seed: 2020,
         }
     }
 
     /// Generates the population.
     pub fn generate(&self) -> Vec<SyntheticJob> {
         let _obs = summit_obs::span("summit_core_population_generate");
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(POPULATION_SEED);
         let mut g = JobGenerator::new();
-        let jobs = g.generate_population(&mut rng, self.job_count, 0.0, self.span_s);
+        let jobs = g.generate_population(&mut rng, self.job_count, 0.0, spec::YEAR_S);
         summit_obs::counter("summit_core_jobs_generated_total").inc_by(jobs.len() as u64);
         jobs
     }
 
-    /// Generates the population together with its closed-form stats.
-    pub fn generate_with_stats(&self) -> (Vec<JobStatsRow>, PowerModel) {
-        let _obs = summit_obs::span("summit_core_population_stats");
-        let pm = PowerModel::new(self.seed);
-        let jobs = self.generate();
-        (population_stats(&jobs, &pm), pm)
-    }
-
-    /// Generates the population artifact the scenario cache memoizes —
-    /// the same rows as [`Self::generate_with_stats`], packaged with
-    /// the power model.
+    /// Generates the population with its closed-form stats: the
+    /// artifact the scenario cache memoizes.
     pub fn artifact(&self) -> PopulationArtifact {
-        let (rows, power_model) = self.generate_with_stats();
-        PopulationArtifact { rows, power_model }
+        let _obs = summit_obs::span("summit_core_population_stats");
+        let power_model = PowerModel::new(POPULATION_SEED);
+        let jobs = self.generate();
+        PopulationArtifact {
+            rows: population_stats(&jobs, &power_model),
+            power_model,
+        }
     }
 }
 
@@ -108,24 +103,20 @@ pub struct FailureScenario {
 }
 
 impl FailureScenario {
-    /// Observation span in seconds.
-    pub fn span_s(&self) -> f64 {
-        self.weeks * 7.0 * 86_400.0
-    }
-
-    /// Generates the job population and its failure log. The RNG
-    /// sequence (jobs first, then failures, one seeded stream) matches
-    /// the historical per-study generation exactly, so cached and
-    /// fresh artifacts are bit-identical.
-    pub fn generate(&self) -> FailureArtifact {
+    /// Generates the job population and its failure log under
+    /// `regime`: one seeded stream draws the jobs first, then the
+    /// failures. Every failure year the studies, bins and examples use
+    /// comes from here, so two callers with the same scenario and
+    /// regime see bit-identical logs.
+    pub fn generate(&self, regime: ThermalRegime) -> FailureArtifact {
         let _obs = summit_obs::span("summit_core_failure_scenario");
-        let span = self.span_s();
+        let span = self.weeks * 7.0 * 86_400.0;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut gen = JobGenerator::new();
         let n_jobs = (840_000.0 * span / spec::YEAR_S) as usize;
         let jobs = gen.generate_population(&mut rng, n_jobs, 0.0, span);
         summit_obs::counter("summit_core_jobs_generated_total").inc_by(jobs.len() as u64);
-        let model = FailureModel::paper();
+        let model = FailureModel::new(regime, spec::TOTAL_NODES);
         let events = model.generate(&mut rng, &jobs, spec::TOTAL_NODES, 0.0, span);
         FailureArtifact { jobs, events }
     }
@@ -346,8 +337,7 @@ pub struct TelemetryRun {
 fn run_summary(entry: &str, snap: &summit_obs::Snapshot, extra: &str, wall_s: f64) -> String {
     let c = |name: &str| snap.counter(name).unwrap_or(0);
     format!(
-        "[obs] {entry}: jobs={} frames offered={} admitted={} dropped={} windows={}{extra} wall={:.3}s",
-        c("summit_core_jobs_generated_total"),
+        "[obs] {entry}: frames offered={} admitted={} dropped={} windows={}{extra} wall={:.3}s",
         c("summit_core_frames_offered_total"),
         c("summit_telemetry_frames_accepted_total"),
         c("summit_telemetry_frames_dropped_total"),
@@ -361,15 +351,13 @@ fn run_summary(entry: &str, snap: &summit_obs::Snapshot, extra: &str, wall_s: f6
 ///
 /// An alert can fire no earlier than the moment its 10 s window closes,
 /// and the coarsener closes a window once the per-node watermark (max
-/// `t_sample` seen) has advanced `horizon_s` past the window's end. For
-/// every window this records `t_close - window_start`, where `t_close`
-/// is the ingest time of the frame whose arrival closed the window
-/// (windows still open at end of stream close at the node's last ingest
-/// time). Deterministic for a fixed seed: only simulated timestamps
-/// enter the computation.
+/// `t_sample` seen) has advanced [`LATENESS_HORIZON_S`] past the
+/// window's end. For every window this records `t_close -
+/// window_start`, where `t_close` is the ingest time of the frame whose
+/// arrival closed the window (windows still open at end of stream close
+/// at the node's last ingest time). Deterministic for a fixed seed: only
+/// simulated timestamps enter the computation.
 struct AlertLatencyTracker {
-    window_s: f64,
-    horizon_s: f64,
     open: std::collections::BTreeSet<i64>,
     wm: f64,
     last_ingest: f64,
@@ -377,10 +365,8 @@ struct AlertLatencyTracker {
 }
 
 impl AlertLatencyTracker {
-    fn new(window_s: f64, horizon_s: f64) -> Self {
+    fn new() -> Self {
         Self {
-            window_s,
-            horizon_s,
             open: std::collections::BTreeSet::new(),
             wm: f64::NEG_INFINITY,
             last_ingest: f64::NEG_INFINITY,
@@ -397,20 +383,20 @@ impl AlertLatencyTracker {
     fn observe(&mut self, t_sample: f64, t_ingest: f64) {
         self.wm = self.wm.max(t_sample);
         self.last_ingest = self.last_ingest.max(t_ingest);
-        let cutoff = self.wm - self.horizon_s;
+        let cutoff = self.wm - LATENESS_HORIZON_S;
         while let Some(&k) = self.open.first() {
-            let start = k as f64 * self.window_s;
-            if start + self.window_s <= cutoff {
+            let start = k as f64 * PAPER_WINDOW_S;
+            if start + PAPER_WINDOW_S <= cutoff {
                 self.open.remove(&k);
                 self.closed.push((t_ingest - start).max(0.0));
             } else {
                 break;
             }
         }
-        let key = (t_sample / self.window_s).floor() as i64;
+        let key = (t_sample / PAPER_WINDOW_S).floor() as i64;
         // A frame past the horizon would be dropped as late by the
         // ingester; don't let it re-open a closed window.
-        if key as f64 * self.window_s + self.window_s > cutoff {
+        if key as f64 * PAPER_WINDOW_S + PAPER_WINDOW_S > cutoff {
             self.open.insert(key);
         }
     }
@@ -420,7 +406,7 @@ impl AlertLatencyTracker {
         if self.last_ingest.is_finite() {
             let open = std::mem::take(&mut self.open);
             for k in open {
-                let start = k as f64 * self.window_s;
+                let start = k as f64 * PAPER_WINDOW_S;
                 self.closed.push((self.last_ingest - start).max(0.0));
             }
         }
@@ -487,7 +473,7 @@ impl NodeLane {
             delivery: NodeDelivery::new(faults),
             released: Vec::new(),
             stages: NodeStages {
-                tracker: AlertLatencyTracker::new(PAPER_WINDOW_S, LATENESS_HORIZON_S),
+                tracker: AlertLatencyTracker::new(),
                 stats: IngestStats::default(),
                 coarsener: None,
                 latencies_seen: 0,
@@ -724,9 +710,6 @@ pub fn run_telemetry(
             }
         }
         summit_obs::counter("summit_core_engine_ticks_total").inc_by(n_ticks as u64);
-        let sched = engine.scheduler_ref();
-        let jobs = sched.running().len() + sched.completed().len();
-        summit_obs::counter("summit_core_jobs_generated_total").inc_by(jobs as u64);
         summit_obs::counter("summit_core_frames_offered_total").inc_by(offered);
 
         let mut totals = {
@@ -938,7 +921,7 @@ pub fn run_streaming(config: StreamConfig) -> StreamingRun {
         let mut peak_resident = 0usize;
         let mut peak_depth = 0usize;
 
-        let jobs = stream_batches(
+        stream_batches(
             CHANNEL_CAPACITY,
             move |send: &dyn Fn((Vec<TickOutput>, Vec<FrameBatch>)) -> bool| {
                 let _gen = summit_obs::span("summit_core_frame_generation");
@@ -960,8 +943,6 @@ pub fn run_streaming(config: StreamConfig) -> StreamingRun {
                         break;
                     }
                 }
-                let sched = engine.scheduler_ref();
-                sched.running().len() + sched.completed().len()
             },
             |(ticks, frames), depth| {
                 // `depth + 1` counts the just-received batch back in,
@@ -991,7 +972,6 @@ pub fn run_streaming(config: StreamConfig) -> StreamingRun {
             },
         );
         summit_obs::counter("summit_core_engine_ticks_total").inc_by(n_ticks as u64);
-        summit_obs::counter("summit_core_jobs_generated_total").inc_by(jobs as u64);
         summit_obs::counter("summit_core_frames_offered_total").inc_by(offered);
 
         let mut totals = {
@@ -1052,7 +1032,7 @@ mod tests {
     #[test]
     fn sweep_power_within_physical_bounds() {
         let s = PopulationScenario::paper_year(0.002);
-        let (rows, _) = s.generate_with_stats();
+        let rows = s.artifact().rows;
         let series = cluster_power_sweep(&rows, 0.0, 30.0 * 86400.0, 3600.0);
         for &v in series.values() {
             assert!(v >= spec::SYSTEM_IDLE_POWER_W - 1.0);
@@ -1133,14 +1113,10 @@ mod tests {
     /// Frame→alert latencies of delivered per-node frame streams,
     /// replayed node by node in delivery order: the oracle for the
     /// latencies the node lanes record live.
-    fn frame_to_alert_latencies(
-        delivered: &[Vec<NodeFrame>],
-        window_s: f64,
-        horizon_s: f64,
-    ) -> Vec<f64> {
+    fn frame_to_alert_latencies(delivered: &[Vec<NodeFrame>]) -> Vec<f64> {
         let mut out = Vec::new();
         for batch in delivered {
-            let mut tracker = AlertLatencyTracker::new(window_s, horizon_s);
+            let mut tracker = AlertLatencyTracker::new();
             for f in batch {
                 tracker.observe(f.t_sample, f.t_ingest);
             }
@@ -1160,7 +1136,7 @@ mod tests {
                 f
             })
             .collect();
-        let lat = frame_to_alert_latencies(&[frames], 10.0, 5.0);
+        let lat = frame_to_alert_latencies(&[frames]);
         // Windows [0,10), [10,20), [20,30) close when the watermark
         // clears start + window + horizon: at t_sample = start + 15,
         // ingested one second later => latency = 16 s each. The last
@@ -1315,8 +1291,7 @@ mod tests {
         }
         let (windows, health) = coarsen_parallel_with_health(&delivered, PAPER_WINDOW_S);
         stats.health = health;
-        let mut latencies =
-            frame_to_alert_latencies(&delivered, PAPER_WINDOW_S, LATENESS_HORIZON_S);
+        let mut latencies = frame_to_alert_latencies(&delivered);
         latencies.sort_by(f64::total_cmp);
         let pct = |q: f64| latencies[((latencies.len() - 1) as f64 * q).round() as usize];
         Reference {
@@ -1370,7 +1345,6 @@ mod tests {
             delay_p: 0.05,
             reorder_p: 0.10,
             seed: 2020,
-            ..FaultConfig::default()
         };
         let r = reference(3, 120.0, faults);
         assert!(r.injected.dropped > 0 && r.injected.reordered > 0);

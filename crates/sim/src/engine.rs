@@ -17,7 +17,7 @@ use crate::failures::CabinetOutage;
 use crate::msb::MsbMeterModel;
 use crate::power::{NodeUtilization, PowerModel};
 use crate::scheduler::Scheduler;
-use crate::spec::NODES_PER_CABINET;
+use crate::spec::{NODES_PER_CABINET, TOTAL_CABINETS};
 use crate::thermal::{NodeThermals, ThermalModel};
 use crate::topology::Topology;
 use crate::weather::Weather;
@@ -26,17 +26,13 @@ use crate::workload::WorkloadSignal;
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Number of cabinets on the floor (257 = full Summit).
+    /// Number of cabinets on the floor (257 = full Summit); the plant
+    /// and the non-compute IT load scale with it (see [`Engine::new`]).
     pub cabinets: usize,
     /// Tick length in seconds (1.0 = the paper's native rate).
     pub dt_s: f64,
     /// Master seed for all stochastic submodels.
     pub seed: u64,
-    /// Facility configuration.
-    pub facility: FacilityConfig,
-    /// Non-compute IT power (storage, network, service nodes) included in
-    /// the PUE's IT denominator, scaled to the floor fraction.
-    pub infrastructure_it_w: f64,
     /// Whole-cabinet telemetry outages, the only source of dark
     /// cabinets: a cabinet's nodes emit all-NaN frames while one of its
     /// outages is active. Transient ones are typically sampled via
@@ -46,36 +42,22 @@ pub struct EngineConfig {
     pub cabinet_outages: Vec<CabinetOutage>,
 }
 
-impl Default for EngineConfig {
-    fn default() -> Self {
+impl EngineConfig {
+    /// A floor of `cabinets` cabinets at 1 Hz with the master seed and
+    /// no outages.
+    pub fn small(cabinets: usize) -> Self {
         Self {
-            cabinets: 257,
+            cabinets,
             dt_s: 1.0,
             seed: 2020,
-            facility: FacilityConfig::default(),
-            infrastructure_it_w: 0.6e6,
             cabinet_outages: Vec::new(),
         }
     }
 }
 
-impl EngineConfig {
-    /// A small-floor config for tests and examples: facility hydraulics
-    /// and base loads scale with the floor fraction so PUE stays
-    /// representative.
-    pub fn small(cabinets: usize) -> Self {
-        let frac = cabinets as f64 / 257.0;
-        let mut facility = FacilityConfig::default();
-        facility.mtw_flow_kg_s *= frac;
-        facility.pump_base_w *= frac;
-        Self {
-            cabinets,
-            facility,
-            infrastructure_it_w: 0.6e6 * frac,
-            ..Default::default()
-        }
-    }
-}
+/// Non-compute IT power of the full floor (storage, network, service
+/// nodes; W), included in the PUE's IT denominator.
+const INFRASTRUCTURE_IT_W: f64 = 0.6e6;
 
 /// What [`Engine::step_batch`] collects beyond the always-on summary.
 #[derive(Debug, Clone, Copy, Default)]
@@ -137,6 +119,8 @@ pub struct Engine {
     thermal_model: ThermalModel,
     weather: Weather,
     facility: Facility,
+    /// Non-compute IT load of this floor (W).
+    infrastructure_it_w: f64,
     msb_model: MsbMeterModel,
     scheduler: Scheduler,
     thermals: Vec<NodeThermals>,
@@ -166,20 +150,24 @@ impl Engine {
     /// tasks to keep every worker busy through the tail.
     const TICK_MIN_CHUNK: usize = 32;
 
-    /// Builds an engine from config, starting at `t0` seconds.
+    /// Builds an engine from config, starting at `t0` seconds. The MTW
+    /// flow, the base pump load and the non-compute IT load are the full
+    /// floor's times `cabinets / 257`, so PUE stays representative on
+    /// any slice.
     pub fn new(config: EngineConfig, t0: f64) -> Self {
-        let topology = if config.cabinets == 257 {
-            Topology::summit()
-        } else {
-            Topology::scaled(config.cabinets)
-        };
+        let topology = Topology::scaled(config.cabinets);
         let node_count = topology.node_count();
         let power_model = PowerModel::new(config.seed);
         let thermal_model = ThermalModel::new(config.seed);
         let weather = Weather::oak_ridge(config.seed);
+        let frac = config.cabinets as f64 / TOTAL_CABINETS as f64;
+        let mut plant = FacilityConfig::default();
+        plant.mtw_flow_kg_s *= frac;
+        plant.pump_base_w *= frac;
+        let infrastructure_it_w = INFRASTRUCTURE_IT_W * frac;
         let idle_estimate =
-            node_count as f64 * crate::spec::NODE_IDLE_POWER_W + config.infrastructure_it_w;
-        let facility = Facility::new(config.facility, idle_estimate);
+            node_count as f64 * crate::spec::NODE_IDLE_POWER_W + infrastructure_it_w;
+        let facility = Facility::new(plant, idle_estimate);
         let supply = crate::spec::MTW_SUPPLY_NOMINAL_C;
         Self {
             config,
@@ -187,7 +175,8 @@ impl Engine {
             thermal_model,
             weather,
             facility,
-            msb_model: MsbMeterModel::with_seed(0x1157),
+            infrastructure_it_w,
+            msb_model: MsbMeterModel::default(),
             scheduler: Scheduler::new(node_count),
             thermals: vec![NodeThermals::at_water(supply + 8.0); node_count],
             assignment_scratch: Vec::new(),
@@ -358,7 +347,7 @@ impl Engine {
             }
         }
 
-        let it_power = true_compute + self.config.infrastructure_it_w;
+        let it_power = true_compute + self.infrastructure_it_w;
         let wet_bulb = self.weather.wet_bulb_c(t);
         let cep = self.facility.step(t, it_power, wet_bulb, dt);
         let msb_meter_w =

@@ -157,34 +157,19 @@ pub enum ThermalRegime {
     TitanAirCooled,
 }
 
-/// Failure model configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct FailureConfig {
-    /// Scales every rate (1.0 = paper year).
-    pub rate_scale: f64,
-    /// The NVLINK super-offender node.
-    pub super_offender: NodeId,
-    /// Thermal regime (Summit vs Titan-like).
-    pub thermal_regime: ThermalRegime,
-    /// Seed.
-    pub seed: u64,
-}
+/// The NVLINK super-offender node: one permanently faulty link carrying
+/// 96.9 % of the year's NVLINK errors (Table 4), removed before the
+/// Figure 15 thermal analysis.
+pub const SUPER_OFFENDER: NodeId = NodeId(2077);
 
-impl Default for FailureConfig {
-    fn default() -> Self {
-        Self {
-            rate_scale: 1.0,
-            super_offender: NodeId(2077),
-            thermal_regime: ThermalRegime::SummitLiquidCooled,
-            seed: 0x5EED,
-        }
-    }
-}
+/// Seed the defect-node identities derive from.
+const DEFECT_SEED: u64 = 0x5EED;
 
-/// The failure generator.
+/// The failure generator, calibrated to the paper year.
 #[derive(Debug, Clone)]
 pub struct FailureModel {
-    config: FailureConfig,
+    /// Thermal regime (Summit vs Titan-like).
+    regime: ThermalRegime,
     /// Weak-memory nodes hosting "bad memory" incidents, with weights.
     weak_memory_nodes: Vec<(NodeId, f64)>,
     /// The defect node for the µC-warning/driver-error pair.
@@ -192,12 +177,13 @@ pub struct FailureModel {
 }
 
 impl FailureModel {
-    /// Builds the model; defect-node identities derive from the seed.
-    pub fn new(config: FailureConfig, node_count: usize) -> Self {
+    /// Builds the model for `regime` on a floor of `node_count` nodes;
+    /// defect-node identities derive from a fixed seed.
+    pub fn new(regime: ThermalRegime, node_count: usize) -> Self {
         assert!(node_count > 2, "need a plausible floor");
         let pick = |salt: u64| {
             NodeId(
-                (crate::rng::stable_jitter(config.seed ^ salt, 1).abs() * (node_count - 1) as f64)
+                (crate::rng::stable_jitter(DEFECT_SEED ^ salt, 1).abs() * (node_count - 1) as f64)
                     as u32,
             )
         };
@@ -210,20 +196,10 @@ impl FailureModel {
             w *= 0.88;
         }
         Self {
-            config,
+            regime,
             weak_memory_nodes: weak,
             uc_defect_node: pick(0xAB),
         }
-    }
-
-    /// Convenience: paper configuration on the full floor.
-    pub fn paper() -> Self {
-        Self::new(FailureConfig::default(), TOTAL_NODES)
-    }
-
-    /// The NVLINK super-offender node id.
-    pub fn super_offender(&self) -> NodeId {
-        self.config.super_offender
     }
 
     fn pseudo_block_start(&self, job: &SyntheticJob, node_count: usize) -> u32 {
@@ -287,7 +263,7 @@ impl FailureModel {
                 let node = NodeId((block + rank).min(node_count as u32 - 1));
                 let slot = GpuSlot(weighted_index(rng, &slot_weights(kind)) as u8);
                 let time = job.record.begin_time + rng.gen::<f64>() * job.record.walltime_s();
-                let z = sample_thermal_z(rng, kind, self.config.thermal_regime);
+                let z = sample_thermal_z(rng, kind, self.regime);
                 out.push(XidEvent {
                     kind,
                     node,
@@ -312,15 +288,14 @@ impl FailureModel {
     ) {
         let mean = paper_annual_count(XidErrorKind::NvlinkError) as f64
             * paper_node_concentration(XidErrorKind::NvlinkError)
-            * year_fraction
-            * self.config.rate_scale;
+            * year_fraction;
         let count = poisson(rng, mean);
         // A permanently-faulty link on one slot pair of one node.
         for _ in 0..count {
             let z = normal(rng, -0.3, 0.8);
             out.push(XidEvent {
                 kind: XidErrorKind::NvlinkError,
-                node: self.config.super_offender,
+                node: SUPER_OFFENDER,
                 slot: GpuSlot(if rng.gen::<bool>() { 1 } else { 2 }),
                 time: t0 + rng.gen::<f64>() * span_s,
                 allocation_id: None,
@@ -342,16 +317,16 @@ impl FailureModel {
     ) {
         use XidErrorKind::*;
         // ~220 incidents per paper year reproduce the Table 4 counts.
-        let incidents = poisson(rng, 220.0 * year_fraction * self.config.rate_scale);
+        let incidents = poisson(rng, 220.0 * year_fraction);
         let weights: Vec<f64> = self.weak_memory_nodes.iter().map(|(_, w)| *w).collect();
         for _ in 0..incidents {
             let (node, _) = self.weak_memory_nodes[weighted_index(rng, &weights)];
             let slot = GpuSlot(weighted_index(rng, &slot_weights(DoubleBitError)) as u8);
             let time = t0 + rng.gen::<f64>() * span_s;
-            let z = sample_thermal_z(rng, DoubleBitError, self.config.thermal_regime);
+            let z = sample_thermal_z(rng, DoubleBitError, self.regime);
             // Summit: cap double-bit temperatures near the paper's 46.1 C
             // max. Titan-like chips run far hotter under air cooling.
-            let temp = match self.config.thermal_regime {
+            let temp = match self.regime {
                 ThermalRegime::SummitLiquidCooled => (30.0 + 4.5 * z).min(46.0),
                 ThermalRegime::TitanAirCooled => 68.0 + 8.0 * z,
             };
@@ -395,9 +370,9 @@ impl FailureModel {
             }
         }
         // Independent off-the-bus events (irregular HPC tasks).
-        let bus = poisson(rng, 26.0 * year_fraction * self.config.rate_scale);
+        let bus = poisson(rng, 26.0 * year_fraction);
         for _ in 0..bus {
-            let z = sample_thermal_z(rng, FallenOffTheBus, self.config.thermal_regime);
+            let z = sample_thermal_z(rng, FallenOffTheBus, self.regime);
             out.push(XidEvent {
                 kind: FallenOffTheBus,
                 node: NodeId(rng.gen_range(0..TOTAL_NODES as u32)),
@@ -411,9 +386,7 @@ impl FailureModel {
         // Corrupted push-buffer streams: concentrated on one weak node.
         let cpb = poisson(
             rng,
-            paper_annual_count(CorruptedPushBufferStream) as f64
-                * year_fraction
-                * self.config.rate_scale,
+            paper_annual_count(CorruptedPushBufferStream) as f64 * year_fraction,
         );
         for i in 0..cpb {
             let node = if (i as f64 / cpb.max(1) as f64) < 0.82 {
@@ -433,7 +406,7 @@ impl FailureModel {
             });
         }
         // The single graphics-engine class error of the year.
-        if rng.gen::<f64>() < (year_fraction * self.config.rate_scale).min(1.0) {
+        if rng.gen::<f64>() < year_fraction.min(1.0) {
             out.push(XidEvent {
                 kind: GraphicsEngineClassError,
                 node: NodeId(rng.gen_range(0..TOTAL_NODES as u32)),
@@ -456,17 +429,12 @@ impl FailureModel {
         out: &mut Vec<XidEvent>,
     ) {
         use XidErrorKind::*;
-        let scale = year_fraction * self.config.rate_scale;
         // Defect-node stream: 44.6 % of warnings on one node; every driver
         // error handling exception follows a warning on that node.
-        let defect_warnings = poisson(rng, 33.0 * scale);
+        let defect_warnings = poisson(rng, 33.0 * year_fraction);
         for _ in 0..defect_warnings {
             let time = t0 + rng.gen::<f64>() * span_s;
-            let z = sample_thermal_z(
-                rng,
-                InternalMicrocontrollerWarning,
-                self.config.thermal_regime,
-            );
+            let z = sample_thermal_z(rng, InternalMicrocontrollerWarning, self.regime);
             let slot = GpuSlot(3);
             let temp = 27.0 + 4.5 * z;
             out.push(XidEvent {
@@ -494,13 +462,9 @@ impl FailureModel {
             }
         }
         // Background warnings spread thinly.
-        let background = poisson(rng, 41.0 * scale);
+        let background = poisson(rng, 41.0 * year_fraction);
         for _ in 0..background {
-            let z = sample_thermal_z(
-                rng,
-                InternalMicrocontrollerWarning,
-                self.config.thermal_regime,
-            );
+            let z = sample_thermal_z(rng, InternalMicrocontrollerWarning, self.regime);
             out.push(XidEvent {
                 kind: InternalMicrocontrollerWarning,
                 node: NodeId(rng.gen_range(0..TOTAL_NODES as u32)),
@@ -534,7 +498,7 @@ impl FailureModel {
         // regardless of how the caller scaled its job population.
         let total_weight: f64 = jobs.iter().map(Self::job_weight).sum();
         if total_weight > 0.0 {
-            let norm = year_fraction * self.config.rate_scale / total_weight;
+            let norm = year_fraction / total_weight;
             for job in jobs {
                 self.job_events(rng, job, node_count, norm, &mut out);
             }
@@ -548,7 +512,7 @@ impl FailureModel {
 
     /// Samples whole-cabinet telemetry outage bursts over
     /// `[t0, t0 + span_s)`: Poisson arrivals at roughly four outages per
-    /// cabinet-year (scaled by `rate_scale`), each lasting ten minutes
+    /// cabinet-year, each lasting ten minutes
     /// to a few hours. Sorted by start time; an empty floor or
     /// non-positive span yields no outages.
     pub fn cabinet_outages<R: Rng + ?Sized>(
@@ -561,7 +525,7 @@ impl FailureModel {
         if cabinets == 0 || span_s <= 0.0 || span_s.is_nan() {
             return Vec::new();
         }
-        let mean = cabinets as f64 * 4.0 * span_s / crate::spec::YEAR_S * self.config.rate_scale;
+        let mean = cabinets as f64 * 4.0 * span_s / crate::spec::YEAR_S;
         let n = poisson(rng, mean);
         let mut out = Vec::with_capacity(n as usize);
         for _ in 0..n {
@@ -629,7 +593,7 @@ mod tests {
         // Paper-rate job traffic: 840k jobs over the year.
         let n_jobs = (840_000.0 * span / crate::spec::YEAR_S) as usize;
         let jobs = g.generate_population(&mut rng, n_jobs, 0.0, span);
-        let model = FailureModel::paper();
+        let model = FailureModel::new(ThermalRegime::SummitLiquidCooled, TOTAL_NODES);
         let events = model.generate(&mut rng, &jobs, TOTAL_NODES, 0.0, span);
         (events, jobs)
     }
@@ -799,7 +763,7 @@ mod tests {
 
     #[test]
     fn cabinet_outages_are_rare_and_bounded() {
-        let model = FailureModel::paper();
+        let model = FailureModel::new(ThermalRegime::SummitLiquidCooled, TOTAL_NODES);
         let mut rng = StdRng::seed_from_u64(7);
         // One year over the full floor: expect ~4 outages per cabinet.
         let outages = model.cabinet_outages(&mut rng, 257, 0.0, crate::spec::YEAR_S);

@@ -26,8 +26,10 @@ pub struct MsbMeterModel {
     pub sensor_bias: f64,
     /// Per-sample multiplicative sensor noise (1-sigma).
     pub sensor_noise: f64,
-    seed: u64,
 }
+
+/// Seed of the per-(node, tick) sensor sampling noise.
+const SENSOR_NOISE_SEED: u64 = 0x1157;
 
 impl Default for MsbMeterModel {
     fn default() -> Self {
@@ -36,20 +38,11 @@ impl Default for MsbMeterModel {
             overhead: [0.095, 0.105, 0.112, 0.118, 0.101],
             sensor_bias: 0.012,
             sensor_noise: 0.015,
-            seed: 0x1157,
         }
     }
 }
 
 impl MsbMeterModel {
-    /// Creates a model with a custom seed.
-    pub fn with_seed(seed: u64) -> Self {
-        Self {
-            seed,
-            ..Default::default()
-        }
-    }
-
     /// The physical meter reading of one MSB given the summed true input
     /// power of the nodes it feeds.
     pub fn meter_reading(&self, msb: Msb, true_power_w: f64) -> f64 {
@@ -60,8 +53,8 @@ impl MsbMeterModel {
     /// low plus deterministic per-(node, tick) sampling noise (the 500 µs
     /// instantaneous sample of a varying waveform).
     pub fn sensor_reading(&self, node: NodeId, tick: u64, true_power_w: f64) -> f64 {
-        let noise =
-            self.sensor_noise * stable_jitter(self.seed ^ tick.rotate_left(17), node.0 as u64);
+        let noise = self.sensor_noise
+            * stable_jitter(SENSOR_NOISE_SEED ^ tick.rotate_left(17), node.0 as u64);
         (true_power_w * (1.0 - self.sensor_bias) * (1.0 + noise)).max(0.0)
     }
 

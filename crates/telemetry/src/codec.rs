@@ -142,20 +142,28 @@ pub fn encode_column_delta_only(values: &[i64], out: &mut BytesMut) {
     }
 }
 
-/// Longest column [`decode_column`] accepts. One zero-run token expands
-/// a few bytes to any length the header claims, so a corrupt header must
-/// not size the output: a day of 1 Hz readings is 86,400 values.
+/// Most values one decode returns: a column's length header, or the
+/// lengths of all of a block's columns together, may claim no more. One
+/// zero-run token expands a few bytes to any length the header claims,
+/// so a corrupt header must not size the output: a day of 1 Hz readings
+/// is 86,400 values, an archive partition 107 x 60.
 const MAX_COLUMN_LEN: usize = 1 << 24;
 
 /// Decodes a column produced by [`encode_column`]; `None` on corrupt input
 /// (including a length header above 2^24 values).
 pub fn decode_column(buf: &mut Bytes) -> Option<Vec<i64>> {
+    decode_column_within(buf, MAX_COLUMN_LEN)
+}
+
+/// [`decode_column`] for a column whose length header may claim at most
+/// `budget` values.
+fn decode_column_within(buf: &mut Bytes, budget: usize) -> Option<Vec<i64>> {
     let n = usize::try_from(read_varint(buf)?).ok()?;
+    if n > budget {
+        return None;
+    }
     if n == 0 {
         return Some(Vec::new());
-    }
-    if n > MAX_COLUMN_LEN {
-        return None;
     }
     // The header is untrusted: reserve no more than the bytes left.
     let mut out = Vec::with_capacity(n.min(buf.remaining()));
@@ -176,9 +184,7 @@ pub fn decode_column(buf: &mut Bytes) -> Option<Vec<i64>> {
             if run == 0 || out.len() + run > n {
                 return None;
             }
-            for _ in 0..run {
-                out.push(current);
-            }
+            out.resize(out.len() + run, current);
         }
     }
     Some(out)
@@ -203,14 +209,21 @@ impl ColumnBlock {
         out.freeze()
     }
 
-    /// Decodes a buffer from [`ColumnBlock::encode`].
+    /// Decodes a buffer from [`ColumnBlock::encode`]; `None` on corrupt
+    /// input, including columns that together claim more than 2^24
+    /// values.
     pub fn decode(mut buf: Bytes) -> Option<Self> {
         let n_cols = usize::try_from(read_varint(&mut buf)?).ok()?;
         // Every column takes at least one byte, so the bytes left bound
         // an honest count; a corrupt one must not size the allocation.
         let mut columns = Vec::with_capacity(n_cols.min(buf.remaining()));
+        // Each column's header is checked against what the block has
+        // left, before the column expands.
+        let mut budget = MAX_COLUMN_LEN;
         for _ in 0..n_cols {
-            columns.push(decode_column(&mut buf)?);
+            let column = decode_column_within(&mut buf, budget)?;
+            budget -= column.len();
+            columns.push(column);
         }
         Some(Self { columns })
     }
@@ -421,6 +434,65 @@ mod tests {
         let mut column = over;
         assert_eq!(read_varint(&mut column), Some(1));
         assert_eq!(decode_column(&mut column), None);
+        // An over-budget block: each column's header is legal on its
+        // own, but after a one-value column the second column's claim of
+        // the full cap exceeds what the block has left, so it is
+        // rejected before it expands.
+        let mut over_budget = BytesMut::new();
+        write_varint(&mut over_budget, 2);
+        encode_column(&[650], &mut over_budget);
+        write_varint(&mut over_budget, MAX_COLUMN_LEN as u64);
+        write_varint(&mut over_budget, zigzag_encode(650));
+        write_zero_run(&mut over_budget, MAX_COLUMN_LEN as u64 - 1);
+        assert_eq!(ColumnBlock::decode(over_budget.freeze()), None);
+    }
+
+    #[test]
+    fn decode_survives_seeded_fuzzing_and_round_trips() {
+        // A fixed seed and case budget. Random telemetry-shaped blocks
+        // (slow readings with flat runs, missing sentinels, full-range
+        // jumps) round-trip; byte mutations of their encodings and
+        // random byte strings never panic or decode past the cap.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let check = |bytes: Vec<u8>| {
+            let bytes = Bytes::from(bytes);
+            let block = ColumnBlock::decode(bytes.clone());
+            let values: usize = block.map_or(0, |b| b.columns.iter().map(Vec::len).sum());
+            let column = decode_column(&mut bytes.clone()).map_or(0, |c| c.len());
+            assert!(values <= MAX_COLUMN_LEN && column <= MAX_COLUMN_LEN);
+        };
+        let mut rng = StdRng::seed_from_u64(0xC0DEC);
+        for _ in 0..2_000 {
+            let len = rng.gen_range(0..61);
+            let mut column = |mut v: i64| -> Vec<i64> {
+                (0..len)
+                    .map(|_| {
+                        v = match rng.gen_range(0..16) {
+                            0..=2 => v.wrapping_add(rng.gen_range(-50..50)),
+                            3 => quant::MISSING,
+                            4 => rng.gen(),
+                            _ => v,
+                        };
+                        v
+                    })
+                    .collect()
+            };
+            let columns = (0..len % 9).map(|c| column(1500 + c as i64)).collect();
+            let block = ColumnBlock { columns };
+            let encoded = block.encode();
+            assert_eq!(ColumnBlock::decode(encoded.clone()), Some(block));
+            let mut bytes = encoded.as_slice().to_vec();
+            for _ in 0..rng.gen_range(1..4) {
+                let at = rng.gen_range(0..=bytes.len());
+                match rng.gen_range(0..3) {
+                    0 => bytes.truncate(at),
+                    1 if at < bytes.len() => bytes[at] = rng.gen(),
+                    _ => bytes.insert(at, rng.gen()),
+                }
+            }
+            check(bytes);
+            check((0..rng.gen_range(0..48)).map(|_| rng.gen()).collect());
+        }
     }
 
     #[test]

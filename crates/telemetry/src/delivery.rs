@@ -353,7 +353,6 @@ mod tests {
             delay_p: 0.15,
             reorder_p: 0.05,
             seed: 42,
-            ..FaultConfig::default()
         }
     }
 
@@ -364,7 +363,6 @@ mod tests {
             delay_p: 0.0,
             reorder_p: 0.25,
             seed: 7,
-            ..FaultConfig::default()
         }
     }
 

@@ -21,6 +21,11 @@ use crate::records::NodeFrame;
 /// seconds)". The default ingest lateness horizon equals this bound.
 pub const MAX_PROPAGATION_DELAY_S: f64 = 5.0;
 
+/// Upper bound of the extra delay a [`FrameFate::Delay`] adds (s): twice
+/// the propagation bound, so some delayed frames land past the lateness
+/// horizon and become late drops downstream.
+pub const MAX_EXTRA_DELAY_S: f64 = 2.0 * MAX_PROPAGATION_DELAY_S;
+
 /// Propagation-delay model: a deterministic hash of (node, sample-time)
 /// uniform in `[0, MAX_PROPAGATION_DELAY_S)`, so replays are exact and
 /// the mean matches the paper's 2.5 s.
@@ -183,14 +188,12 @@ pub struct FaultConfig {
     /// Probability a frame is delivered twice (same sample timestamp).
     pub duplicate_p: f64,
     /// Probability a frame suffers extra delay beyond the propagation
-    /// model, uniform in `(0, max_extra_delay_s]` — delays past the
+    /// model, uniform in `[0, MAX_EXTRA_DELAY_S)` — delays past the
     /// lateness horizon become late drops downstream.
     pub delay_p: f64,
     /// Probability a delivered frame is swapped with its predecessor in
     /// arrival order (local reordering the delay model alone misses).
     pub reorder_p: f64,
-    /// Upper bound of injected extra delay (s).
-    pub max_extra_delay_s: f64,
     /// Seed mixed into every fault draw.
     pub seed: u64,
 }
@@ -202,7 +205,6 @@ impl Default for FaultConfig {
             duplicate_p: 0.0,
             delay_p: 0.0,
             reorder_p: 0.0,
-            max_extra_delay_s: 2.0 * MAX_PROPAGATION_DELAY_S,
             seed: 0x5EED,
         }
     }
@@ -217,7 +219,6 @@ impl FaultConfig {
             delay_p: 0.01,
             reorder_p: 0.01,
             seed,
-            ..Self::default()
         }
     }
 
@@ -247,7 +248,7 @@ impl FaultConfig {
         }
         if u < self.drop_p + self.duplicate_p + self.delay_p {
             return FrameFate::Delay {
-                extra_s: self.draw(node, t_sample, 2) * self.max_extra_delay_s,
+                extra_s: self.draw(node, t_sample, 2) * MAX_EXTRA_DELAY_S,
             };
         }
         FrameFate::Deliver

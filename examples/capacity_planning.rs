@@ -40,7 +40,7 @@ fn main() {
         "building the statistical year ({}% of 840k jobs) ...",
         scale * 100.0
     );
-    let (rows, _) = PopulationScenario::paper_year(scale).generate_with_stats();
+    let rows = PopulationScenario::paper_year(scale).artifact().rows;
     let sweep = cluster_power_sweep(&rows, 0.0, spec::YEAR_S, 3600.0);
     let inflate = 1.0 / scale;
     let idle = spec::SYSTEM_IDLE_POWER_W;

@@ -8,27 +8,22 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use summit_repro::analysis::correlation::CorrelationMatrix;
 use summit_repro::analysis::zscore::ExtremitySummary;
+use summit_repro::core::pipeline::FailureScenario;
 use summit_repro::core::report::{bar, pct, Table};
-use summit_repro::sim::failures::{count_by_kind, max_node_share, node_count_matrix, FailureModel};
-use summit_repro::sim::jobs::JobGenerator;
+use summit_repro::sim::failures::{
+    count_by_kind, max_node_share, node_count_matrix, ThermalRegime,
+};
 use summit_repro::sim::spec::TOTAL_NODES;
 use summit_repro::telemetry::records::XidErrorKind;
 
 fn main() {
     // Twelve weeks of paper-rate traffic.
     let weeks = 12.0;
-    let span = weeks * 7.0 * 86_400.0;
-    let mut rng = StdRng::seed_from_u64(42);
-    let mut gen = JobGenerator::new();
-    let n_jobs = (840_000.0 * span / summit_repro::sim::spec::YEAR_S) as usize;
-    println!("generating {n_jobs} jobs over {weeks} weeks ...");
-    let jobs = gen.generate_population(&mut rng, n_jobs, 0.0, span);
-    let model = FailureModel::paper();
-    let events = model.generate(&mut rng, &jobs, TOTAL_NODES, 0.0, span);
+    let year = FailureScenario { weeks, seed: 42 }.generate(ThermalRegime::SummitLiquidCooled);
+    println!("generating {} jobs over {weeks} weeks ...", year.jobs.len());
+    let events = year.events;
     println!("{} XID events generated\n", events.len());
 
     // Composition (Table 4 shape).

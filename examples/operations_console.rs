@@ -28,7 +28,7 @@ fn main() {
         swing_w_per_min: 2.0e6 * nodes_in_slice / spec::TOTAL_NODES as f64,
         ..Default::default()
     };
-    let mut console = OpsConsole::new(thresholds, 300);
+    let mut console = OpsConsole::new(thresholds);
 
     // Stage a workload with one violent swing to trip the swing alarm.
     let mut rng = StdRng::seed_from_u64(5);

@@ -10,7 +10,7 @@
 
 use summit_repro::analysis::edges::{detect_edges_for_job, EDGE_THRESHOLD_W_PER_NODE};
 use summit_repro::analysis::fft::dominant_component;
-use summit_repro::core::pipeline::PopulationScenario;
+use summit_repro::core::pipeline::{PopulationScenario, POPULATION_SEED};
 use summit_repro::core::report::{pct, Table};
 use summit_repro::sim::jobstats::job_power_series;
 use summit_repro::sim::power::PowerModel;
@@ -18,7 +18,7 @@ use summit_repro::sim::power::PowerModel;
 fn main() {
     let scenario = PopulationScenario::paper_year(0.002); // ~1,700 jobs
     let jobs = scenario.generate();
-    let pm = PowerModel::new(scenario.seed);
+    let pm = PowerModel::new(POPULATION_SEED);
     println!(
         "analyzing {} jobs (edge threshold {} W/node per 10 s) ...",
         jobs.len(),

@@ -106,7 +106,6 @@ fn faulty_stream_matches_clean_reference_exactly() {
             delay_p: 0.15,
             reorder_p: 0.05,
             seed: 42,
-            ..FaultConfig::default()
         },
         FaultConfig {
             drop_p: 0.0,
@@ -114,7 +113,6 @@ fn faulty_stream_matches_clean_reference_exactly() {
             delay_p: 0.0,
             reorder_p: 0.25,
             seed: 7,
-            ..FaultConfig::default()
         },
     ]
     .into_iter()
