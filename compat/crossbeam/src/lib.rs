@@ -102,6 +102,14 @@ pub mod channel {
             Ok(v)
         }
 
+        /// Non-blocking receive; errors when the channel is empty or
+        /// every sender is gone.
+        pub fn try_recv(&self) -> Result<T, mpsc::TryRecvError> {
+            let v = self.rx.try_recv()?;
+            self.depth.fetch_sub(1, Ordering::Relaxed);
+            Ok(v)
+        }
+
         /// Best-effort number of values currently buffered.
         pub fn len(&self) -> usize {
             self.depth.load(Ordering::Relaxed)

@@ -109,8 +109,7 @@ pub fn run(config: &Config) -> Result<Fig04Result, ExperimentError> {
     for _ in 0..windows {
         let mut meter_acc = [0.0f64; 5];
         let mut sum_acc = [0.0f64; 5];
-        for _ in 0..10 {
-            let out = engine.step();
+        for out in engine.run(10) {
             for (acc, w) in meter_acc.iter_mut().zip(out.msb_meter_w) {
                 *acc += w;
             }

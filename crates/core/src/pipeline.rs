@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use summit_analysis::series::Series;
-use summit_sim::engine::{Engine, EngineConfig, StepOptions, TickOutput};
+use summit_sim::engine::{Engine, EngineConfig, StepOptions, TickOutput, TICKS_PER_GROUP};
 use summit_sim::failures::{CabinetOutage, FailureModel, ThermalRegime};
 use summit_sim::jobs::{JobGenerator, SyntheticJob};
 use summit_sim::jobstats::{population_stats, JobStatsRow};
@@ -414,10 +414,6 @@ impl AlertLatencyTracker {
     }
 }
 
-/// Engine ticks per consumer group: the streaming channel's default
-/// batch shape, which the batch executor steps in as well.
-const TICKS_PER_GROUP: usize = 16;
-
 /// Bounded channel capacity (tick batches) between the streaming
 /// producer and its consumer; the producer blocks when the consumer
 /// lags.
@@ -662,8 +658,9 @@ fn publish_wall_rates(offered: u64, windows_by_node: &[Vec<NodeWindow>], wall_s:
 /// coarsening. Even a clean run delivers frames in arrival order, so
 /// the coarsener's reorder buffer is always exercised.
 ///
-/// The engine steps 16-tick groups into a reused set of columnar
-/// batches, and one lane per node consumes each group on the pool (see
+/// The engine steps each 16-tick group in one call, with one pool
+/// dispatch, into a reused set of columnar batches, and one lane per
+/// node consumes each group on the pool (see
 /// [`run_streaming`], which shares the consumer): no frame outlives
 /// its group, so memory is bounded by the reorder buffers and the
 /// windows, not by the frame count.
@@ -702,9 +699,9 @@ pub fn run_telemetry(
                 .collect();
             for start in (0..n_ticks).step_by(TICKS_PER_GROUP) {
                 let group = &mut group[..TICKS_PER_GROUP.min(n_ticks - start)];
-                for batch in group.iter_mut() {
+                {
                     let _tick_obs = summit_obs::span("summit_core_engine_tick");
-                    let _ = engine.step_batch(&opts, batch);
+                    let _ = engine.step_group(&opts, group);
                 }
                 offered += consume_group(&mut lanes, group);
             }
@@ -895,8 +892,10 @@ where
 ///
 /// **Bounded memory:** resident state is the reorder heaps and their
 /// value slabs (bounded by the fabric's maximum delay), one held frame
-/// per node, the coarsener's in-horizon pending buffers and at most
-/// [`CHANNEL_CAPACITY`] tick batches — independent of `duration_s`.
+/// per node, the coarsener's in-horizon pending buffers and the tick
+/// batches of at most [`CHANNEL_CAPACITY`] groups in the channel plus
+/// the two in hand, recycled from group to group — independent of
+/// `duration_s`.
 pub fn run_streaming(config: StreamConfig) -> StreamingRun {
     let parent = summit_obs::current();
     let registry = summit_obs::registry::Registry::new();
@@ -921,24 +920,24 @@ pub fn run_streaming(config: StreamConfig) -> StreamingRun {
         let mut peak_resident = 0usize;
         let mut peak_depth = 0usize;
 
+        // The consumer hands each group's batches back once the lanes
+        // have read them, and the producer refills them: a batch's
+        // columns are allocated once, not every tick. At most the
+        // channel's groups plus the two in hand exist, so the return
+        // channel never fills.
+        let (recycle, recycled) = crossbeam::channel::bounded(CHANNEL_CAPACITY + 2);
         stream_batches(
             CHANNEL_CAPACITY,
             move |send: &dyn Fn((Vec<TickOutput>, Vec<FrameBatch>)) -> bool| {
                 let _gen = summit_obs::span("summit_core_frame_generation");
                 let opts = frame_options();
                 for start in (0..n_ticks).step_by(ticks_per_batch) {
-                    let n = ticks_per_batch.min(n_ticks - start);
-                    let mut ticks = Vec::with_capacity(n);
-                    let mut frames = Vec::with_capacity(n);
-                    for _ in 0..n {
+                    let mut frames: Vec<FrameBatch> = recycled.try_recv().unwrap_or_default();
+                    frames.resize_with(ticks_per_batch.min(n_ticks - start), FrameBatch::new);
+                    let ticks = {
                         let _tick_obs = summit_obs::span("summit_core_engine_tick");
-                        // Ownership of each tick's columns crosses the
-                        // channel, so the buffer is per tick here; the
-                        // engine still writes columns, not row frames.
-                        let mut batch = FrameBatch::with_capacity(node_count);
-                        ticks.push(engine.step_batch(&opts, &mut batch));
-                        frames.push(batch);
-                    }
+                        engine.step_group(&opts, &mut frames)
+                    };
                     if !send((ticks, frames)) {
                         break;
                     }
@@ -956,6 +955,7 @@ pub fn run_streaming(config: StreamConfig) -> StreamingRun {
                     console.observe(tick);
                 }
                 offered += consume_group(&mut lanes, &frames);
+                let _ = recycle.try_send(frames);
                 let closed: Vec<NodeWindow> =
                     lanes.iter_mut().flat_map(NodeLane::drain_windows).collect();
                 if !closed.is_empty() {
@@ -1084,6 +1084,15 @@ mod tests {
         assert_eq!(run.windows_by_node.len(), 36);
         assert!(run.windows_by_node.iter().all(|w| !w.is_empty()));
         assert!(run.stats.mean_delay_s() > 0.0 && run.stats.max_delay_s < 5.0);
+    }
+
+    #[test]
+    fn each_group_is_one_engine_dispatch_and_one_lane_dispatch() {
+        // 160 ticks are 10 groups of 16. Four cabinets are one engine
+        // pool item, and 72 lanes make 5 chunks of at most 16.
+        let run = run_telemetry(4, 160.0, None);
+        let tasks = run.obs.counter("summit_par_tasks_total");
+        assert_eq!(tasks, Some(10 * (1 + 5)));
     }
 
     #[test]

@@ -3,8 +3,14 @@
 //! Advances the whole data center one tick (default 1 Hz, the paper's
 //! native telemetry rate) at a time: scheduler state, per-node workload
 //! utilization, component power, component thermals, facility cooling,
-//! and the measurement layer (BMC sensors, MSB meters). Node updates run
-//! in parallel with rayon.
+//! and the measurement layer (BMC sensors, MSB meters).
+//!
+//! Ticks are stepped in groups (see [`Engine::step_group`]). A node's
+//! tick reads only its own thermal state, its job assignment at that
+//! tick and `(node, tick)`: the supply water is a constant and the
+//! facility never feeds back into the nodes. So one pool dispatch runs
+//! every cabinet's nodes through the whole group, and the calling
+//! thread then reduces each tick in node order and steps the facility.
 
 use rayon::prelude::*;
 use summit_telemetry::batch::FrameBatch;
@@ -35,10 +41,8 @@ pub struct EngineConfig {
     pub seed: u64,
     /// Whole-cabinet telemetry outages, the only source of dark
     /// cabinets: a cabinet's nodes emit all-NaN frames while one of its
-    /// outages is active. Transient ones are typically sampled via
-    /// [`crate::failures::FailureModel::cabinet_outages`]; one from
-    /// `-inf` to `+inf` darkens a cabinet for the whole run (the
-    /// Figure 17 bright-green cabinet).
+    /// outages is active. One from `-inf` to `+inf` darkens a cabinet
+    /// for the whole run (the Figure 17 bright-green cabinet).
     pub cabinet_outages: Vec<CabinetOutage>,
 }
 
@@ -58,6 +62,10 @@ impl EngineConfig {
 /// Non-compute IT power of the full floor (storage, network, service
 /// nodes; W), included in the PUE's IT denominator.
 const INFRASTRUCTURE_IT_W: f64 = 0.6e6;
+
+/// Ticks per group: [`Engine::run`] and the telemetry executors step
+/// this many ticks per pool dispatch.
+pub const TICKS_PER_GROUP: usize = 16;
 
 /// What [`Engine::step_batch`] collects beyond the always-on summary.
 #[derive(Debug, Clone, Copy, Default)]
@@ -124,32 +132,63 @@ pub struct Engine {
     msb_model: MsbMeterModel,
     scheduler: Scheduler,
     thermals: Vec<NodeThermals>,
-    /// Tick-loop arenas, reused every tick so the steady-state tick
-    /// path performs no per-tick (let alone per-frame) heap allocation.
-    assignment_scratch: Vec<Option<(WorkloadSignal, f64, u32)>>,
+    group: GroupScratch,
     t: f64,
     tick: u64,
 }
 
+/// A node's job at one tick: the index of the job's `(signal, t_rel)`
+/// entry in [`GroupScratch::jobs`] and the node's rank in the job.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    job: u32,
+    rank: u32,
+}
+
+impl Slot {
+    /// No job: the node idles.
+    const IDLE: Self = Self {
+        job: u32::MAX,
+        rank: 0,
+    };
+
+    fn is_busy(self) -> bool {
+        self.job != Self::IDLE.job
+    }
+}
+
+/// The arenas of one group step, kept from one group to the next, so a
+/// group allocates only the pool's item list and its own outputs.
+#[derive(Debug, Default)]
+struct GroupScratch {
+    /// Start time and running-job count of each tick.
+    ticks: Vec<(f64, usize)>,
+    /// `(signal, t_rel)` of every job running at each tick, tick by tick.
+    jobs: Vec<(WorkloadSignal, f64)>,
+    /// `[k * node_count + i]`: node `i`'s job at tick `k`.
+    slots: Vec<Slot>,
+    /// The node results: one run of `NODES_PER_CABINET * n` per cabinet,
+    /// `[k * NODES_PER_CABINET + j]` within it, so each tick's results
+    /// for a cabinet are contiguous.
+    nodes: Vec<NodeTick>,
+}
+
+/// What the reduction reads of one node's tick: the f64 inputs of the
+/// sums, and the values only the frames carry, already at the frames'
+/// f32 precision (a frame stores `value as f32`, and that cast is exact
+/// on an f32 widened to f64).
+#[derive(Debug, Clone, Copy, Default)]
 struct NodeTick {
     true_power: f64,
     sensor_power: f64,
-    gpu_power: [f64; 6],
-    cpu_power: [f64; 2],
-    thermals: NodeThermals,
-    busy: bool,
+    gpu_core_c: [f64; 6],
+    cpu_c: [f64; 2],
+    gpu_power: [f32; 6],
+    cpu_power: [f32; 2],
+    gpu_mem_c: [f32; 6],
 }
 
 impl Engine {
-    /// Minimum nodes per parallel chunk in the per-node tick map: each
-    /// node tick is only a few closed-form model evaluations, so
-    /// chunks below this waste more time on task hand-off than they
-    /// recover through load balance. With the persistent pool a
-    /// hand-off is one atomic claim (no spawn), so smaller chunks pay
-    /// off: at sub-full scales the tick map still splits into enough
-    /// tasks to keep every worker busy through the tail.
-    const TICK_MIN_CHUNK: usize = 32;
-
     /// Builds an engine from config, starting at `t0` seconds. The MTW
     /// flow, the base pump load and the non-compute IT load are the full
     /// floor's times `cabinets / 257`, so PUE stays representative on
@@ -179,7 +218,7 @@ impl Engine {
             msb_model: MsbMeterModel::default(),
             scheduler: Scheduler::new(node_count),
             thermals: vec![NodeThermals::at_water(supply + 8.0); node_count],
-            assignment_scratch: Vec::new(),
+            group: GroupScratch::default(),
             topology,
             t: t0,
             tick: 0,
@@ -206,99 +245,161 @@ impl Engine {
         &self.scheduler
     }
 
-    /// Power model access.
-    pub fn power_model(&self) -> &PowerModel {
-        &self.power_model
-    }
-
-    /// Thermal model access.
-    pub fn thermal_model(&self) -> &ThermalModel {
-        &self.thermal_model
-    }
-
     /// Advances one tick and returns its summary.
     pub fn step(&mut self) -> TickOutput {
-        self.step_impl(None)
+        self.step_batch(&StepOptions::default(), &mut FrameBatch::new())
     }
 
     /// Advances one tick like [`Engine::step`]. With `opts.frames` set
     /// it also writes the tick's telemetry frames into the caller's
     /// columnar [`FrameBatch`], reset to the floor's node count (row `i`
-    /// is node `i`); otherwise it leaves the batch empty.
+    /// is node `i`); otherwise it leaves the batch empty. The one-tick
+    /// group of [`Engine::step_group`].
     pub fn step_batch(&mut self, opts: &StepOptions, batch: &mut FrameBatch) -> TickOutput {
-        if opts.frames {
-            self.step_impl(Some(batch))
-        } else {
-            batch.reset(0);
-            self.step_impl(None)
-        }
+        self.step_nodes(1);
+        self.reduce_tick(0, opts, batch)
     }
 
-    fn step_impl(&mut self, mut frame_batch: Option<&mut FrameBatch>) -> TickOutput {
-        let dt = self.config.dt_s;
-        let t = self.t;
-        let tick = self.tick;
-        self.scheduler.advance(t);
+    /// Advances `batches.len()` ticks in one group and returns their
+    /// summaries, bit-identical to as many [`Engine::step_batch`] calls:
+    /// tick `k` writes its frames into `batches[k]` as `step_batch`
+    /// does. Jobs submitted to the scheduler take effect from the next
+    /// group on, so callers that submit between ticks step one tick at a
+    /// time.
+    pub fn step_group(
+        &mut self,
+        opts: &StepOptions,
+        batches: &mut [FrameBatch],
+    ) -> Vec<TickOutput> {
+        self.step_nodes(batches.len());
+        batches
+            .iter_mut()
+            .enumerate()
+            .map(|(k, batch)| self.reduce_tick(k, opts, batch))
+            .collect()
+    }
 
-        // node -> (signal, t_rel, rank) assignment table (arena: the
-        // table is reused across ticks, refilled in place).
+    /// Runs `n` ticks, [`TICKS_PER_GROUP`] per group, returning their
+    /// outputs (summary level).
+    pub fn run(&mut self, n: usize) -> Vec<TickOutput> {
+        let mut empty: [FrameBatch; TICKS_PER_GROUP] = Default::default();
+        let opts = StepOptions::default();
+        let mut ticks = Vec::with_capacity(n);
+        while ticks.len() < n {
+            let group = TICKS_PER_GROUP.min(n - ticks.len());
+            ticks.extend(self.step_group(&opts, &mut empty[..group]));
+        }
+        ticks
+    }
+
+    /// Group phases 1 and 2 for the next `n` ticks. The calling thread
+    /// advances the scheduler to each tick and records every node's job;
+    /// then one pool dispatch runs each cabinet's nodes through all `n`
+    /// ticks, advancing their thermal state in place. A cabinet is one
+    /// pool item, so a floor of 16 cabinets or fewer (one chunk) runs
+    /// inline without waking the pool, and the item grid depends only on
+    /// the cabinet count.
+    fn step_nodes(&mut self, n: usize) {
+        if n == 0 {
+            return;
+        }
+        let dt = self.config.dt_s;
         let node_count = self.topology.node_count();
-        let mut assignment = std::mem::take(&mut self.assignment_scratch);
-        assignment.clear();
-        assignment.resize(node_count, None);
-        for p in self.scheduler.running() {
-            let sig = p.signal();
-            let t_rel = t - p.start_time;
-            for (rank, n) in p.nodes.iter().enumerate() {
-                assignment[n.index()] = Some((sig, t_rel, rank as u32));
+        let g = &mut self.group;
+        g.ticks.clear();
+        g.jobs.clear();
+        g.slots.clear();
+        g.slots.resize(n * node_count, Slot::IDLE);
+        for k in 0..n {
+            let slots = &mut g.slots[k * node_count..(k + 1) * node_count];
+            let t = self.t;
+            self.scheduler.advance(t);
+            for p in self.scheduler.running() {
+                let job = g.jobs.len() as u32;
+                g.jobs.push((p.signal(), t - p.start_time));
+                for (rank, node) in p.nodes.iter().enumerate() {
+                    slots[node.index()] = Slot {
+                        job,
+                        rank: rank as u32,
+                    };
+                }
             }
+            g.ticks.push((t, self.scheduler.running().len()));
+            self.t += dt;
         }
 
+        if g.nodes.len() < node_count * n {
+            g.nodes.resize(node_count * n, NodeTick::default());
+        }
         let pm = self.power_model;
         let tm = self.thermal_model;
-        let supply_c = crate::spec::MTW_SUPPLY_NOMINAL_C;
         let msb = self.msb_model;
-        let thermals_in = &self.thermals;
-
-        // Per-node tick work is light (a few model evaluations), so
-        // keep chunks at >= TICK_MIN_CHUNK nodes to amortize task
-        // hand-off; the chunk grid stays thread-count independent.
-        // Iterating the index range over the *borrowed* thermal state
-        // (instead of taking the vector by value) keeps the identical
-        // chunk grid while avoiding the per-tick source binning and
-        // thermal-vector rebuild.
-        let results: Vec<NodeTick> = (0..node_count)
+        let supply_c = crate::spec::MTW_SUPPLY_NOMINAL_C;
+        let (slots, jobs, tick0) = (&g.slots, &g.jobs, self.tick);
+        let cabinets: Vec<_> = self
+            .thermals
+            .chunks_mut(NODES_PER_CABINET)
+            .zip(g.nodes[..node_count * n].chunks_mut(NODES_PER_CABINET * n))
+            .enumerate()
+            .collect();
+        let _: Vec<()> = cabinets
             .into_par_iter()
-            .with_min_len(Self::TICK_MIN_CHUNK)
-            .map(|i| {
-                let mut th = thermals_in[i];
-                let node = NodeId(i as u32);
-                let (util, busy) = match &assignment[i] {
-                    Some((sig, t_rel, rank)) => (sig.node_utilization(*t_rel, *rank), true),
-                    None => (NodeUtilization::idle(), false),
-                };
-                let power = pm.node_power(node, &util);
-                tm.step(node, &mut th, &power, supply_c, dt);
-                let sensor = msb.sensor_reading(node, tick, power.input_w);
-                NodeTick {
-                    true_power: power.input_w,
-                    sensor_power: sensor,
-                    gpu_power: power.gpu_w,
-                    cpu_power: power.cpu_w,
-                    thermals: th,
-                    busy,
+            .map(|(c, (thermals, results))| {
+                let first = c * NODES_PER_CABINET;
+                let ticks = slots
+                    .chunks(node_count)
+                    .zip(results.chunks_mut(NODES_PER_CABINET));
+                for (k, (slots, results)) in ticks.enumerate() {
+                    let tick = tick0 + k as u64;
+                    let nodes = thermals.iter_mut().zip(results).zip(&slots[first..]);
+                    for (j, ((th, r), slot)) in nodes.enumerate() {
+                        let node = NodeId((first + j) as u32);
+                        let util = match jobs.get(slot.job as usize) {
+                            Some((sig, t_rel)) => sig.node_utilization(*t_rel, slot.rank),
+                            None => NodeUtilization::idle(),
+                        };
+                        let power = pm.node_power(node, &util);
+                        tm.step(node, th, &power, supply_c, dt);
+                        *r = NodeTick {
+                            true_power: power.input_w,
+                            sensor_power: msb.sensor_reading(node, tick, power.input_w),
+                            gpu_core_c: th.gpu_core_c,
+                            cpu_c: th.cpu_c,
+                            gpu_power: power.gpu_w.map(frame_value),
+                            cpu_power: power.cpu_w.map(frame_value),
+                            gpu_mem_c: th.gpu_mem_c.map(frame_value),
+                        };
+                    }
                 }
             })
             .collect();
-        self.assignment_scratch = assignment;
+        self.tick += n as u64;
+    }
 
-        // One pass in node order, cabinet by cabinet. A board's cabinets
-        // are a contiguous run, so its sums add its nodes in the order
-        // `Topology::nodes_of_msb` lists them; they start at -0.0, where
-        // `Iterator::sum` starts, so an empty board reads -0.0.
-        if let Some(batch) = frame_batch.as_deref_mut() {
+    /// Group phase 3 for tick `k` of the group [`Engine::step_nodes`]
+    /// ran: sums the tick's node results in node order, cabinet by
+    /// cabinet, writes its frames when `opts.frames` is set, and steps
+    /// the facility. A board's cabinets are a contiguous run, so its
+    /// sums add its nodes in the order `Topology::nodes_of_msb` lists
+    /// them; they start at -0.0, where `Iterator::sum` starts, so an
+    /// empty board reads -0.0.
+    fn reduce_tick(&mut self, k: usize, opts: &StepOptions, batch: &mut FrameBatch) -> TickOutput {
+        let dt = self.config.dt_s;
+        let node_count = self.topology.node_count();
+        let (t, running_jobs) = self.group.ticks[k];
+        let mut frames = if opts.frames {
             batch.reset(node_count);
-        }
+            Some(batch)
+        } else {
+            batch.reset(0);
+            None
+        };
+        let n = self.group.ticks.len();
+        let slots = &self.group.slots[k * node_count..(k + 1) * node_count];
+        let cabinets = self.group.nodes[..node_count * n]
+            .chunks(NODES_PER_CABINET * n)
+            .map(|results| &results[k * NODES_PER_CABINET..(k + 1) * NODES_PER_CABINET])
+            .zip(slots.chunks(NODES_PER_CABINET));
         let mut true_compute = -0.0;
         let mut sensor_compute = 0.0;
         let mut board_true_w = [-0.0f64; 5];
@@ -306,10 +407,7 @@ impl Engine {
         let (mut gpu_t_sum, mut gpu_t_max, mut gpu_t_n) = (0.0, f64::NEG_INFINITY, 0usize);
         let (mut cpu_t_sum, mut cpu_t_n) = (0.0, 0usize);
         let mut busy_nodes = 0usize;
-        let cabinets = results
-            .chunks(NODES_PER_CABINET)
-            .zip(self.thermals.chunks_mut(NODES_PER_CABINET));
-        for (c, (nodes, thermals)) in cabinets.enumerate() {
+        for (c, (nodes, slots)) in cabinets.enumerate() {
             let cabinet = CabinetId(c as u16);
             let dark = self
                 .config
@@ -317,13 +415,12 @@ impl Engine {
                 .iter()
                 .any(|o| o.cabinet == cabinet && o.is_active(t));
             let board = self.topology.msb_of(cabinet).index();
-            for (k, (r, slot)) in nodes.iter().zip(thermals).enumerate() {
-                *slot = r.thermals;
+            for (j, (r, slot)) in nodes.iter().zip(slots).enumerate() {
                 true_compute += r.true_power;
                 board_true_w[board] += r.true_power;
-                busy_nodes += usize::from(r.busy);
-                if let Some(batch) = frame_batch.as_deref_mut() {
-                    let row = batch.push_row(NodeId((c * NODES_PER_CABINET + k) as u32), t);
+                busy_nodes += usize::from(slot.is_busy());
+                if let Some(batch) = frames.as_deref_mut() {
+                    let row = batch.push_row(NodeId((c * NODES_PER_CABINET + j) as u32), t);
                     if !dark {
                         write_frame_metrics(batch, row, r);
                     }
@@ -335,12 +432,12 @@ impl Engine {
                 }
                 sensor_compute += r.sensor_power;
                 msb_sensor_w[board] += f64::from(frame_value(r.sensor_power));
-                for &g in &r.thermals.gpu_core_c {
+                for &g in &r.gpu_core_c {
                     gpu_t_sum += g;
                     gpu_t_max = gpu_t_max.max(g);
                     gpu_t_n += 1;
                 }
-                for &cpu in &r.thermals.cpu_c {
+                for &cpu in &r.cpu_c {
                     cpu_t_sum += cpu;
                     cpu_t_n += 1;
                 }
@@ -353,9 +450,6 @@ impl Engine {
         let msb_meter_w =
             Msb::ALL.map(|m| self.msb_model.meter_reading(m, board_true_w[m.index()]));
 
-        self.t += dt;
-        self.tick += 1;
-
         let mean = |sum: f64, n: usize| if n > 0 { sum / n as f64 } else { f64::NAN };
         TickOutput {
             t,
@@ -367,14 +461,9 @@ impl Engine {
             gpu_temp_mean_c: mean(gpu_t_sum, gpu_t_n),
             gpu_temp_max_c: if gpu_t_n > 0 { gpu_t_max } else { f64::NAN },
             cpu_temp_mean_c: mean(cpu_t_sum, cpu_t_n),
-            running_jobs: self.scheduler.running().len(),
+            running_jobs,
             busy_nodes,
         }
-    }
-
-    /// Runs `n` ticks, returning their outputs (summary level).
-    pub fn run(&mut self, n: usize) -> Vec<TickOutput> {
-        (0..n).map(|_| self.step()).collect()
     }
 }
 
@@ -384,23 +473,15 @@ fn write_frame_metrics(batch: &mut FrameBatch, row: usize, r: &NodeTick) {
     batch.set(row, catalog::ps_input_power(0), r.sensor_power * 0.5);
     batch.set(row, catalog::ps_input_power(1), r.sensor_power * 0.5);
     for s in Socket::ALL {
-        batch.set(row, catalog::cpu_power(s), r.cpu_power[s.index()]);
+        let i = s.index();
+        batch.set(row, catalog::cpu_power(s), f64::from(r.cpu_power[i]));
+        batch.set(row, catalog::cpu_pkg_temp(s), r.cpu_c[i]);
     }
     for g in GpuSlot::ALL {
-        batch.set(row, catalog::gpu_power(g), r.gpu_power[g.index()]);
-        batch.set(
-            row,
-            catalog::gpu_core_temp(g),
-            r.thermals.gpu_core_c[g.index()],
-        );
-        batch.set(
-            row,
-            catalog::gpu_mem_temp(g),
-            r.thermals.gpu_mem_c[g.index()],
-        );
-    }
-    for s in Socket::ALL {
-        batch.set(row, catalog::cpu_pkg_temp(s), r.thermals.cpu_c[s.index()]);
+        let i = g.index();
+        batch.set(row, catalog::gpu_power(g), f64::from(r.gpu_power[i]));
+        batch.set(row, catalog::gpu_core_temp(g), r.gpu_core_c[i]);
+        batch.set(row, catalog::gpu_mem_temp(g), f64::from(r.gpu_mem_c[i]));
     }
 }
 
@@ -666,6 +747,146 @@ mod tests {
         }
         let pue = last.cep.pue();
         assert!((1.0..1.45).contains(&pue), "engine PUE {pue}");
+    }
+
+    /// Every bit of a tick's summary.
+    fn tick_bits(o: &TickOutput) -> Vec<u64> {
+        let c = &o.cep;
+        let floats = [
+            o.t,
+            o.true_compute_power_w,
+            o.sensor_compute_power_w,
+            c.time,
+            c.mtw_supply_c,
+            c.mtw_return_c,
+            c.tower_tons,
+            c.chiller_tons,
+            c.wet_bulb_c,
+            c.facility_power_w,
+            c.it_power_w,
+            o.gpu_temp_mean_c,
+            o.gpu_temp_max_c,
+            o.cpu_temp_mean_c,
+        ];
+        let boards = o.msb_meter_w.iter().chain(&o.msb_sensor_w);
+        let mut bits: Vec<u64> = floats.iter().chain(boards).map(|v| v.to_bits()).collect();
+        bits.extend([o.running_jobs as u64, o.busy_nodes as u64]);
+        bits
+    }
+
+    /// Every bit of a batch: each row's node and time, then every
+    /// metric column.
+    fn batch_bits(b: &FrameBatch) -> Vec<u64> {
+        let mut bits = vec![b.len() as u64];
+        for row in 0..b.len() {
+            bits.extend([u64::from(b.node(row).0), b.t_sample(row).to_bits()]);
+        }
+        for def in catalog::full_catalog() {
+            bits.extend(b.column(def.id).iter().map(|v| u64::from(v.to_bits())));
+        }
+        bits
+    }
+
+    /// Every bit of the nodes' thermal state.
+    fn thermal_bits(e: &Engine) -> Vec<u64> {
+        let temps = e.thermals.iter();
+        let temps = temps.flat_map(|t| t.cpu_c.iter().chain(&t.gpu_core_c).chain(&t.gpu_mem_c));
+        temps.map(|v| v.to_bits()).collect()
+    }
+
+    /// A 40-node job on the GPU-heavy profile over `[begin, end)`.
+    fn burst_job(seed: u64, begin: f64, end: f64) -> crate::jobs::SyntheticJob {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut job = JobGenerator::new().generate_with_class(&mut rng, begin, 5);
+        job.record.node_count = 40;
+        job.record.end_time = end;
+        job.profile.gpu_intensity = 0.9;
+        job.profile.ramp_s = 4.0;
+        job
+    }
+
+    #[test]
+    fn group_steps_equal_single_steps_bit_for_bit() {
+        // 20 cabinets make two pool items (16 + 4), so every thread
+        // count but one runs the cabinets on the pool. Groups of 1, 7
+        // and 16 ticks and a short final group cover ticks 0-44. One job
+        // starts at t = 10 and ends at t = 18, inside the group over
+        // ticks 8-23; another is submitted between groups, before tick
+        // 24; cabinet 17 is dark over [26, 33), inside the group over
+        // ticks 24-39, and cabinet 2 from t = 41 to the end.
+        let groups = [1, 7, 16, 16, 5];
+        let mut cfg = EngineConfig::small(20);
+        cfg.cabinet_outages = vec![
+            CabinetOutage {
+                cabinet: CabinetId(17),
+                start_s: 26.0,
+                end_s: 33.0,
+            },
+            CabinetOutage {
+                cabinet: CabinetId(2),
+                start_s: 41.0,
+                end_s: f64::INFINITY,
+            },
+        ];
+        for threads in [1, 2, 4] {
+            rayon::with_thread_count(threads, || {
+                let mut grouped = Engine::new(cfg.clone(), 0.0);
+                let mut single = Engine::new(cfg.clone(), 0.0);
+                for e in [&mut grouped, &mut single] {
+                    e.scheduler().submit(burst_job(3, 10.0, 18.0));
+                }
+                let opts = StepOptions { frames: true };
+                let mut batches = vec![FrameBatch::new(); 16];
+                let mut batch = FrameBatch::new();
+                let mut busy_ticks = 0;
+                for (g, &n) in groups.iter().enumerate() {
+                    if g == 3 {
+                        for e in [&mut grouped, &mut single] {
+                            e.scheduler().submit(burst_job(4, 20.0, 1e9));
+                        }
+                    }
+                    let outs = grouped.step_group(&opts, &mut batches[..n]);
+                    assert_eq!(outs.len(), n);
+                    for (k, out) in outs.iter().enumerate() {
+                        let want = single.step_batch(&opts, &mut batch);
+                        let at = format!("{threads} threads, group {g}, tick {}", want.t);
+                        assert_eq!(tick_bits(out), tick_bits(&want), "{at}");
+                        assert_eq!(batch_bits(&batches[k]), batch_bits(&batch), "{at}");
+                        busy_ticks += usize::from(out.busy_nodes > 0);
+                    }
+                    assert_eq!(thermal_bits(&grouped), thermal_bits(&single));
+                    assert_eq!(grouped.time().to_bits(), single.time().to_bits());
+                }
+                // The first job ran over [10, 18), the second from 24 on.
+                assert_eq!(busy_ticks, 8 + 21, "{threads} threads");
+                // The thermal state carries into the next tick, also
+                // through a frameless group.
+                let outs = grouped.step_group(&StepOptions::default(), &mut batches[..2]);
+                assert!(batches[..2].iter().all(FrameBatch::is_empty));
+                for out in outs {
+                    assert_eq!(tick_bits(&out), tick_bits(&single.step()));
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn run_steps_whole_groups_like_single_steps() {
+        let mut cfg = EngineConfig::small(3);
+        cfg.dt_s = 10.0;
+        let mut grouped = Engine::new(cfg.clone(), 5.0);
+        let mut single = Engine::new(cfg, 5.0);
+        for e in [&mut grouped, &mut single] {
+            e.scheduler().submit(burst_job(5, 30.0, 200.0));
+        }
+        let outs = grouped.run(TICKS_PER_GROUP * 2 + 3);
+        assert_eq!(outs.len(), 35);
+        for out in &outs {
+            assert_eq!(tick_bits(out), tick_bits(&single.step()));
+        }
+        assert!(outs.iter().any(|o| o.busy_nodes == 40));
+        assert!(grouped.run(0).is_empty());
+        assert_eq!(grouped.time().to_bits(), single.time().to_bits());
     }
 
     #[test]

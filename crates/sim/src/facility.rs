@@ -104,11 +104,6 @@ impl Facility {
         }
     }
 
-    /// Config access.
-    pub fn config(&self) -> &FacilityConfig {
-        &self.config
-    }
-
     /// Whether `t` falls in a configured maintenance window.
     pub fn in_maintenance(&self, t: f64) -> bool {
         self.config

@@ -324,11 +324,6 @@ impl FaultInjector {
         }
     }
 
-    /// The active fault profile.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
     /// Counts of every fault injected so far.
     pub fn injected(&self) -> InjectedFaults {
         self.counts

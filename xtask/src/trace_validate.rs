@@ -203,6 +203,22 @@ mod tests {
     }
 
     #[test]
+    fn a_multi_megabyte_trace_validates_in_linear_time() {
+        // About 5 MB of balanced spans: a linear parser takes well under
+        // a second here even in a debug build, a quadratic one minutes.
+        let span = "{\"name\": \"summit_core_engine_tick\", \"ph\": \"B\", \"pid\": 1, \"tid\": 1, \"ts\": 0},\n\
+                    {\"name\": \"summit_core_engine_tick\", \"ph\": \"E\", \"pid\": 1, \"tid\": 1, \"ts\": 1}";
+        let text = wrap(&vec![span; 30_000].join(",\n"));
+        assert!(text.len() > 4_000_000, "{} bytes", text.len());
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(validate(&text)));
+        let report = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("validation must finish well within 30 s");
+        assert_eq!(report.unwrap().events, 60_001);
+    }
+
+    #[test]
     fn unbalanced_and_cross_track_begins_fail() {
         // E with no B on its tid, plus a B left open on another tid.
         let text = wrap(
