@@ -154,8 +154,8 @@ impl Welford {
 }
 
 /// A structure-of-arrays bank of [`Welford`] accumulators — one lane
-/// per column of a fixed-width record stream (e.g. the 106 metrics of
-/// a telemetry frame).
+/// per column of a fixed-width record stream (e.g. the 25 metrics a
+/// telemetry frame carries through the coarsener).
 ///
 /// [`WelfordColumns::push_row`] updates every lane in one pass over
 /// the row. Lanes are independent, so unlike a single Welford fold
@@ -220,10 +220,10 @@ impl WelfordColumns {
     /// Lanes are processed in blocks of [`LANE_BLOCK`]: a block whose
     /// samples are all non-finite is skipped outright (a non-finite
     /// sample leaves every field of its lane unchanged, so skipping is
-    /// exact), which makes sparsely-populated rows — telemetry frames
-    /// where most catalog metrics have no sensor — as cheap as they
-    /// are in a branchy per-sample loop, while populated blocks take the
-    /// vectorized select path.
+    /// exact), which makes sparsely-populated rows — the all-NaN frames
+    /// of a dark cabinet, or sensors that dropped out — as cheap as
+    /// they are in a branchy per-sample loop, while populated blocks
+    /// take the vectorized select path.
     pub fn push_row(&mut self, row: &[f32]) {
         let w = self.count.len();
         debug_assert_eq!(row.len(), w, "row width must match the bank");

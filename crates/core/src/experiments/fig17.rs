@@ -301,14 +301,13 @@ pub fn run(config: &Config) -> Result<Fig17Result, ExperimentError> {
 /// Per-GPU power and core temperature of the first `nodes` rows of a
 /// tick batch, node-major (`node * 6 + slot`).
 fn job_gpu_state(batch: &FrameBatch, nodes: usize) -> (Vec<f32>, Vec<f32>) {
-    let power = GpuSlot::ALL.map(|g| batch.column(catalog::gpu_power(g)));
-    let temp = GpuSlot::ALL.map(|g| batch.column(catalog::gpu_core_temp(g)));
     let mut pw = Vec::with_capacity(nodes * 6);
     let mut tc = Vec::with_capacity(nodes * 6);
     for node in 0..nodes {
-        for (p, t) in power.iter().zip(&temp) {
-            pw.push(p[node]);
-            tc.push(t[node]);
+        let row = batch.row(node);
+        for g in GpuSlot::ALL {
+            pw.push(row[catalog::gpu_power(g).index()]);
+            tc.push(row[catalog::gpu_core_temp(g).index()]);
         }
     }
     (pw, tc)

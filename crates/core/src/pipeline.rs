@@ -25,9 +25,8 @@ use summit_sim::jobstats::{population_stats, JobStatsRow};
 use summit_sim::power::PowerModel;
 use summit_sim::spec;
 use summit_telemetry::batch::FrameBatch;
-use summit_telemetry::catalog::METRIC_COUNT;
+use summit_telemetry::catalog::EMITTED;
 use summit_telemetry::delivery::{Delivered, NodeDelivery};
-use summit_telemetry::ids::NodeId;
 use summit_telemetry::ingest::{IngestHealth, LATENESS_HORIZON_S};
 use summit_telemetry::records::{NodeFrame, XidEvent};
 use summit_telemetry::store::TelemetryStore;
@@ -422,7 +421,7 @@ const CHANNEL_CAPACITY: usize = 8;
 /// The frame→alert latency histogram both executors record.
 const LATENCY_HISTOGRAM: &str = "summit_core_frame_to_alert_latency_seconds";
 
-/// Engine options that fill the tick's columnar frame batch.
+/// Engine options that fill the tick's frame batch.
 fn frame_options() -> StepOptions {
     StepOptions { frames: true }
 }
@@ -430,9 +429,10 @@ fn frame_options() -> StepOptions {
 /// One node's consumer state: its delivery through the fabric, the
 /// stages behind it and the buffer between them. Lane `i` consumes row
 /// `i` of every tick batch, so a pool worker keeps one node's state
-/// cache-hot across a whole group of ticks. Each frame's values are
-/// copied once, from the batch into the delivery's slab; from there
-/// only its key moves, and the stages read the values in place.
+/// cache-hot across a whole group of ticks. Each frame's row (the
+/// emitted metrics) is copied once, from the batch into the delivery's
+/// slab; from there only its key moves, and the stages read the row in
+/// place.
 struct NodeLane {
     delivery: NodeDelivery,
     /// Frames the fabric released, on their way to the stages (reused).
@@ -452,7 +452,7 @@ struct NodeStages {
 }
 
 impl NodeStages {
-    fn ingest(&mut self, f: &Delivered, values: &[f32; METRIC_COUNT]) {
+    fn ingest(&mut self, f: &Delivered, values: &[f32; EMITTED]) {
         self.tracker.observe(f.t_sample, f.t_ingest);
         self.stats.observe_arrival(f.t_sample, f.t_ingest);
         let coarsener = self
@@ -484,7 +484,7 @@ impl NodeLane {
             self.delivery.offer_row(
                 batch.node(row),
                 batch.t_sample(row),
-                |dst| batch.gather_row(row, dst),
+                |dst| *dst = *batch.row(row),
                 &mut self.released,
             );
             self.ingest_released();
@@ -659,7 +659,7 @@ fn publish_wall_rates(offered: u64, windows_by_node: &[Vec<NodeWindow>], wall_s:
 /// the coarsener's reorder buffer is always exercised.
 ///
 /// The engine steps each 16-tick group in one call, with one pool
-/// dispatch, into a reused set of columnar batches, and one lane per
+/// dispatch, into a reused set of frame batches, and one lane per
 /// node consumes each group on the pool (see
 /// [`run_streaming`], which shares the consumer): no frame outlives
 /// its group, so memory is bounded by the reorder buffers and the
@@ -691,9 +691,9 @@ pub fn run_telemetry(
         {
             let _obs = summit_obs::span("summit_core_frame_generation");
             let opts = frame_options();
-            // One group of columnar tick batches, reset (never
-            // reallocated) every group: the engine writes metric columns
-            // in place and the lanes read their rows straight back out.
+            // One group of tick batches, laid out again (never
+            // reallocated) every group: the engine's cabinet items write
+            // the rows in place and the lanes copy them straight out.
             let mut group: Vec<FrameBatch> = (0..TICKS_PER_GROUP.min(n_ticks))
                 .map(|_| FrameBatch::with_capacity(node_count))
                 .collect();
@@ -735,26 +735,34 @@ pub fn run_telemetry(
 /// archive is a function of the engine's frames alone (the store sorts
 /// and partitions them), not of the order the fabric delivers them in,
 /// so a replay of the run's seeded engine archives exactly those
-/// frames. One minute of rows is resident at a time.
+/// frames. The engine steps [`TICKS_PER_GROUP`]-tick groups into reused
+/// batches, and each node's minute is archived once it holds 60
+/// frames, so one minute of rows is resident at a time.
 pub fn archive_replay(cabinets: usize, minutes: usize) -> TelemetryStore {
     let _obs = summit_obs::span("summit_core_archive");
     let mut engine = Engine::new(EngineConfig::small(cabinets), 0.0);
     let node_count = engine.topology().node_count();
     let opts = frame_options();
-    let mut batch = FrameBatch::with_capacity(node_count);
+    let n_ticks = minutes * 60;
+    let mut group: Vec<FrameBatch> = (0..TICKS_PER_GROUP.min(n_ticks))
+        .map(|_| FrameBatch::with_capacity(node_count))
+        .collect();
     let mut minute: Vec<Vec<NodeFrame>> = (0..node_count).map(|_| Vec::with_capacity(60)).collect();
     let store = TelemetryStore::new();
-    for _ in 0..minutes {
-        for _ in 0..60 {
-            let _ = engine.step_batch(&opts, &mut batch);
+    for start in (0..n_ticks).step_by(TICKS_PER_GROUP) {
+        let group = &mut group[..TICKS_PER_GROUP.min(n_ticks - start)];
+        let _ = engine.step_group(&opts, group);
+        for batch in group.iter() {
             for row in 0..batch.len() {
                 let f = batch.read_frame(row);
-                minute[f.node.index()].push(f);
+                let node = f.node;
+                let frames = &mut minute[node.index()];
+                frames.push(f);
+                if frames.len() == 60 {
+                    store.archive_partition(node, frames);
+                    frames.clear();
+                }
             }
-        }
-        for (n, frames) in minute.iter_mut().enumerate() {
-            store.archive_partition(NodeId(n as u32), frames);
-            frames.clear();
         }
     }
     store
@@ -922,7 +930,7 @@ pub fn run_streaming(config: StreamConfig) -> StreamingRun {
 
         // The consumer hands each group's batches back once the lanes
         // have read them, and the producer refills them: a batch's
-        // columns are allocated once, not every tick. At most the
+        // rows are allocated once, not every tick. At most the
         // channel's groups plus the two in hand exist, so the return
         // channel never fills.
         let (recycle, recycled) = crossbeam::channel::bounded(CHANNEL_CAPACITY + 2);
@@ -1256,9 +1264,10 @@ mod tests {
     /// One run's outputs as the layer APIs compute them when composed
     /// the way the batch executor once did: every node's full row
     /// sequence, `FaultInjector::deliver`, a node-ordered stats merge,
-    /// `coarsen_parallel_with_health` and the latency replay. The rows
-    /// are built metric by metric with `FrameBatch::get`, not with the
-    /// executors' row gather, so a gather bug cannot hide in both.
+    /// `coarsen_parallel_with_health` and the latency replay. The frames
+    /// cross the fabric and the coarsener as whole 106-metric
+    /// `NodeFrame`s from `FrameBatch::read_frame`, not as the executors'
+    /// emitted rows, so a bug in either path cannot hide in both.
     struct Reference {
         windows: Vec<Vec<NodeWindow>>,
         stats: IngestStats,
@@ -1276,14 +1285,10 @@ mod tests {
         let node_count = engine.topology().node_count();
         let mut rows: Vec<Vec<NodeFrame>> = (0..node_count).map(|_| Vec::new()).collect();
         let mut batch = FrameBatch::with_capacity(node_count);
-        let metrics = summit_telemetry::catalog::full_catalog();
         for _ in 0..n_ticks {
             let _ = engine.step_batch(&frame_options(), &mut batch);
             for row in 0..batch.len() {
-                let mut f = NodeFrame::empty(batch.node(row), batch.t_sample(row));
-                for def in &metrics {
-                    f.set(def.id, batch.get(row, def.id));
-                }
+                let f = batch.read_frame(row);
                 rows[f.node.index()].push(f);
             }
         }

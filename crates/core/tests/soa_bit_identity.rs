@@ -1,4 +1,4 @@
-//! Cross-layer bit-identity for the columnar (SoA) hot path.
+//! Cross-layer bit-identity for the telemetry hot path.
 //!
 //! The columnar coarsener's memory layout and instruction scheduling
 //! must never change results: it must match a scalar per-metric
@@ -53,7 +53,7 @@ fn assert_windows_bitwise_eq(a: &[Vec<NodeWindow>], b: &[Vec<NodeWindow>], conte
     }
 }
 
-/// A fault-free capture generated through the engine's columnar tick
+/// A fault-free capture generated through the engine's tick
 /// batches, grouped per node — the same shape the pipeline feeds the
 /// coarsener.
 fn engine_frames(cabinets: usize, duration_s: f64) -> Vec<Vec<NodeFrame>> {
@@ -149,7 +149,7 @@ fn faulty_telemetry_run_is_thread_count_invariant_to_the_bit() {
 
 #[test]
 fn streaming_windows_match_batch_to_the_bit() {
-    // Same capture online (producer thread, bounded channel, columnar
+    // Same capture online (producer thread, bounded channel,
     // tick batches crossing it) and as a batch replay.
     let faults = Some(FaultConfig::light(7));
     let stream = run_streaming(StreamConfig::new(2, 120.0, faults));

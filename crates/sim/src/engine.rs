@@ -9,19 +9,20 @@
 //! tick reads only its own thermal state, its job assignment at that
 //! tick and `(node, tick)`: the supply water is a constant and the
 //! facility never feeds back into the nodes. So one pool dispatch runs
-//! every cabinet's nodes through the whole group, and the calling
-//! thread then reduces each tick in node order and steps the facility.
+//! every cabinet's nodes through the whole group, writing each node's
+//! frame row as it goes, and the calling thread then reduces each tick
+//! in node order and steps the facility.
 
 use rayon::prelude::*;
 use summit_telemetry::batch::FrameBatch;
-use summit_telemetry::catalog;
+use summit_telemetry::catalog::{self, MetricId, EMITTED};
 use summit_telemetry::ids::{CabinetId, GpuSlot, Msb, NodeId, Socket};
 use summit_telemetry::records::{frame_value, CepRecord};
 
 use crate::facility::{Facility, FacilityConfig};
 use crate::failures::CabinetOutage;
 use crate::msb::MsbMeterModel;
-use crate::power::{NodeUtilization, PowerModel};
+use crate::power::{NodePower, NodeUtilization, PowerModel};
 use crate::scheduler::Scheduler;
 use crate::spec::{NODES_PER_CABINET, TOTAL_CABINETS};
 use crate::thermal::{NodeThermals, ThermalModel};
@@ -70,7 +71,8 @@ pub const TICKS_PER_GROUP: usize = 16;
 /// What [`Engine::step_batch`] collects beyond the always-on summary.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepOptions {
-    /// Fill the tick's frame batch (one row per node, ~106 metrics).
+    /// Fill the tick's frame batch (one row per node, the catalog's
+    /// emitted metrics).
     pub frames: bool,
 }
 
@@ -158,7 +160,8 @@ impl Slot {
 }
 
 /// The arenas of one group step, kept from one group to the next, so a
-/// group allocates only the pool's item list and its own outputs.
+/// group allocates only the pool's item list, the list of frame rows
+/// (with frames) and its own outputs.
 #[derive(Debug, Default)]
 struct GroupScratch {
     /// Start time and running-job count of each tick.
@@ -167,25 +170,22 @@ struct GroupScratch {
     jobs: Vec<(WorkloadSignal, f64)>,
     /// `[k * node_count + i]`: node `i`'s job at tick `k`.
     slots: Vec<Slot>,
+    /// `[k * cabinet_count + c]`: whether an outage darkens cabinet `c`
+    /// at tick `k`, decided once for the frames and the sums.
+    dark: Vec<bool>,
     /// The node results: one run of `NODES_PER_CABINET * n` per cabinet,
     /// `[k * NODES_PER_CABINET + j]` within it, so each tick's results
     /// for a cabinet are contiguous.
     nodes: Vec<NodeTick>,
 }
 
-/// What the reduction reads of one node's tick: the f64 inputs of the
-/// sums, and the values only the frames carry, already at the frames'
-/// f32 precision (a frame stores `value as f32`, and that cast is exact
-/// on an f32 widened to f64).
+/// What the reduction reads of one node's tick: the inputs of the sums.
 #[derive(Debug, Clone, Copy, Default)]
 struct NodeTick {
     true_power: f64,
     sensor_power: f64,
     gpu_core_c: [f64; 6],
     cpu_c: [f64; 2],
-    gpu_power: [f32; 6],
-    cpu_power: [f32; 2],
-    gpu_mem_c: [f32; 6],
 }
 
 impl Engine {
@@ -252,12 +252,12 @@ impl Engine {
 
     /// Advances one tick like [`Engine::step`]. With `opts.frames` set
     /// it also writes the tick's telemetry frames into the caller's
-    /// columnar [`FrameBatch`], reset to the floor's node count (row `i`
-    /// is node `i`); otherwise it leaves the batch empty. The one-tick
+    /// [`FrameBatch`], laid out as the floor (row `i` is node `i`, every
+    /// row written); otherwise it leaves the batch empty. The one-tick
     /// group of [`Engine::step_group`].
     pub fn step_batch(&mut self, opts: &StepOptions, batch: &mut FrameBatch) -> TickOutput {
-        self.step_nodes(1);
-        self.reduce_tick(0, opts, batch)
+        self.step_nodes(opts, std::slice::from_mut(batch));
+        self.reduce_tick(0)
     }
 
     /// Advances `batches.len()` ticks in one group and returns their
@@ -271,12 +271,8 @@ impl Engine {
         opts: &StepOptions,
         batches: &mut [FrameBatch],
     ) -> Vec<TickOutput> {
-        self.step_nodes(batches.len());
-        batches
-            .iter_mut()
-            .enumerate()
-            .map(|(k, batch)| self.reduce_tick(k, opts, batch))
-            .collect()
+        self.step_nodes(opts, batches);
+        (0..batches.len()).map(|k| self.reduce_tick(k)).collect()
     }
 
     /// Runs `n` ticks, [`TICKS_PER_GROUP`] per group, returning their
@@ -292,25 +288,31 @@ impl Engine {
         ticks
     }
 
-    /// Group phases 1 and 2 for the next `n` ticks. The calling thread
-    /// advances the scheduler to each tick and records every node's job;
-    /// then one pool dispatch runs each cabinet's nodes through all `n`
-    /// ticks, advancing their thermal state in place. A cabinet is one
-    /// pool item, so a floor of 16 cabinets or fewer (one chunk) runs
+    /// Group phases 1 and 2 for the next `batches.len()` ticks. The
+    /// calling thread advances the scheduler to each tick, records every
+    /// node's job, decides each cabinet's darkness and lays out the
+    /// tick's batch (or empties it without `opts.frames`). Then one pool
+    /// dispatch runs each cabinet's nodes through every tick, advancing
+    /// their thermal state in place and writing each node's frame row:
+    /// its readings, or all-NaN while its cabinet is dark. A cabinet is
+    /// one pool item, so a floor of 16 cabinets or fewer (one chunk) runs
     /// inline without waking the pool, and the item grid depends only on
     /// the cabinet count.
-    fn step_nodes(&mut self, n: usize) {
+    fn step_nodes(&mut self, opts: &StepOptions, batches: &mut [FrameBatch]) {
+        let n = batches.len();
         if n == 0 {
             return;
         }
         let dt = self.config.dt_s;
         let node_count = self.topology.node_count();
+        let cabinet_count = self.topology.cabinet_count();
         let g = &mut self.group;
         g.ticks.clear();
         g.jobs.clear();
+        g.dark.clear();
         g.slots.clear();
         g.slots.resize(n * node_count, Slot::IDLE);
-        for k in 0..n {
+        for (k, batch) in batches.iter_mut().enumerate() {
             let slots = &mut g.slots[k * node_count..(k + 1) * node_count];
             let t = self.t;
             self.scheduler.advance(t);
@@ -325,6 +327,17 @@ impl Engine {
                 }
             }
             g.ticks.push((t, self.scheduler.running().len()));
+            let outages = &self.config.cabinet_outages;
+            g.dark.extend((0..cabinet_count).map(|c| {
+                outages
+                    .iter()
+                    .any(|o| o.cabinet.index() == c && o.is_active(t))
+            }));
+            if opts.frames {
+                batch.lay_out(node_count, t);
+            } else {
+                batch.clear();
+            }
             self.t += dt;
         }
 
@@ -335,22 +348,31 @@ impl Engine {
         let tm = self.thermal_model;
         let msb = self.msb_model;
         let supply_c = crate::spec::MTW_SUPPLY_NOMINAL_C;
-        let (slots, jobs, tick0) = (&g.slots, &g.jobs, self.tick);
+        let (slots, jobs, dark, tick0) = (&g.slots, &g.jobs, &g.dark, self.tick);
+        let mut rows = if opts.frames {
+            cabinet_rows(batches, cabinet_count)
+        } else {
+            Vec::new()
+        };
+        let mut rows = rows.chunks_mut(n);
         let cabinets: Vec<_> = self
             .thermals
             .chunks_mut(NODES_PER_CABINET)
             .zip(g.nodes[..node_count * n].chunks_mut(NODES_PER_CABINET * n))
+            .map(|(thermals, results)| (thermals, results, rows.next().unwrap_or_default()))
             .enumerate()
             .collect();
         let _: Vec<()> = cabinets
             .into_par_iter()
-            .map(|(c, (thermals, results))| {
+            .map(|(c, (thermals, results, rows))| {
                 let first = c * NODES_PER_CABINET;
                 let ticks = slots
                     .chunks(node_count)
                     .zip(results.chunks_mut(NODES_PER_CABINET));
                 for (k, (slots, results)) in ticks.enumerate() {
                     let tick = tick0 + k as u64;
+                    let dark = dark[k * cabinet_count + c];
+                    let mut frames = rows.get_mut(k).map(|rows| rows.iter_mut());
                     let nodes = thermals.iter_mut().zip(results).zip(&slots[first..]);
                     for (j, ((th, r), slot)) in nodes.enumerate() {
                         let node = NodeId((first + j) as u32);
@@ -360,15 +382,22 @@ impl Engine {
                         };
                         let power = pm.node_power(node, &util);
                         tm.step(node, th, &power, supply_c, dt);
+                        let sensor_power = msb.sensor_reading(node, tick, power.input_w);
                         *r = NodeTick {
                             true_power: power.input_w,
-                            sensor_power: msb.sensor_reading(node, tick, power.input_w),
+                            sensor_power,
                             gpu_core_c: th.gpu_core_c,
                             cpu_c: th.cpu_c,
-                            gpu_power: power.gpu_w.map(frame_value),
-                            cpu_power: power.cpu_w.map(frame_value),
-                            gpu_mem_c: th.gpu_mem_c.map(frame_value),
                         };
+                        if let Some(row) = frames.as_mut().and_then(Iterator::next) {
+                            // A dark cabinet's rows are all-NaN: the
+                            // bright-green cabinet.
+                            *row = [f32::NAN; EMITTED];
+                            if !dark {
+                                let mut set = |m: MetricId, v| row[m.index()] = frame_value(v);
+                                write_frame_metrics(&mut set, sensor_power, &power, th);
+                            }
+                        }
                     }
                 }
             })
@@ -378,28 +407,24 @@ impl Engine {
 
     /// Group phase 3 for tick `k` of the group [`Engine::step_nodes`]
     /// ran: sums the tick's node results in node order, cabinet by
-    /// cabinet, writes its frames when `opts.frames` is set, and steps
-    /// the facility. A board's cabinets are a contiguous run, so its
-    /// sums add its nodes in the order `Topology::nodes_of_msb` lists
-    /// them; they start at -0.0, where `Iterator::sum` starts, so an
-    /// empty board reads -0.0.
-    fn reduce_tick(&mut self, k: usize, opts: &StepOptions, batch: &mut FrameBatch) -> TickOutput {
+    /// cabinet, leaving out the readings of the cabinets phase 1 found
+    /// dark, and steps the facility. A board's cabinets are a contiguous
+    /// run, so its sums add its nodes in the order
+    /// `Topology::nodes_of_msb` lists them; they start at -0.0, where
+    /// `Iterator::sum` starts, so an empty board reads -0.0.
+    fn reduce_tick(&mut self, k: usize) -> TickOutput {
         let dt = self.config.dt_s;
         let node_count = self.topology.node_count();
+        let cabinet_count = self.topology.cabinet_count();
         let (t, running_jobs) = self.group.ticks[k];
-        let mut frames = if opts.frames {
-            batch.reset(node_count);
-            Some(batch)
-        } else {
-            batch.reset(0);
-            None
-        };
         let n = self.group.ticks.len();
         let slots = &self.group.slots[k * node_count..(k + 1) * node_count];
+        let dark = &self.group.dark[k * cabinet_count..(k + 1) * cabinet_count];
         let cabinets = self.group.nodes[..node_count * n]
             .chunks(NODES_PER_CABINET * n)
             .map(|results| &results[k * NODES_PER_CABINET..(k + 1) * NODES_PER_CABINET])
-            .zip(slots.chunks(NODES_PER_CABINET));
+            .zip(slots.chunks(NODES_PER_CABINET))
+            .zip(dark);
         let mut true_compute = -0.0;
         let mut sensor_compute = 0.0;
         let mut board_true_w = [-0.0f64; 5];
@@ -407,26 +432,12 @@ impl Engine {
         let (mut gpu_t_sum, mut gpu_t_max, mut gpu_t_n) = (0.0, f64::NEG_INFINITY, 0usize);
         let (mut cpu_t_sum, mut cpu_t_n) = (0.0, 0usize);
         let mut busy_nodes = 0usize;
-        for (c, (nodes, slots)) in cabinets.enumerate() {
-            let cabinet = CabinetId(c as u16);
-            let dark = self
-                .config
-                .cabinet_outages
-                .iter()
-                .any(|o| o.cabinet == cabinet && o.is_active(t));
-            let board = self.topology.msb_of(cabinet).index();
-            for (j, (r, slot)) in nodes.iter().zip(slots).enumerate() {
+        for (c, ((nodes, slots), &dark)) in cabinets.enumerate() {
+            let board = self.topology.msb_of(CabinetId(c as u16)).index();
+            for (r, slot) in nodes.iter().zip(slots) {
                 true_compute += r.true_power;
                 board_true_w[board] += r.true_power;
                 busy_nodes += usize::from(slot.is_busy());
-                if let Some(batch) = frames.as_deref_mut() {
-                    let row = batch.push_row(NodeId((c * NODES_PER_CABINET + j) as u32), t);
-                    if !dark {
-                        write_frame_metrics(batch, row, r);
-                    }
-                }
-                // A dark cabinet's rows stay as reset left them, all-NaN:
-                // the bright-green cabinet.
                 if dark {
                     continue;
                 }
@@ -467,21 +478,47 @@ impl Engine {
     }
 }
 
-/// Writes one reporting node's metric readings into its batch row.
-fn write_frame_metrics(batch: &mut FrameBatch, row: usize, r: &NodeTick) {
-    batch.set(row, catalog::input_power(), r.sensor_power);
-    batch.set(row, catalog::ps_input_power(0), r.sensor_power * 0.5);
-    batch.set(row, catalog::ps_input_power(1), r.sensor_power * 0.5);
+/// The frame rows of a group, listed for the pool items: entry
+/// `c * n + k` is cabinet `c`'s run of rows in `batches[k]`, so
+/// `chunks_mut(n)` hands each cabinet its rows at every tick. The list
+/// is the one allocation: it starts as each batch's whole row slice,
+/// and each cabinet's split pushes that batch's remaining rows to the
+/// end, where the next cabinet takes them.
+fn cabinet_rows(batches: &mut [FrameBatch], cabinets: usize) -> Vec<&mut [[f32; EMITTED]]> {
+    let n = batches.len();
+    let mut rows: Vec<&mut [[f32; EMITTED]]> = Vec::with_capacity((cabinets + 1) * n);
+    rows.extend(batches.iter_mut().map(FrameBatch::rows_mut));
+    for i in 0..cabinets * n {
+        let rest = std::mem::take(&mut rows[i]);
+        let (cabinet, rest) = rest.split_at_mut(NODES_PER_CABINET.min(rest.len()));
+        rows[i] = cabinet;
+        rows.push(rest);
+    }
+    rows.truncate(cabinets * n);
+    rows
+}
+
+/// Writes one reporting node's readings through `set`: the catalog's
+/// emitted metrics, ids `0..EMITTED`, each once.
+fn write_frame_metrics(
+    set: &mut impl FnMut(MetricId, f64),
+    sensor_power: f64,
+    power: &NodePower,
+    th: &NodeThermals,
+) {
+    set(catalog::input_power(), sensor_power);
+    set(catalog::ps_input_power(0), sensor_power * 0.5);
+    set(catalog::ps_input_power(1), sensor_power * 0.5);
     for s in Socket::ALL {
         let i = s.index();
-        batch.set(row, catalog::cpu_power(s), f64::from(r.cpu_power[i]));
-        batch.set(row, catalog::cpu_pkg_temp(s), r.cpu_c[i]);
+        set(catalog::cpu_power(s), power.cpu_w[i]);
+        set(catalog::cpu_pkg_temp(s), th.cpu_c[i]);
     }
     for g in GpuSlot::ALL {
         let i = g.index();
-        batch.set(row, catalog::gpu_power(g), f64::from(r.gpu_power[i]));
-        batch.set(row, catalog::gpu_core_temp(g), r.gpu_core_c[i]);
-        batch.set(row, catalog::gpu_mem_temp(g), f64::from(r.gpu_mem_c[i]));
+        set(catalog::gpu_power(g), power.gpu_w[i]);
+        set(catalog::gpu_core_temp(g), th.gpu_core_c[i]);
+        set(catalog::gpu_mem_temp(g), th.gpu_mem_c[i]);
     }
 }
 
@@ -495,6 +532,11 @@ mod tests {
 
     fn small_engine() -> Engine {
         Engine::new(EngineConfig::small(10), 0.0)
+    }
+
+    /// One metric's values over a batch's rows, in row order.
+    fn column(b: &FrameBatch, metric: MetricId) -> Vec<f32> {
+        (0..b.len()).map(|i| b.row(i)[metric.index()]).collect()
     }
 
     #[test]
@@ -587,7 +629,7 @@ mod tests {
         // Nodes 18..36 are in cabinet 1: their frames are all-NaN.
         assert!(batch.read_frame(20).get(catalog::input_power()).is_nan());
         assert!(!batch.read_frame(2).get(catalog::input_power()).is_nan());
-        let np = batch.column(catalog::input_power());
+        let np = column(&batch, catalog::input_power());
         assert!(np[20].is_nan() && !np[0].is_nan());
         // Sensor sum excludes the cabinet; true power includes it.
         assert!(out.sensor_compute_power_w < out.true_compute_power_w * 0.95);
@@ -633,6 +675,55 @@ mod tests {
     }
 
     #[test]
+    fn frame_metrics_are_exactly_the_emitted_prefix() {
+        let power = PowerModel::new(1).node_power(NodeId(0), &NodeUtilization::idle());
+        let th = NodeThermals::at_water(30.0);
+        let mut ids = Vec::new();
+        write_frame_metrics(
+            &mut |m: MetricId, _| ids.push(m.index()),
+            600.0,
+            &power,
+            &th,
+        );
+        ids.sort_unstable();
+        assert_eq!(ids, (0..EMITTED).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn rows_carry_the_emitted_prefix_and_a_dark_cabinet_only_inside_its_outage() {
+        // Three cabinets stepped as one 8-tick group; cabinet 1 is dark
+        // over [2, 5). Every reporting row has all its emitted values,
+        // finite; a dark row has none; read_frame adds the NaN tail.
+        let mut cfg = EngineConfig::small(3);
+        cfg.cabinet_outages = vec![CabinetOutage {
+            cabinet: CabinetId(1),
+            start_s: 2.0,
+            end_s: 5.0,
+        }];
+        let mut e = Engine::new(cfg, 0.0);
+        let mut batches = vec![FrameBatch::new(); 8];
+        let outs = e.step_group(&StepOptions { frames: true }, &mut batches);
+        for (out, batch) in outs.iter().zip(&batches) {
+            assert_eq!(batch.len(), 54);
+            for i in 0..batch.len() {
+                let at = format!("t {} row {i}", out.t);
+                let dark = (18..36).contains(&i) && (2.0..5.0).contains(&out.t);
+                let row = batch.row(i);
+                if dark {
+                    assert!(row.iter().all(|v| v.is_nan()), "{at}");
+                } else {
+                    assert!(row.iter().all(|v| v.is_finite()), "{at}");
+                }
+                let frame = batch.read_frame(i);
+                assert!(frame.values[EMITTED..].iter().all(|v| v.is_nan()), "{at}");
+                for (a, b) in frame.values.iter().zip(row) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn msb_sensor_sums_add_up_the_reporting_frames() {
         // Each MSB's sensor summation is the frames' own input power
         // over that board's nodes in topology order, dark cabinets
@@ -669,7 +760,7 @@ mod tests {
                         .any(|o| o.cabinet.index() == c && o.is_active(out.t));
                     assert_eq!(dark, active, "{at}: cabinet {c}");
                 }
-                let power = batch.column(catalog::input_power());
+                let power = column(&batch, catalog::input_power());
                 for m in Msb::ALL {
                     let nodes = topology.nodes_of_msb(m);
                     let want: f64 = nodes
@@ -774,15 +865,12 @@ mod tests {
         bits
     }
 
-    /// Every bit of a batch: each row's node and time, then every
-    /// metric column.
+    /// Every bit of a batch: each row's node, time and metric values.
     fn batch_bits(b: &FrameBatch) -> Vec<u64> {
         let mut bits = vec![b.len() as u64];
         for row in 0..b.len() {
             bits.extend([u64::from(b.node(row).0), b.t_sample(row).to_bits()]);
-        }
-        for def in catalog::full_catalog() {
-            bits.extend(b.column(def.id).iter().map(|v| u64::from(v.to_bits())));
+            bits.extend(b.row(row).iter().map(|v| u64::from(v.to_bits())));
         }
         bits
     }

@@ -509,37 +509,6 @@ impl FailureModel {
         out.sort_by(|a, b| a.time.total_cmp(&b.time));
         out
     }
-
-    /// Samples whole-cabinet telemetry outage bursts over
-    /// `[t0, t0 + span_s)`: Poisson arrivals at roughly four outages per
-    /// cabinet-year, each lasting ten minutes
-    /// to a few hours. Sorted by start time; an empty floor or
-    /// non-positive span yields no outages.
-    pub fn cabinet_outages<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        cabinets: usize,
-        t0: f64,
-        span_s: f64,
-    ) -> Vec<CabinetOutage> {
-        if cabinets == 0 || span_s <= 0.0 || span_s.is_nan() {
-            return Vec::new();
-        }
-        let mean = cabinets as f64 * 4.0 * span_s / crate::spec::YEAR_S;
-        let n = poisson(rng, mean);
-        let mut out = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let start = t0 + rng.gen::<f64>() * span_s;
-            let duration = 600.0 + exponential(rng, 1.0) * 7200.0;
-            out.push(CabinetOutage {
-                cabinet: CabinetId(rng.gen_range(0..cabinets) as u16),
-                start_s: start,
-                end_s: start + duration,
-            });
-        }
-        out.sort_by(|a, b| a.start_s.total_cmp(&b.start_s));
-        out
-    }
 }
 
 /// Tallies events per kind.
@@ -759,29 +728,6 @@ mod tests {
             slots[4] > others_max,
             "paper Fig 16: GPU 4 leads double-bit/page-retirement, got {slots:?}"
         );
-    }
-
-    #[test]
-    fn cabinet_outages_are_rare_and_bounded() {
-        let model = FailureModel::new(ThermalRegime::SummitLiquidCooled, TOTAL_NODES);
-        let mut rng = StdRng::seed_from_u64(7);
-        // One year over the full floor: expect ~4 outages per cabinet.
-        let outages = model.cabinet_outages(&mut rng, 257, 0.0, crate::spec::YEAR_S);
-        let per_cabinet = outages.len() as f64 / 257.0;
-        assert!(
-            (2.0..8.0).contains(&per_cabinet),
-            "expected ~4 outages/cabinet-year, got {per_cabinet}"
-        );
-        for o in &outages {
-            assert!(o.cabinet.0 < 257);
-            assert!(o.end_s > o.start_s + 600.0 - 1e-9);
-            assert!(o.is_active(o.start_s));
-            assert!(!o.is_active(o.end_s));
-        }
-        assert!(outages.windows(2).all(|w| w[0].start_s <= w[1].start_s));
-        // Degenerate inputs yield no outages rather than panicking.
-        assert!(model.cabinet_outages(&mut rng, 0, 0.0, 1.0).is_empty());
-        assert!(model.cabinet_outages(&mut rng, 10, 0.0, 0.0).is_empty());
     }
 
     #[test]

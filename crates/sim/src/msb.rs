@@ -13,7 +13,6 @@
 use summit_telemetry::ids::{Msb, NodeId};
 
 use crate::rng::stable_jitter;
-use crate::topology::Topology;
 
 /// Per-MSB overhead factors: the "external factor" differs per board.
 /// Values chosen so summation lands ~11 % under the meter on average.
@@ -57,30 +56,31 @@ impl MsbMeterModel {
             * stable_jitter(SENSOR_NOISE_SEED ^ tick.rotate_left(17), node.0 as u64);
         (true_power_w * (1.0 - self.sensor_bias) * (1.0 + noise)).max(0.0)
     }
-
-    /// Sum of sensor readings for one MSB.
-    pub fn sensor_summation(
-        &self,
-        topology: &Topology,
-        msb: Msb,
-        tick: u64,
-        true_node_power: &[f64],
-    ) -> f64 {
-        topology
-            .nodes_of_msb(msb)
-            .iter()
-            .map(|n| self.sensor_reading(*n, tick, true_node_power[n.index()]))
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
+    use crate::topology::Topology;
 
     fn uniform_power(topology: &Topology, w: f64) -> Vec<f64> {
         vec![w; topology.node_count()]
+    }
+
+    /// Sum of the sensor readings of the nodes one board feeds.
+    fn sensor_summation(
+        model: &MsbMeterModel,
+        topology: &Topology,
+        msb: Msb,
+        tick: u64,
+        power: &[f64],
+    ) -> f64 {
+        topology
+            .nodes_of_msb(msb)
+            .iter()
+            .map(|n| model.sensor_reading(*n, tick, power[n.index()]))
+            .sum()
     }
 
     /// The true power of the nodes one board feeds.
@@ -101,7 +101,7 @@ mod tests {
         let mut total_sum = 0.0;
         for msb in Msb::ALL {
             total_meter += model.meter_reading(msb, board_power(&topo, msb, &power));
-            total_sum += model.sensor_summation(&topo, msb, 0, &power);
+            total_sum += sensor_summation(&model, &topo, msb, 0, &power);
         }
         let gap = (total_meter - total_sum) / total_meter;
         assert!(
@@ -118,7 +118,7 @@ mod tests {
         let mut diffs = Vec::new();
         for msb in Msb::ALL {
             let meter = model.meter_reading(msb, board_power(&topo, msb, &power));
-            let sum = model.sensor_summation(&topo, msb, 0, &power);
+            let sum = sensor_summation(&model, &topo, msb, 0, &power);
             diffs.push((meter - sum) / meter);
         }
         let min = diffs.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -138,8 +138,8 @@ mod tests {
         let high = uniform_power(&topo, 1600.0);
         let m_low = model.meter_reading(Msb::A, board_power(&topo, Msb::A, &low));
         let m_high = model.meter_reading(Msb::A, board_power(&topo, Msb::A, &high));
-        let s_low = model.sensor_summation(&topo, Msb::A, 1, &low);
-        let s_high = model.sensor_summation(&topo, Msb::A, 1, &high);
+        let s_low = sensor_summation(&model, &topo, Msb::A, 1, &low);
+        let s_high = sensor_summation(&model, &topo, Msb::A, 1, &high);
         let meter_swing = m_high - m_low;
         let sum_swing = s_high - s_low;
         assert!(meter_swing > 0.0 && sum_swing > 0.0);

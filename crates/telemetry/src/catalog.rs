@@ -18,6 +18,11 @@ pub const DIMMS_PER_NODE: usize = 16;
 pub const FANS_PER_NODE: usize = 4;
 /// Total metrics per node in the catalog.
 pub const METRIC_COUNT: usize = 106;
+/// Metrics the engine writes: the catalog's first `EMITTED` ids, the
+/// paper's Dataset 0 key columns (`input_power` through `p1_temp`).
+/// Frames travel the hot path as rows of this prefix; every other
+/// metric is NaN in every frame the twin makes.
+pub const EMITTED: usize = 25;
 
 /// Physical quantity a metric reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,6 +76,10 @@ const OFF_BOARD_TEMP: u16 = 95; // +2 (inlet, outlet)
 const OFF_CPU_VRM_TEMP: u16 = 97; // +2
 const OFF_GPU_VRM_TEMP: u16 = 99; // +6
 const OFF_IO_POWER: u16 = 105; // +1
+
+// The emitted prefix ends where the per-core temperatures begin: the
+// two array lengths must agree, or this fails to compile.
+const _: [(); EMITTED] = [(); OFF_CPU_CORE_TEMP as usize];
 
 /// Node AC input power (sum of both power supplies), watts.
 pub fn input_power() -> MetricId {

@@ -210,16 +210,17 @@ impl ColumnBlock {
     }
 
     /// Decodes a buffer from [`ColumnBlock::encode`]; `None` on corrupt
-    /// input, including columns that together claim more than 2^24
-    /// values.
-    pub fn decode(mut buf: Bytes) -> Option<Self> {
+    /// input, including columns that together claim more than `budget`
+    /// values. The caller sizes the budget from what it knows the block
+    /// holds; no budget reaches past 2^24 values.
+    pub fn decode(mut buf: Bytes, budget: usize) -> Option<Self> {
         let n_cols = usize::try_from(read_varint(&mut buf)?).ok()?;
         // Every column takes at least one byte, so the bytes left bound
         // an honest count; a corrupt one must not size the allocation.
         let mut columns = Vec::with_capacity(n_cols.min(buf.remaining()));
         // Each column's header is checked against what the block has
         // left, before the column expands.
-        let mut budget = MAX_COLUMN_LEN;
+        let mut budget = budget.min(MAX_COLUMN_LEN);
         for _ in 0..n_cols {
             let column = decode_column_within(&mut buf, budget)?;
             budget -= column.len();
@@ -412,17 +413,17 @@ mod tests {
             columns: vec![vec![1, 2, 3], vec![10, 10, 10], vec![]],
         };
         let enc = block.encode();
-        assert_eq!(ColumnBlock::decode(enc), Some(block));
+        assert_eq!(ColumnBlock::decode(enc, MAX_COLUMN_LEN), Some(block));
     }
 
     #[test]
     fn block_decode_rejects_garbage() {
         let garbage = Bytes::from_static(&[0xff, 0xff, 0xff, 0xff, 0xff]);
-        assert_eq!(ColumnBlock::decode(garbage), None);
+        assert_eq!(ColumnBlock::decode(garbage, MAX_COLUMN_LEN), None);
         // A 9-byte header claiming 2^62 values (or columns).
         let huge = Bytes::from_static(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40]);
         assert_eq!(decode_column(&mut huge.clone()), None);
-        assert_eq!(ColumnBlock::decode(huge), None);
+        assert_eq!(ColumnBlock::decode(huge, MAX_COLUMN_LEN), None);
         // One column one value over the cap, covered by a single run token.
         let mut over = BytesMut::new();
         write_varint(&mut over, 1);
@@ -430,7 +431,7 @@ mod tests {
         write_varint(&mut over, zigzag_encode(650));
         write_zero_run(&mut over, MAX_COLUMN_LEN as u64);
         let over = over.freeze();
-        assert_eq!(ColumnBlock::decode(over.clone()), None);
+        assert_eq!(ColumnBlock::decode(over.clone(), MAX_COLUMN_LEN), None);
         let mut column = over;
         assert_eq!(read_varint(&mut column), Some(1));
         assert_eq!(decode_column(&mut column), None);
@@ -444,7 +445,10 @@ mod tests {
         write_varint(&mut over_budget, MAX_COLUMN_LEN as u64);
         write_varint(&mut over_budget, zigzag_encode(650));
         write_zero_run(&mut over_budget, MAX_COLUMN_LEN as u64 - 1);
-        assert_eq!(ColumnBlock::decode(over_budget.freeze()), None);
+        assert_eq!(
+            ColumnBlock::decode(over_budget.freeze(), MAX_COLUMN_LEN),
+            None
+        );
     }
 
     #[test]
@@ -456,7 +460,7 @@ mod tests {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let check = |bytes: Vec<u8>| {
             let bytes = Bytes::from(bytes);
-            let block = ColumnBlock::decode(bytes.clone());
+            let block = ColumnBlock::decode(bytes.clone(), MAX_COLUMN_LEN);
             let values: usize = block.map_or(0, |b| b.columns.iter().map(Vec::len).sum());
             let column = decode_column(&mut bytes.clone()).map_or(0, |c| c.len());
             assert!(values <= MAX_COLUMN_LEN && column <= MAX_COLUMN_LEN);
@@ -480,7 +484,10 @@ mod tests {
             let columns = (0..len % 9).map(|c| column(1500 + c as i64)).collect();
             let block = ColumnBlock { columns };
             let encoded = block.encode();
-            assert_eq!(ColumnBlock::decode(encoded.clone()), Some(block));
+            assert_eq!(
+                ColumnBlock::decode(encoded.clone(), MAX_COLUMN_LEN),
+                Some(block)
+            );
             let mut bytes = encoded.as_slice().to_vec();
             for _ in 0..rng.gen_range(1..4) {
                 let at = rng.gen_range(0..=bytes.len());

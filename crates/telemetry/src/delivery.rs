@@ -25,23 +25,24 @@
 //!    frame suffices: a frame that draws a swap is emitted ahead of the
 //!    held frame; one that doesn't replaces it.
 //!
-//! **Slab and keys.** A frame's metric values are copied once, by the
-//! caller's fill, into a per-node slab of rows recycled through a free
-//! list. Only a 40-byte key — arrival time, insertion sequence, node,
-//! sample and ingest times, slot — moves through the heap and the hold;
-//! a duplicate copies its row into a second slot.
+//! **Slab and keys.** A frame's metric values — the catalog's emitted
+//! prefix, one `[f32; EMITTED]` row (see [`crate::batch`]) — are copied
+//! once, by the caller's fill, into a per-node slab of rows recycled
+//! through a free list. Only a 40-byte key — arrival time, insertion
+//! sequence, node, sample and ingest times, slot — moves through the
+//! heap and the hold; a duplicate copies its row into a second slot.
 //! [`NodeDelivery::offer_row`] and [`NodeDelivery::drain_rows`] release
 //! [`Delivered`] keys, and the consumer reads each one's values with
 //! [`NodeDelivery::row`] before handing the slot back with
 //! [`NodeDelivery::free`], so the slab holds only the frames in flight.
 //! [`NodeDelivery::offer`] and [`NodeDelivery::finish`] adapt that core
-//! to whole [`NodeFrame`]s.
+//! to whole [`NodeFrame`]s, whose metrics past the prefix must be NaN.
 //!
 //! The result: delivered frame sequence, injected-fault counts, and
 //! every downstream statistic are bit-identical to the batch injector
 //! run over the same per-node sequence.
 
-use crate::catalog::METRIC_COUNT;
+use crate::catalog::EMITTED;
 use crate::ids::NodeId;
 use crate::records::NodeFrame;
 use crate::stream::{propagation_delay_s, FaultConfig, FrameFate, InjectedFaults};
@@ -110,9 +111,9 @@ pub struct NodeDelivery {
     heap: BinaryHeap<Arrival>,
     hold: Option<Delivered>,
     counts: InjectedFaults,
-    /// Metric values of every frame in the heap, in the hold, or
-    /// released and not yet freed: one row per slot.
-    slab: Vec<[f32; METRIC_COUNT]>,
+    /// Emitted metric values of every frame in the heap, in the hold,
+    /// or released and not yet freed: one row per slot.
+    slab: Vec<[f32; EMITTED]>,
     /// Slots free for reuse.
     free: Vec<u32>,
 }
@@ -143,9 +144,9 @@ impl NodeDelivery {
         self.heap.len() + usize::from(self.hold.is_some())
     }
 
-    /// The metric values of a released frame. Panics if `slot` was
-    /// never handed out.
-    pub fn row(&self, slot: u32) -> &[f32; METRIC_COUNT] {
+    /// The emitted metric values of a released frame. Panics if `slot`
+    /// was never handed out.
+    pub fn row(&self, slot: u32) -> &[f32; EMITTED] {
         &self.slab[slot as usize]
     }
 
@@ -156,9 +157,9 @@ impl NodeDelivery {
     }
 
     /// Fills a free slot (the slab grows only when none is free).
-    fn store(&mut self, fill: impl FnOnce(&mut [f32; METRIC_COUNT])) -> u32 {
+    fn store(&mut self, fill: impl FnOnce(&mut [f32; EMITTED])) -> u32 {
         let slot = self.free.pop().unwrap_or_else(|| {
-            self.slab.push([f32::NAN; METRIC_COUNT]);
+            self.slab.push([f32::NAN; EMITTED]);
             crate::convert::count_u32(self.slab.len() as u64 - 1)
         });
         fill(&mut self.slab[slot as usize]);
@@ -194,15 +195,15 @@ impl NodeDelivery {
     }
 
     /// Offers one source frame — its node, sample time and a `fill` that
-    /// writes its metric values into a slab row, called once unless the
-    /// fabric drops the frame — and appends every frame that became safe
-    /// to deliver. Frames must come in `t_sample` order, the order the
-    /// engine produces them.
+    /// writes its emitted metric values into a slab row, called once
+    /// unless the fabric drops the frame — and appends every frame that
+    /// became safe to deliver. Frames must come in `t_sample` order, the
+    /// order the engine produces them.
     pub fn offer_row(
         &mut self,
         node: NodeId,
         t_sample: f64,
-        fill: impl FnOnce(&mut [f32; METRIC_COUNT]),
+        fill: impl FnOnce(&mut [f32; EMITTED]),
         out: &mut Vec<Delivered>,
     ) {
         let t_ingest = t_sample + propagation_delay_s(node.0, t_sample);
@@ -260,28 +261,33 @@ impl NodeDelivery {
         }
     }
 
-    /// Moves released frames out of the slab as whole frames.
+    /// Moves released frames out of the slab as whole frames, NaN past
+    /// the emitted prefix.
     fn take_frames(&mut self, released: &[Delivered], out: &mut Vec<NodeFrame>) {
         for d in released {
-            out.push(NodeFrame {
-                node: d.node,
-                t_sample: d.t_sample,
-                t_ingest: d.t_ingest,
-                values: *self.row(d.slot),
-            });
+            let mut frame = NodeFrame::from_emitted(d.node, d.t_sample, self.row(d.slot));
+            frame.t_ingest = d.t_ingest;
+            out.push(frame);
             self.free(d.slot);
         }
     }
 
     /// [`NodeDelivery::offer_row`] for a whole source frame (its
     /// `t_ingest` is ignored: the fabric stamps it), appending delivered
-    /// frames.
+    /// frames. Only the emitted prefix travels, so every metric past it
+    /// must be NaN, as in every frame the engine makes (debug-asserted);
+    /// delivered frames carry NaN there.
     pub fn offer(&mut self, frame: NodeFrame, out: &mut Vec<NodeFrame>) {
+        let (prefix, tail) = frame.values.split_at(EMITTED);
+        debug_assert!(
+            tail.iter().all(|v| v.is_nan()),
+            "NodeDelivery carries only the emitted metrics"
+        );
         let mut released = Vec::new();
         self.offer_row(
             frame.node,
             frame.t_sample,
-            |dst| *dst = frame.values,
+            |dst| dst.copy_from_slice(prefix),
             &mut released,
         );
         self.take_frames(&released, out);
@@ -377,14 +383,14 @@ mod tests {
     }
 
     /// Source frames whose values identify them, so a slot mix-up
-    /// shows: metric 0 carries the sample time, the last metric its
-    /// negation.
+    /// shows: metric 0 carries the sample time, the last emitted metric
+    /// its negation.
     fn marked(node: u32, n: usize) -> Vec<NodeFrame> {
         batch(node, n)
             .into_iter()
             .map(|mut f| {
                 f.values[0] = f.t_sample as f32;
-                f.values[METRIC_COUNT - 1] = -(f.t_sample as f32);
+                f.values[EMITTED - 1] = -(f.t_sample as f32);
                 f
             })
             .collect()
@@ -400,17 +406,20 @@ mod tests {
         let mut out = Vec::new();
         let mut take = |stage: &mut NodeDelivery, released: &mut Vec<Delivered>| {
             for d in released.drain(..) {
-                out.push(NodeFrame {
-                    node: d.node,
-                    t_sample: d.t_sample,
-                    t_ingest: d.t_ingest,
-                    values: *stage.row(d.slot),
-                });
+                let mut f = NodeFrame::from_emitted(d.node, d.t_sample, stage.row(d.slot));
+                f.t_ingest = d.t_ingest;
+                out.push(f);
                 stage.free(d.slot);
             }
         };
         for f in frames {
-            stage.offer_row(f.node, f.t_sample, |dst| *dst = f.values, &mut released);
+            let prefix = &f.values[..EMITTED];
+            stage.offer_row(
+                f.node,
+                f.t_sample,
+                |dst| dst.copy_from_slice(prefix),
+                &mut released,
+            );
             take(&mut stage, &mut released);
         }
         stage.drain_rows(&mut released);
@@ -449,6 +458,15 @@ mod tests {
         // Freed slots are reused, so the slab holds the frames in flight
         // (bounded by the fabric delay), not one row per frame offered.
         assert!(slab_len <= 64, "slab grew to {slab_len} rows");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "only the emitted metrics")]
+    fn offer_refuses_a_value_past_the_emitted_metrics_in_debug_builds() {
+        let mut frame = NodeFrame::empty(NodeId(0), 0.0);
+        frame.values[EMITTED] = 1.0;
+        NodeDelivery::new(FaultConfig::default()).offer(frame, &mut Vec::new());
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! counters that account for every frame the pipeline tolerated rather
 //! than processed.
 
+use crate::catalog::MetricId;
 use crate::ids::NodeId;
 
 /// Why the ingest path rejected a frame. Every variant is handled by
@@ -42,6 +43,13 @@ pub enum IngestError {
     },
     /// The frame's sample timestamp is NaN or infinite.
     NonFiniteTimestamp,
+    /// The frame carries a finite value for a metric past the catalog's
+    /// emitted prefix ([`crate::catalog::EMITTED`]), which the coarsener
+    /// does not carry: rejected rather than silently truncated.
+    UnemittedMetric {
+        /// The first such metric.
+        metric: MetricId,
+    },
 }
 
 impl std::fmt::Display for IngestError {
@@ -63,6 +71,12 @@ impl std::fmt::Display for IngestError {
                 write!(f, "duplicate frame at t={t_sample}")
             }
             IngestError::NonFiniteTimestamp => write!(f, "non-finite sample timestamp"),
+            IngestError::UnemittedMetric { metric } => write!(
+                f,
+                "frame carries metric {} past the {} emitted metrics",
+                metric.0,
+                crate::catalog::EMITTED
+            ),
         }
     }
 }
@@ -98,7 +112,8 @@ pub struct IngestHealth {
     pub late_dropped: u64,
     /// Frames dropped for reaching an aggregator of another node.
     pub wrong_node: u64,
-    /// Frames dropped for a NaN/infinite sample timestamp.
+    /// Frames dropped for a NaN/infinite sample timestamp or for a
+    /// finite value past the emitted metrics.
     pub invalid: u64,
     /// NaN-filled windows emitted for whole-window gaps.
     pub gap_windows: u64,

@@ -4,7 +4,7 @@
 //! (e). The simulator produces these; the pipeline and experiments consume
 //! them.
 
-use crate::catalog::METRIC_COUNT;
+use crate::catalog::{EMITTED, METRIC_COUNT};
 use crate::ids::{AllocationId, GpuSlot, NodeId};
 
 /// One 1 Hz telemetry frame from one node: a dense vector of all catalog
@@ -31,8 +31,9 @@ pub struct NodeFrame {
 /// Quantizes a metric sample to the f32 width frames are stored at.
 /// This is the single budgeted narrowing point (`lossy-cast`) for
 /// frame values: every path that writes a measured value into f32
-/// frame storage — row frames and the columnar [`crate::batch`] alike
-/// — funnels through here, so the rounding policy lives in one place.
+/// frame storage — [`NodeFrame`]s and the engine's [`crate::batch`]
+/// rows alike — funnels through here, so the rounding policy lives in
+/// one place.
 #[inline]
 pub fn frame_value(value: f64) -> f32 {
     value as f32
@@ -47,6 +48,14 @@ impl NodeFrame {
             t_ingest: t_sample,
             values: [f32::NAN; METRIC_COUNT],
         }
+    }
+
+    /// A frame whose emitted metrics (ids `0..EMITTED`) are `values`,
+    /// every other metric missing.
+    pub fn from_emitted(node: NodeId, t_sample: f64, values: &[f32; EMITTED]) -> Self {
+        let mut frame = Self::empty(node, t_sample);
+        frame.values[..EMITTED].copy_from_slice(values);
+        frame
     }
 
     /// Value of a metric as f64 (NaN if missing).

@@ -116,15 +116,19 @@ impl TelemetryStore {
 
     /// Restores the frames of one archived partition (exact roundtrip of
     /// the quantized readings). `None` if the partition is absent or the
-    /// archive is corrupt.
+    /// archive is corrupt: a block may decode to no more values than the
+    /// partition's frames fill, and it must hold the time column and one
+    /// column per metric, each one value per frame.
     pub fn load_partition(&self, node: NodeId, partition_start: f64) -> Option<Vec<NodeFrame>> {
         let key = (node.0, partition_start.round() as i64);
-        let encoded = {
+        let (encoded, rows) = {
             let raw = self.raw.read();
-            raw.get(&key)?.encoded.clone()
+            let partition = raw.get(&key)?;
+            (partition.encoded.clone(), partition.frames)
         };
-        let block = ColumnBlock::decode(encoded)?;
-        if block.columns.len() != METRIC_COUNT + 1 {
+        let block = ColumnBlock::decode(encoded, (METRIC_COUNT + 1).saturating_mul(rows))?;
+        if block.columns.len() != METRIC_COUNT + 1 || block.columns.iter().any(|c| c.len() != rows)
+        {
             return None;
         }
         let times = &block.columns[0];
@@ -205,6 +209,59 @@ mod tests {
     fn missing_partition_is_none() {
         let store = TelemetryStore::new();
         assert!(store.load_partition(NodeId(0), 0.0).is_none());
+    }
+
+    /// Stores `encoded` as node 0's partition at t = 0, holding `frames`
+    /// frames.
+    fn insert_raw(store: &TelemetryStore, encoded: bytes::Bytes, frames: usize) {
+        let partition = ArchivedPartition {
+            node: NodeId(0),
+            partition_start: 0.0,
+            encoded,
+            frames,
+        };
+        store.raw.write().insert((0, 0), partition);
+    }
+
+    #[test]
+    fn a_block_claiming_more_values_than_its_partition_is_refused() {
+        use crate::codec::{write_varint, zigzag_encode};
+        // 11 bytes: one column whose header claims 2^24 values, its
+        // first value and one zero-run token covering the rest. The
+        // partition's budget of 107 x 60 values refuses it before it
+        // expands to 128 MB.
+        let mut buf = bytes::BytesMut::new();
+        write_varint(&mut buf, 1);
+        write_varint(&mut buf, 1 << 24);
+        write_varint(&mut buf, zigzag_encode(650));
+        write_varint(&mut buf, ((1 << 24) - 1) << 1);
+        let block = buf.freeze();
+        assert_eq!(block.len(), 11);
+        let budget = (METRIC_COUNT + 1) * 60;
+        assert_eq!(ColumnBlock::decode(block.clone(), budget), None);
+        let store = TelemetryStore::new();
+        insert_raw(&store, block, 60);
+        assert!(store.load_partition(NodeId(0), 0.0).is_none());
+    }
+
+    #[test]
+    fn a_ragged_block_is_refused() {
+        // The time column and every metric column hold 3 values but one
+        // metric column holds 2: reading frame 2 of it would index past
+        // its end.
+        let mut columns = vec![vec![0, 1000, 2000]];
+        columns.extend((0..METRIC_COUNT).map(|m| vec![0; if m == 40 { 2 } else { 3 }]));
+        let store = TelemetryStore::new();
+        insert_raw(&store, ColumnBlock { columns }.encode(), 3);
+        assert!(store.load_partition(NodeId(0), 0.0).is_none());
+        // The same block with every column whole loads.
+        let mut columns = vec![vec![0, 1000, 2000]];
+        columns.extend((0..METRIC_COUNT).map(|_| vec![0; 3]));
+        insert_raw(&store, ColumnBlock { columns }.encode(), 3);
+        assert_eq!(
+            store.load_partition(NodeId(0), 0.0).map(|f| f.len()),
+            Some(3)
+        );
     }
 
     #[test]
