@@ -1,9 +1,10 @@
 //! The parallel-iterator traits and adaptors.
 //!
 //! A [`ParallelIterator`] here is a *description* of an indexed
-//! pipeline: a source (slice, vector or range) plus a stack of adaptors
-//! (`map`, `enumerate`, `flat_map_iter`, `fold`, …). Terminal methods
-//! ([`ParallelIterator::collect`], [`ParallelIterator::reduce`]) hand
+//! pipeline: a source (slice or vector) plus a stack of adaptors
+//! (`map`, `flat_map_iter`, `seq_below`, `fold`). Terminal methods
+//! ([`ParallelIterator::collect`], [`ParallelIterator::reduce`],
+//! [`ParallelIterator::sum_stable`]) hand
 //! the description to the executor in [`crate::pool`], which cuts the
 //! input index space into contiguous chunks and fans them out over the
 //! persistent worker pool.
@@ -42,13 +43,6 @@ pub trait ParallelIterator: Sized {
     #[doc(hidden)]
     fn input_len(&self) -> usize;
 
-    /// Smallest chunk the call site will accept (see
-    /// [`ParallelIterator::with_min_len`]).
-    #[doc(hidden)]
-    fn min_chunk(&self) -> usize {
-        1
-    }
-
     /// Input-size floor below which the execution runs inline on the
     /// calling thread (see [`ParallelIterator::seq_below`]).
     #[doc(hidden)]
@@ -72,15 +66,6 @@ pub trait ParallelIterator: Sized {
         Map { base: self, f }
     }
 
-    /// Pairs every element with its global index. Requires an indexed
-    /// (one output per input) pipeline so chunk offsets are exact.
-    fn enumerate(self) -> Enumerate<Self>
-    where
-        Self: IndexedParallelIterator,
-    {
-        Enumerate { base: self }
-    }
-
     /// Maps every element to a *sequential* iterator and splices the
     /// results in input order (rayon's `flat_map_iter`).
     fn flat_map_iter<U, F>(self, f: F) -> FlatMapIter<Self, F>
@@ -90,14 +75,6 @@ pub trait ParallelIterator: Sized {
         F: Fn(Self::Item) -> U + Send + Sync,
     {
         FlatMapIter { base: self, f }
-    }
-
-    /// Guarantees at least `min` input elements per chunk — the
-    /// chunk-size knob for hot sites whose per-element work is tiny.
-    /// Chunk layout stays a pure function of `(input_len, min)`, so the
-    /// determinism contract is unaffected.
-    fn with_min_len(self, min: usize) -> MinLen<Self> {
-        MinLen { base: self, min }
     }
 
     /// Dispatches inline — no pool wakeup, no epoch — whenever the
@@ -173,11 +150,6 @@ pub trait ParallelIterator: Sized {
     {
         C::from_par_iter(self)
     }
-
-    /// Executes the pipeline and counts the elements it yields.
-    fn count(self) -> usize {
-        pool::run(self).into_iter().map(|chunk| chunk.len()).sum()
-    }
 }
 
 /// A frozen pipeline every worker reads chunks from by shared
@@ -232,12 +204,6 @@ impl StableSum for f64 {
     }
 }
 
-/// Marker for pipelines that yield exactly one output per input index,
-/// so a chunk's global offset is `chunk_index * chunk_size`. Sources
-/// and element-wise adaptors are indexed; `flat_map_iter` and `fold`
-/// are not.
-pub trait IndexedParallelIterator: ParallelIterator {}
-
 /// Conversion into a [`ParallelIterator`] by shared reference
 /// (`.par_iter()`).
 pub trait IntoParallelRefIterator<'data> {
@@ -273,15 +239,6 @@ impl<T: Send> IntoParallelIterator for Vec<T> {
 
     fn into_par_iter(self) -> ParVec<T> {
         ParVec { data: self }
-    }
-}
-
-impl IntoParallelIterator for Range<usize> {
-    type Item = usize;
-    type Iter = ParRange;
-
-    fn into_par_iter(self) -> ParRange {
-        ParRange { range: self }
     }
 }
 
@@ -338,8 +295,6 @@ impl<'data, T: Sync + 'data> Source for ParSlice<'data, T> {
     }
 }
 
-impl<'data, T: Sync + 'data> IndexedParallelIterator for ParSlice<'data, T> {}
-
 /// Owning source over a vector (`.into_par_iter()`).
 #[derive(Debug)]
 pub struct ParVec<T> {
@@ -368,8 +323,6 @@ impl<T: Send> ParallelIterator for ParVec<T> {
         VecSource { chunk_size, bins }
     }
 }
-
-impl<T: Send> IndexedParallelIterator for ParVec<T> {}
 
 /// Frozen by-value source: elements pre-split into per-chunk bins at
 /// freeze time (preserving move semantics — no `Clone` bound on
@@ -403,43 +356,6 @@ impl<T: Send> Source for VecSource<T> {
     }
 }
 
-/// Source over a `usize` range (`.into_par_iter()`). Doubles as its
-/// own [`Source`]: a chunk is the sub-range shifted to the global
-/// origin.
-#[derive(Debug)]
-pub struct ParRange {
-    range: Range<usize>,
-}
-
-impl ParallelIterator for ParRange {
-    type Item = usize;
-    type Source = Self;
-
-    fn input_len(&self) -> usize {
-        self.range.len()
-    }
-
-    fn into_source(self, _chunk_size: usize) -> Self {
-        self
-    }
-}
-
-impl Source for ParRange {
-    type Item = usize;
-    type ChunkIter<'s>
-        = Range<usize>
-    where
-        Self: 's;
-
-    fn chunk_iter(&self, range: Range<usize>) -> Range<usize> {
-        let start = self.range.start.saturating_add(range.start);
-        let end = self.range.start.saturating_add(range.end);
-        start..end.min(self.range.end)
-    }
-}
-
-impl IndexedParallelIterator for ParRange {}
-
 // --- adaptors ----------------------------------------------------------
 
 /// Element-wise transformation (see [`ParallelIterator::map`]).
@@ -462,10 +378,6 @@ where
         self.base.input_len()
     }
 
-    fn min_chunk(&self) -> usize {
-        self.base.min_chunk()
-    }
-
     fn seq_floor(&self) -> usize {
         self.base.seq_floor()
     }
@@ -476,14 +388,6 @@ where
             f: self.f,
         }
     }
-}
-
-impl<I, F, R> IndexedParallelIterator for Map<I, F>
-where
-    I: IndexedParallelIterator,
-    R: Send,
-    F: Fn(I::Item) -> R + Send + Sync,
-{
 }
 
 /// Frozen [`Map`]: shares one closure across all chunks by reference.
@@ -536,85 +440,6 @@ where
     }
 }
 
-/// Global-index pairing (see [`ParallelIterator::enumerate`]).
-#[derive(Debug)]
-pub struct Enumerate<I> {
-    base: I,
-}
-
-impl<I> ParallelIterator for Enumerate<I>
-where
-    I: IndexedParallelIterator,
-{
-    type Item = (usize, I::Item);
-    type Source = EnumerateSource<I::Source>;
-
-    fn input_len(&self) -> usize {
-        self.base.input_len()
-    }
-
-    fn min_chunk(&self) -> usize {
-        self.base.min_chunk()
-    }
-
-    fn seq_floor(&self) -> usize {
-        self.base.seq_floor()
-    }
-
-    fn into_source(self, chunk_size: usize) -> EnumerateSource<I::Source> {
-        EnumerateSource {
-            base: self.base.into_source(chunk_size),
-        }
-    }
-}
-
-impl<I: IndexedParallelIterator> IndexedParallelIterator for Enumerate<I> {}
-
-/// Frozen [`Enumerate`]: the chunk's input range *is* its global index
-/// range (indexed pipelines are one-output-per-input).
-#[derive(Debug)]
-pub struct EnumerateSource<S> {
-    base: S,
-}
-
-impl<S: Source> Source for EnumerateSource<S> {
-    type Item = (usize, S::Item);
-    type ChunkIter<'s>
-        = EnumerateChunk<S::ChunkIter<'s>>
-    where
-        Self: 's;
-
-    fn chunk_iter(&self, range: Range<usize>) -> EnumerateChunk<S::ChunkIter<'_>> {
-        EnumerateChunk {
-            next: range.start,
-            base: self.base.chunk_iter(range),
-        }
-    }
-}
-
-/// Per-chunk iterator of [`EnumerateSource`]; `next` starts at the
-/// chunk's global offset.
-#[derive(Debug)]
-pub struct EnumerateChunk<C> {
-    base: C,
-    next: usize,
-}
-
-impl<C: Iterator> Iterator for EnumerateChunk<C> {
-    type Item = (usize, C::Item);
-
-    fn next(&mut self) -> Option<(usize, C::Item)> {
-        let x = self.base.next()?;
-        let i = self.next;
-        self.next += 1;
-        Some((i, x))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.base.size_hint()
-    }
-}
-
 /// Order-preserving flatten of per-element sequential iterators (see
 /// [`ParallelIterator::flat_map_iter`]).
 #[derive(Debug)]
@@ -635,10 +460,6 @@ where
 
     fn input_len(&self) -> usize {
         self.base.input_len()
-    }
-
-    fn min_chunk(&self) -> usize {
-        self.base.min_chunk()
     }
 
     fn seq_floor(&self) -> usize {
@@ -710,36 +531,6 @@ where
     }
 }
 
-/// Chunk-size floor (see [`ParallelIterator::with_min_len`]).
-#[derive(Debug)]
-pub struct MinLen<I> {
-    base: I,
-    min: usize,
-}
-
-impl<I: ParallelIterator> ParallelIterator for MinLen<I> {
-    type Item = I::Item;
-    type Source = I::Source;
-
-    fn input_len(&self) -> usize {
-        self.base.input_len()
-    }
-
-    fn min_chunk(&self) -> usize {
-        self.base.min_chunk().max(self.min).max(1)
-    }
-
-    fn seq_floor(&self) -> usize {
-        self.base.seq_floor()
-    }
-
-    fn into_source(self, chunk_size: usize) -> I::Source {
-        self.base.into_source(chunk_size)
-    }
-}
-
-impl<I: IndexedParallelIterator> IndexedParallelIterator for MinLen<I> {}
-
 /// Size-aware dispatch floor (see [`ParallelIterator::seq_below`]).
 /// Pass-through in every respect except [`ParallelIterator::seq_floor`]:
 /// the chunk grid, the source and the element stream are untouched.
@@ -757,10 +548,6 @@ impl<I: ParallelIterator> ParallelIterator for SeqBelow<I> {
         self.base.input_len()
     }
 
-    fn min_chunk(&self) -> usize {
-        self.base.min_chunk()
-    }
-
     fn seq_floor(&self) -> usize {
         self.base.seq_floor().max(self.n)
     }
@@ -769,8 +556,6 @@ impl<I: ParallelIterator> ParallelIterator for SeqBelow<I> {
         self.base.into_source(chunk_size)
     }
 }
-
-impl<I: IndexedParallelIterator> IndexedParallelIterator for SeqBelow<I> {}
 
 /// Per-chunk accumulator pipeline (see [`ParallelIterator::fold`]).
 #[derive(Debug)]
@@ -792,10 +577,6 @@ where
 
     fn input_len(&self) -> usize {
         self.base.input_len()
-    }
-
-    fn min_chunk(&self) -> usize {
-        self.base.min_chunk()
     }
 
     fn seq_floor(&self) -> usize {
@@ -895,11 +676,6 @@ mod tests {
         assert_eq!(got, v[16..32].iter().collect::<Vec<_>>());
         // Out-of-grid tails clamp instead of panicking.
         assert_eq!(slice_src.chunk_iter(48..64).count(), 2);
-
-        let range_src = (10..60usize).into_par_iter().into_source(16);
-        let got: Vec<usize> = range_src.chunk_iter(32..48).collect();
-        assert_eq!(got, (42..58).collect::<Vec<_>>());
-        assert_eq!(range_src.chunk_iter(48..64).count(), 2);
 
         let vec_src = v.clone().into_par_iter().into_source(16);
         let got: Vec<u32> = vec_src.chunk_iter(16..32).collect();

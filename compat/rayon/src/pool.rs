@@ -3,8 +3,8 @@
 //!
 //! [`run`] is the single entry point every terminal adaptor method goes
 //! through. It lays a deterministic chunk grid over the pipeline (the
-//! grid depends only on the input length and the call site's
-//! `with_min_len` hint), freezes the pipeline into a shared
+//! grid depends only on the input length), freezes the pipeline into a
+//! shared
 //! [`Source`], dispatches one *epoch* to the pool, and returns the
 //! per-chunk outputs in ascending chunk order — which is all a caller
 //! needs to reassemble the exact sequential result.
@@ -91,19 +91,15 @@ use summit_obs::trace::{TraceClock, TraceCollector};
 /// core count.
 pub(crate) const MAX_CHUNKS: usize = 64;
 
-/// Default floor on elements per chunk when the call site gives no
-/// `with_min_len` hint: stops small inputs from shattering into
-/// micro-tasks whose claim overhead exceeds their work.
-pub(crate) const DEFAULT_MIN_CHUNK: usize = 16;
+/// Floor on elements per chunk: stops small inputs from shattering
+/// into micro-tasks whose claim overhead exceeds their work.
+pub(crate) const MIN_CHUNK: usize = 16;
 
 /// The deterministic chunk size for an input: aim for [`MAX_CHUNKS`]
-/// chunks, but never below the call site's `min_chunk` hint (floored
-/// at [`DEFAULT_MIN_CHUNK`]). A pure function of `(len, min_chunk)` —
-/// thread count plays no part.
-pub(crate) fn chunk_size(len: usize, min_chunk: usize) -> usize {
-    len.div_ceil(MAX_CHUNKS)
-        .max(min_chunk)
-        .max(DEFAULT_MIN_CHUNK)
+/// chunks, but never below [`MIN_CHUNK`] elements. A pure function of
+/// the input length — thread count plays no part.
+pub(crate) fn chunk_size(len: usize) -> usize {
+    len.div_ceil(MAX_CHUNKS).max(MIN_CHUNK)
 }
 
 /// Input index range of chunk `k` on the `(chunk_size, len)` grid.
@@ -125,7 +121,7 @@ thread_local! {
 /// chunk order.
 pub(crate) fn run<I: ParallelIterator>(iter: I) -> Vec<Vec<I::Item>> {
     let len = iter.input_len();
-    let cs = chunk_size(len, iter.min_chunk());
+    let cs = chunk_size(len);
     let tasks = if len == 0 { 0 } else { len.div_ceil(cs) };
 
     let registry = summit_obs::current();
@@ -692,13 +688,11 @@ mod tests {
     use crate::with_thread_count;
 
     #[test]
-    fn chunk_size_is_a_pure_function_of_len_and_min() {
-        assert_eq!(chunk_size(0, 1), DEFAULT_MIN_CHUNK);
-        assert_eq!(chunk_size(10, 1), DEFAULT_MIN_CHUNK);
-        assert_eq!(chunk_size(1000, 1), DEFAULT_MIN_CHUNK); // ceil(1000/64) == the floor
-        assert_eq!(chunk_size(10_000, 1), 157); // ceil(10000/64) dominates
-        assert_eq!(chunk_size(1000, 256), 256); // call-site hint dominates
-        assert_eq!(chunk_size(5, 0), DEFAULT_MIN_CHUNK);
+    fn chunk_size_is_a_pure_function_of_len() {
+        assert_eq!(chunk_size(0), MIN_CHUNK);
+        assert_eq!(chunk_size(10), MIN_CHUNK);
+        assert_eq!(chunk_size(1000), MIN_CHUNK); // ceil(1000/64) == the floor
+        assert_eq!(chunk_size(10_000), 157); // ceil(10000/64) dominates
     }
 
     #[test]
@@ -825,7 +819,7 @@ mod tests {
         // deadlock, and the pool must serve the next execution exactly.
         let generation = warm_pool();
         let v: Vec<usize> = (0..4096).collect();
-        assert_eq!(v.len().div_ceil(chunk_size(v.len(), 1)), MAX_CHUNKS);
+        assert_eq!(v.len().div_ceil(chunk_size(v.len())), MAX_CHUNKS);
         let want: Vec<usize> = v.iter().map(|&x| x * 3 + 1).collect();
         for threads in [2, 4] {
             for round in 0..3 {

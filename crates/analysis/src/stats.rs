@@ -161,9 +161,9 @@ impl Welford {
 /// the row. Lanes are independent, so unlike a single Welford fold
 /// (whose running mean is a loop-carried chain) the lane axis has no
 /// serial dependency: the counts, means, m2s and min/max live in
-/// parallel `f64` arrays and the update is branch-free (non-finite
-/// samples are masked out with selects), which lets the compiler
-/// vectorize the whole quintuple update across lanes.
+/// parallel `f64` arrays, and for an all-finite row the update is
+/// branch-free, which lets the compiler vectorize the whole quintuple
+/// update across lanes.
 ///
 /// Counts are tracked as `f64` so the entire update stays in one SIMD
 /// domain; they are exact integers far below 2^53, and every lane is
@@ -192,11 +192,6 @@ pub struct WelfordColumns {
     max: Vec<f64>,
 }
 
-/// Lane-block width of [`WelfordColumns::push_row`]: the all-NaN skip
-/// and the vectorized update both operate on blocks of this many
-/// lanes (two 4-wide f64 vectors at AVX2).
-const LANE_BLOCK: usize = 8;
-
 impl WelfordColumns {
     /// Creates a bank of `width` empty accumulators.
     pub fn new(width: usize) -> Self {
@@ -209,90 +204,32 @@ impl WelfordColumns {
         }
     }
 
-    /// Number of lanes.
-    pub fn width(&self) -> usize {
-        self.count.len()
-    }
-
     /// Folds one row into the bank: lane `m` receives `row[m]`. The
     /// row must match the bank's width.
     ///
-    /// Lanes are processed in blocks of [`LANE_BLOCK`]: a block whose
-    /// samples are all non-finite is skipped outright (a non-finite
-    /// sample leaves every field of its lane unchanged, so skipping is
-    /// exact), which makes sparsely-populated rows — the all-NaN frames
-    /// of a dark cabinet, or sensors that dropped out — as cheap as
-    /// they are in a branchy per-sample loop, while populated blocks
-    /// take the vectorized select path.
+    /// One check per row picks the update: an all-finite row — every
+    /// frame of a lit node — takes the branch-free update, which
+    /// vectorizes across the lanes; any other row (the all-NaN frames
+    /// of a dark cabinet, sensors that dropped out) takes the per-lane
+    /// update, which skips each non-finite sample before any
+    /// arithmetic. A non-finite sample leaves every field of its lane
+    /// unchanged, so both are exact.
     pub fn push_row(&mut self, row: &[f32]) {
         let w = self.count.len();
         debug_assert_eq!(row.len(), w, "row width must match the bank");
         // Pin the row to the bank width up front: a short row still
-        // fails loudly here, and the equal-length slices let the block
-        // loop below run without per-slice bounds checks.
+        // fails loudly here, and the equal-length slices let the lane
+        // loops run without per-lane bounds checks.
         let row = &row[..w];
-        let mut blocks = row.chunks_exact(LANE_BLOCK);
-        let mut at = 0;
-        for chunk in &mut blocks {
-            let to = at + LANE_BLOCK;
-            match <&[f32; LANE_BLOCK]>::try_from(chunk) {
-                Ok(block) => {
-                    let mut any = false;
-                    let mut all = true;
-                    for v in block {
-                        let finite = v.is_finite();
-                        any |= finite;
-                        all &= finite;
-                    }
-                    if all {
-                        // Fully-populated block: the branch-free
-                        // update over a constant-length block, which
-                        // vectorizes across the lanes.
-                        update_lanes(
-                            &mut self.count[at..to],
-                            &mut self.mean[at..to],
-                            &mut self.m2[at..to],
-                            &mut self.min[at..to],
-                            &mut self.max[at..to],
-                            block,
-                        );
-                    } else if any {
-                        // Mixed block: per-lane skips beat paying the
-                        // full quintuple (division included) on lanes
-                        // a missing sensor leaves unchanged anyway.
-                        update_lanes_sparse(
-                            &mut self.count[at..to],
-                            &mut self.mean[at..to],
-                            &mut self.m2[at..to],
-                            &mut self.min[at..to],
-                            &mut self.max[at..to],
-                            block,
-                        );
-                    }
-                }
-                // chunks_exact only yields LANE_BLOCK-sized chunks;
-                // fall back to the width-generic path rather than
-                // panic if that ever stops holding.
-                Err(_) => update_lanes_sparse(
-                    &mut self.count[at..to],
-                    &mut self.mean[at..to],
-                    &mut self.m2[at..to],
-                    &mut self.min[at..to],
-                    &mut self.max[at..to],
-                    chunk,
-                ),
-            }
-            at = to;
+        let (count, mean, m2) = (&mut self.count[..w], &mut self.mean[..w], &mut self.m2[..w]);
+        let (min, max) = (&mut self.min[..w], &mut self.max[..w]);
+        // A fold rather than `all`: without an early exit the check
+        // vectorizes, which keeps it as cheap as the update it picks.
+        if row.iter().fold(true, |all, v| all & v.is_finite()) {
+            update_lanes(count, mean, m2, min, max, row);
+        } else {
+            update_lanes_sparse(count, mean, m2, min, max, row);
         }
-        let tail = blocks.remainder();
-        update_lanes_sparse(
-            &mut self.count[at..w],
-            &mut self.mean[at..w],
-            &mut self.m2[at..w],
-            &mut self.min[at..w],
-            &mut self.max[at..w],
-            tail,
-        );
     }
 
     /// Reads lane `m` out as an ordinary [`Welford`] accumulator.
@@ -341,15 +278,13 @@ impl WelfordColumns {
     }
 }
 
-/// The branch-free quintuple update for one fully-populated row block
+/// The branch-free quintuple update for one fully-populated row
 /// applied to the matching lane slices. Callers must have verified
 /// every sample in `row` is finite: with that precondition the
 /// non-finite masking of [`Welford::push`] reduces to no-ops, so this
 /// unmasked body is bit-identical to it while doing strictly less
-/// work. All six slices must share a length; the caller slices them
-/// at the call site so that, for the [`LANE_BLOCK`]-sized array
-/// block, the trip count is a compile-time constant and the whole
-/// body vectorizes across lanes.
+/// work. All six slices must share a length, which the caller pins so
+/// the body vectorizes across lanes.
 #[inline(always)]
 fn update_lanes(
     count: &mut [f64],
@@ -372,12 +307,11 @@ fn update_lanes(
     }
 }
 
-/// The per-lane branchy variant of [`update_lanes`] for blocks where
+/// The per-lane branchy variant of [`update_lanes`] for rows where
 /// some lanes have no sample: a non-finite lane is skipped before any
-/// arithmetic, so a mostly-missing block costs its finite lanes only.
+/// arithmetic, so a mostly-missing row costs its finite lanes only.
 /// Finite lanes execute the identical operation sequence to
-/// [`update_lanes`] (`n >= 1`, so its `n.max(1.0)` guard is the same
-/// division), keeping the two variants bit-identical.
+/// [`update_lanes`], keeping the two variants bit-identical.
 #[inline(always)]
 fn update_lanes_sparse(
     count: &mut [f64],
@@ -678,52 +612,52 @@ mod tests {
 
     #[test]
     fn welford_columns_match_scalar_welford_bitwise() {
-        // 106 lanes: thirteen 8-lane blocks plus a 2-lane tail. Blocks
-        // are all-NaN, all-finite or mixed (NaN, ±inf, finite), with
-        // magnitudes from 1e-6 to 1e12, so every push_row path runs.
-        // Two windows through the fused finish-and-reset check that the
+        // Each row is all-finite, all-NaN or mixed (NaN, ±inf, finite),
+        // with magnitudes from 1e-6 to 1e12, so both push_row paths run
+        // at the emitted width (25) and at the catalog's (106). Two
+        // windows through the fused finish-and-reset check that the
         // reset leaves every lane empty.
-        const WIDTH: usize = 106;
-        let mut state = 0xC01A_2021u64;
-        let mut bank = WelfordColumns::new(WIDTH);
-        let mut stats = Vec::new();
-        for window in 0..2 {
-            let mut scalar = vec![Welford::new(); WIDTH];
-            for _ in 0..40 {
-                let mut row = [0.0f32; WIDTH];
-                for block in row.chunks_mut(8) {
+        for width in [25usize, 106] {
+            let mut state = 0xC01A_2021u64;
+            let mut bank = WelfordColumns::new(width);
+            let mut stats = Vec::new();
+            for window in 0..2 {
+                let mut scalar = vec![Welford::new(); width];
+                for _ in 0..40 {
                     let kind = splitmix64(&mut state) % 3;
-                    for v in block.iter_mut() {
-                        let r = splitmix64(&mut state);
-                        *v = match (kind, r % 8) {
-                            (0, _) | (2, 0) => f32::NAN,
-                            (2, 1) if r & 16 == 0 => f32::INFINITY,
-                            (2, 1) => f32::NEG_INFINITY,
-                            _ => {
-                                let exp = ((r >> 8) % 19) as i32 - 6;
-                                let mantissa = ((r >> 16) % 1000) as f32 / 100.0;
-                                let sign = if (r >> 40) & 1 == 0 { 1.0 } else { -1.0 };
-                                sign * mantissa * 10f32.powi(exp)
+                    let row: Vec<f32> = (0..width)
+                        .map(|_| {
+                            let r = splitmix64(&mut state);
+                            match (kind, r % 8) {
+                                (1, _) | (2, 0) => f32::NAN,
+                                (2, 1) if r & 16 == 0 => f32::INFINITY,
+                                (2, 1) => f32::NEG_INFINITY,
+                                _ => {
+                                    let exp = ((r >> 8) % 19) as i32 - 6;
+                                    let mantissa = ((r >> 16) % 1000) as f32 / 100.0;
+                                    let sign = if (r >> 40) & 1 == 0 { 1.0 } else { -1.0 };
+                                    sign * mantissa * 10f32.powi(exp)
+                                }
                             }
-                        };
+                        })
+                        .collect();
+                    bank.push_row(&row);
+                    for (w, &v) in scalar.iter_mut().zip(&row) {
+                        w.push(f64::from(v));
                     }
                 }
-                bank.push_row(&row);
-                for (w, &v) in scalar.iter_mut().zip(&row) {
-                    w.push(f64::from(v));
+                stats.clear();
+                bank.finish_reset_into(&mut stats);
+                assert_eq!(stats.len(), width);
+                for (m, (got, lane)) in stats.iter().zip(&scalar).enumerate() {
+                    let want = lane.finish();
+                    let ctx = format!("width {width} window {window} lane {m}");
+                    assert_eq!(got.count, want.count, "count {ctx}");
+                    assert_eq!(got.min.to_bits(), want.min.to_bits(), "min {ctx}");
+                    assert_eq!(got.max.to_bits(), want.max.to_bits(), "max {ctx}");
+                    assert_eq!(got.mean.to_bits(), want.mean.to_bits(), "mean {ctx}");
+                    assert_eq!(got.std.to_bits(), want.std.to_bits(), "std {ctx}");
                 }
-            }
-            stats.clear();
-            bank.finish_reset_into(&mut stats);
-            assert_eq!(stats.len(), WIDTH);
-            for (m, (got, lane)) in stats.iter().zip(&scalar).enumerate() {
-                let want = lane.finish();
-                let ctx = format!("window {window} lane {m}");
-                assert_eq!(got.count, want.count, "count {ctx}");
-                assert_eq!(got.min.to_bits(), want.min.to_bits(), "min {ctx}");
-                assert_eq!(got.max.to_bits(), want.max.to_bits(), "max {ctx}");
-                assert_eq!(got.mean.to_bits(), want.mean.to_bits(), "mean {ctx}");
-                assert_eq!(got.std.to_bits(), want.std.to_bits(), "std {ctx}");
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Exports the derived datasets (artifact-appendix shapes) as CSV files:
 //! runs a short full pipeline — engine, coarsening, cluster/job collapse,
-//! thermal summary, failure log — and writes one CSV per dataset.
+//! cluster and per-job thermal summaries, failure log — and writes one
+//! CSV per dataset.
 //!
 //! ```sh
 //! cargo run --release -p summit-bench --bin export_datasets -- [out_dir]
@@ -16,7 +17,7 @@ use summit_sim::failures::{FailureModel, ThermalRegime};
 use summit_sim::jobs::JobGenerator;
 use summit_telemetry::batch::FrameBatch;
 use summit_telemetry::cluster::cluster_power;
-use summit_telemetry::datasets::thermal_cluster;
+use summit_telemetry::datasets::{thermal_cluster, thermal_per_job};
 use summit_telemetry::export;
 use summit_telemetry::ids::NodeId;
 use summit_telemetry::jobjoin::{job_level_power, join_jobs, AllocationIndex};
@@ -84,6 +85,7 @@ fn main() -> std::io::Result<()> {
     let (job_rows, _) = join_jobs(&windows, &index);
     let job_level = job_level_power(&job_rows, 10.0);
     let thermal = thermal_cluster(&windows, &ceps);
+    let thermal_jobs = thermal_per_job(&windows, &index, &ceps);
     let failures = {
         let model = FailureModel::new(ThermalRegime::SummitLiquidCooled, nodes);
         let jobs: Vec<summit_sim::jobs::SyntheticJob> = Vec::new();
@@ -113,6 +115,9 @@ fn main() -> std::io::Result<()> {
     })?;
     write("dataset8_thermal.csv", &|w| {
         export::write_thermal(w, &thermal)
+    })?;
+    write("dataset10_thermal_per_job.csv", &|w| {
+        export::write_thermal(w, &thermal_jobs)
     })?;
     write("datasetE_xid_events.csv", &|w| {
         export::write_xid_events(w, &failures)

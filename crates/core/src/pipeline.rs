@@ -19,7 +19,7 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use summit_analysis::series::Series;
 use summit_sim::engine::{Engine, EngineConfig, StepOptions, TickOutput, TICKS_PER_GROUP};
-use summit_sim::failures::{CabinetOutage, FailureModel, ThermalRegime};
+use summit_sim::failures::{FailureModel, ThermalRegime};
 use summit_sim::jobs::{JobGenerator, SyntheticJob};
 use summit_sim::jobstats::{population_stats, JobStatsRow};
 use summit_sim::power::PowerModel;
@@ -27,6 +27,7 @@ use summit_sim::spec;
 use summit_telemetry::batch::FrameBatch;
 use summit_telemetry::catalog::EMITTED;
 use summit_telemetry::delivery::{Delivered, NodeDelivery};
+use summit_telemetry::ids::NodeId;
 use summit_telemetry::ingest::{IngestHealth, LATENESS_HORIZON_S};
 use summit_telemetry::records::{NodeFrame, XidEvent};
 use summit_telemetry::store::TelemetryStore;
@@ -427,12 +428,12 @@ fn frame_options() -> StepOptions {
 }
 
 /// One node's consumer state: its delivery through the fabric, the
-/// stages behind it and the buffer between them. Lane `i` consumes row
-/// `i` of every tick batch, so a pool worker keeps one node's state
-/// cache-hot across a whole group of ticks. Each frame's row (the
-/// emitted metrics) is copied once, from the batch into the delivery's
-/// slab; from there only its key moves, and the stages read the row in
-/// place.
+/// stages behind it and the buffer between them. Lane `i` is node `i`
+/// and consumes row `i` of every tick batch, so a pool worker keeps
+/// one node's state cache-hot across a whole group of ticks. Each
+/// frame's row (the emitted metrics) is copied once, from the batch
+/// into the delivery's slab; from there only its key moves, and the
+/// stages read the row in place.
 struct NodeLane {
     delivery: NodeDelivery,
     /// Frames the fabric released, on their way to the stages (reused).
@@ -445,8 +446,9 @@ struct NodeLane {
 struct NodeStages {
     tracker: AlertLatencyTracker,
     stats: IngestStats,
-    /// Created from the first delivered frame, keyed to its node.
-    coarsener: Option<WindowAggregator>,
+    /// Keyed to the lane's node: a frame of any other node counts as
+    /// `wrong_node` in its health.
+    coarsener: WindowAggregator,
     /// Closed latencies the calling thread has already recorded.
     latencies_seen: usize,
 }
@@ -455,23 +457,20 @@ impl NodeStages {
     fn ingest(&mut self, f: &Delivered, values: &[f32; EMITTED]) {
         self.tracker.observe(f.t_sample, f.t_ingest);
         self.stats.observe_arrival(f.t_sample, f.t_ingest);
-        let coarsener = self
-            .coarsener
-            .get_or_insert_with(|| WindowAggregator::new(f.node, PAPER_WINDOW_S));
         // Faults are counted in its health.
-        let _ = coarsener.push_values(f.node, f.t_sample, values);
+        let _ = self.coarsener.push_values(f.node, f.t_sample, values);
     }
 }
 
 impl NodeLane {
-    fn new(faults: FaultConfig) -> Self {
+    fn new(node: NodeId, faults: FaultConfig) -> Self {
         Self {
             delivery: NodeDelivery::new(faults),
             released: Vec::new(),
             stages: NodeStages {
                 tracker: AlertLatencyTracker::new(),
                 stats: IngestStats::default(),
-                coarsener: None,
+                coarsener: WindowAggregator::new(node, PAPER_WINDOW_S),
                 latencies_seen: 0,
             },
         }
@@ -502,14 +501,12 @@ impl NodeLane {
 
     /// Frames held between the fabric and closed windows.
     fn resident(&self) -> usize {
-        let pending = self.stages.coarsener.as_ref();
-        self.delivery.resident() + pending.map_or(0, WindowAggregator::pending_len)
+        self.delivery.resident() + self.stages.coarsener.pending_len()
     }
 
     /// Windows closed since the last drain.
     fn drain_windows(&mut self) -> Vec<NodeWindow> {
-        let coarsener = self.stages.coarsener.as_mut();
-        coarsener.map_or_else(Vec::new, WindowAggregator::drain_completed)
+        self.stages.coarsener.drain_completed()
     }
 }
 
@@ -580,13 +577,11 @@ fn finish_lanes(
         }
         latencies.extend(node_latencies);
         stats.merge(&stages.stats);
-        if let Some(coarsener) = stages.coarsener {
-            let (tail, node_health) = coarsener.finish_with_health();
-            health.merge(&node_health);
-            if !tail.is_empty() {
-                on_tail(&tail);
-                windows.extend(tail);
-            }
+        let (tail, node_health) = stages.coarsener.finish_with_health();
+        health.merge(&node_health);
+        if !tail.is_empty() {
+            on_tail(&tail);
+            windows.extend(tail);
         }
     }
     stats.health = health;
@@ -686,7 +681,11 @@ pub fn run_telemetry(
         let mut engine = Engine::new(config, 0.0);
         let node_count = engine.topology().node_count();
         let faults = faults.unwrap_or_default();
-        let mut lanes: Vec<NodeLane> = (0..node_count).map(|_| NodeLane::new(faults)).collect();
+        let mut lanes: Vec<NodeLane> = engine
+            .topology()
+            .nodes()
+            .map(|node| NodeLane::new(node, faults))
+            .collect();
         let mut offered = 0u64;
         {
             let _obs = summit_obs::span("summit_core_frame_generation");
@@ -777,8 +776,6 @@ pub struct StreamConfig {
     pub duration_s: f64,
     /// Fault profile for the simulated fabric (`None` = clean).
     pub faults: Option<FaultConfig>,
-    /// Scheduled whole-cabinet outage bursts (simulated seconds).
-    pub cabinet_outages: Vec<CabinetOutage>,
     /// Engine ticks per channel batch: the group of ticks the node
     /// lanes consume in one pool dispatch.
     pub ticks_per_batch: usize,
@@ -792,7 +789,6 @@ impl StreamConfig {
             cabinets,
             duration_s,
             faults,
-            cabinet_outages: Vec::new(),
             ticks_per_batch: TICKS_PER_GROUP,
         }
     }
@@ -911,15 +907,18 @@ pub fn run_streaming(config: StreamConfig) -> StreamingRun {
         let _scope = registry.install();
         let run_span = summit_obs::span("summit_core_run_streaming");
 
-        let mut engine_config = EngineConfig::small(config.cabinets);
-        engine_config.cabinet_outages = config.cabinet_outages.clone();
+        let engine_config = EngineConfig::small(config.cabinets);
         let n_ticks = (config.duration_s / engine_config.dt_s).ceil() as usize;
         let ticks_per_batch = config.ticks_per_batch.max(1);
         let mut engine = Engine::new(engine_config, 0.0);
         let node_count = engine.topology().node_count();
 
         let faults = config.faults.unwrap_or_default();
-        let mut lanes: Vec<NodeLane> = (0..node_count).map(|_| NodeLane::new(faults)).collect();
+        let mut lanes: Vec<NodeLane> = engine
+            .topology()
+            .nodes()
+            .map(|node| NodeLane::new(node, faults))
+            .collect();
         let mut console = OpsConsole::with_defaults();
         let mut windows_by_node: Vec<Vec<NodeWindow>> = Vec::new();
         windows_by_node.resize_with(node_count, Vec::new);

@@ -1,4 +1,5 @@
-//! Row-major tick batch of telemetry frames.
+//! Row-major tick batch of telemetry frames, and the row slab the
+//! node lanes hold frames in.
 //!
 //! [`FrameBatch`] is the one form the engine emits telemetry in: one
 //! tick worth of frames, each one contiguous row of the catalog's
@@ -13,6 +14,11 @@
 //! ([`FrameBatch::rows_mut`]), so a batch reused from tick to tick
 //! touches no allocator after the first. The pipelines' node lanes copy
 //! row `i` ([`FrameBatch::row`]) straight into node `i`'s delivery slab.
+//!
+//! A node lane's in-flight rows — in the fabric's reorder heap and in
+//! the coarsener's reorder buffer — live in a [`RowSlab`] each: rows
+//! addressed by slot and recycled through a free list, so only a slot
+//! number moves with a frame's key.
 
 use crate::catalog::EMITTED;
 use crate::ids::NodeId;
@@ -119,6 +125,46 @@ impl FrameBatch {
     /// delivery layer stamps it later).
     pub fn read_frame(&self, row: usize) -> NodeFrame {
         NodeFrame::from_emitted(self.nodes[row], self.t_sample[row], &self.rows[row])
+    }
+}
+
+/// Emitted-metric rows addressed by slot: a freed slot is refilled
+/// before the slab grows, so a slab holds as many rows as were ever in
+/// flight at once and touches no allocator in its steady state.
+#[derive(Debug, Default)]
+pub(crate) struct RowSlab {
+    rows: Vec<[f32; EMITTED]>,
+    free: Vec<u32>,
+}
+
+impl RowSlab {
+    /// Fills a free slot, or a new one when none is free, with `fill`
+    /// and returns it.
+    pub(crate) fn store(&mut self, fill: impl FnOnce(&mut [f32; EMITTED])) -> u32 {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.rows.push([f32::NAN; EMITTED]);
+            crate::convert::count_u32(self.rows.len() as u64 - 1)
+        });
+        fill(&mut self.rows[slot as usize]);
+        slot
+    }
+
+    /// The row in `slot`. Panics if `slot` was never handed out.
+    #[inline]
+    pub(crate) fn row(&self, slot: u32) -> &[f32; EMITTED] {
+        &self.rows[slot as usize]
+    }
+
+    /// Returns `slot` for reuse; call it once per stored row, after its
+    /// last [`RowSlab::row`] read.
+    pub(crate) fn free(&mut self, slot: u32) {
+        self.free.push(slot);
+    }
+
+    /// Rows allocated, free or in use.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
     }
 }
 

@@ -1,15 +1,12 @@
-//! Cluster-level collapse of per-node windows (Datasets 1 and 2 of the
-//! paper's artifact appendix).
+//! Cluster-level collapse of per-node windows (Dataset 1 of the paper's
+//! artifact appendix).
 //!
 //! Dataset 1: "cluster-level aggregated power values at every 10 seconds
 //! ... the sum of input power from all the nodes at that instance"
 //! (`timestamp, count_inp, sum_inp, mean_inp, max_inp`).
-//! Dataset 2: the same collapse for CPU and GPU component power
-//! (`mean_cpu_power, std_cpu_power, ..., max_gpu_power`).
 
 use crate::catalog;
 use crate::convert;
-use crate::ids::{GpuSlot, Socket};
 use crate::window::NodeWindow;
 use rayon::prelude::*;
 use summit_analysis::series::Series;
@@ -28,31 +25,6 @@ pub struct ClusterPowerRow {
     pub mean_inp: f64,
     /// Max per-node input power (W).
     pub max_inp: f64,
-}
-
-/// One Dataset-2 row: cluster-level component power at one window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ComponentPowerRow {
-    /// Start of the 10-second window (seconds since epoch).
-    pub window_start: f64,
-    /// Per-CPU-socket power stats across the cluster (W).
-    pub mean_cpu_power: f64,
-    /// Std of per-socket CPU power (W).
-    pub std_cpu_power: f64,
-    /// Minimum per-socket CPU power (W).
-    pub min_cpu_power: f64,
-    /// Maximum per-socket CPU power (W).
-    pub max_cpu_power: f64,
-    /// Per-GPU power stats across the cluster (W).
-    pub mean_gpu_power: f64,
-    /// Std of per-GPU power (W).
-    pub std_gpu_power: f64,
-    /// Maximum per-GPU power (W).
-    pub max_gpu_power: f64,
-    /// Sum of all CPU power (W).
-    pub sum_cpu_power: f64,
-    /// Sum of all GPU power (W).
-    pub sum_gpu_power: f64,
 }
 
 /// Window-keyed accumulator table kept sorted by window key.
@@ -189,62 +161,6 @@ pub fn cluster_power(windows_by_node: &[Vec<NodeWindow>]) -> Vec<ClusterPowerRow
         .collect()
 }
 
-#[derive(Clone, Default)]
-struct ComponentAcc {
-    cpu: Welford,
-    gpu: Welford,
-}
-
-/// Collapses per-node windows into the Dataset-2 component time-series.
-pub fn cluster_component_power(windows_by_node: &[Vec<NodeWindow>]) -> Vec<ComponentPowerRow> {
-    let merged: WindowTable<ComponentAcc> = windows_by_node
-        .par_iter()
-        .map(|windows| {
-            let mut table: WindowTable<ComponentAcc> = WindowTable::new();
-            for w in windows {
-                let key = w.window_start.round() as i64;
-                let acc = table.slot(key);
-                for s in Socket::ALL {
-                    let st = w.metric(catalog::cpu_power(s));
-                    if st.count > 0 {
-                        acc.cpu.push(st.mean);
-                    }
-                }
-                for g in GpuSlot::ALL {
-                    let st = w.metric(catalog::gpu_power(g));
-                    if st.count > 0 {
-                        acc.gpu.push(st.mean);
-                    }
-                }
-            }
-            table
-        })
-        .reduce(WindowTable::new, |mut into, from| {
-            into.merge(from, |m: &mut ComponentAcc, acc| {
-                m.cpu.merge(&acc.cpu);
-                m.gpu.merge(&acc.gpu);
-            });
-            into
-        });
-
-    merged
-        .rows
-        .into_iter()
-        .map(|(k, acc)| ComponentPowerRow {
-            window_start: k as f64,
-            mean_cpu_power: acc.cpu.mean(),
-            std_cpu_power: acc.cpu.std(),
-            min_cpu_power: acc.cpu.min(),
-            max_cpu_power: acc.cpu.max(),
-            mean_gpu_power: acc.gpu.mean(),
-            std_gpu_power: acc.gpu.std(),
-            max_gpu_power: acc.gpu.max(),
-            sum_cpu_power: acc.cpu.sum(),
-            sum_gpu_power: acc.gpu.sum(),
-        })
-        .collect()
-}
-
 /// Converts Dataset-1 rows into a uniform [`Series`] of cluster power
 /// (`sum_inp`), filling missing windows with NaN.
 pub fn cluster_power_series(rows: &[ClusterPowerRow], window_s: f64) -> Option<Series> {
@@ -265,7 +181,7 @@ pub fn cluster_power_series(rows: &[ClusterPowerRow], window_s: f64) -> Option<S
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
-    use crate::ids::NodeId;
+    use crate::ids::{GpuSlot, NodeId, Socket};
     use crate::records::NodeFrame;
     use crate::window::WindowAggregator;
 
@@ -307,22 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn component_power_aggregates_both_kinds() {
-        let n0 = windows_for(0, &[(0.0, 1000.0, 250.0)]);
-        let n1 = windows_for(1, &[(0.0, 2000.0, 150.0)]);
-        let rows = cluster_component_power(&[n0, n1]);
-        assert_eq!(rows.len(), 1);
-        let r = &rows[0];
-        // Two GPU samples: 250, 150.
-        assert!((r.mean_gpu_power - 200.0).abs() < 0.01);
-        assert!((r.max_gpu_power - 250.0).abs() < 0.01);
-        assert!((r.sum_gpu_power - 400.0).abs() < 0.01);
-        // Two CPU samples: 100, 200.
-        assert!((r.mean_cpu_power - 150.0).abs() < 0.01);
-        assert!((r.sum_cpu_power - 300.0).abs() < 0.01);
-    }
-
-    #[test]
     fn power_series_fills_gaps_with_nan() {
         let rows = vec![
             ClusterPowerRow {
@@ -351,7 +251,6 @@ mod tests {
     #[test]
     fn empty_input_empty_output() {
         assert!(cluster_power(&[]).is_empty());
-        assert!(cluster_component_power(&[]).is_empty());
         assert!(cluster_power_series(&[], 10.0).is_none());
     }
 
@@ -390,55 +289,6 @@ mod tests {
                 sum_inp: w.sum(),
                 mean_inp: w.mean(),
                 max_inp: w.max(),
-            })
-            .collect()
-    }
-
-    fn cluster_component_reference(windows_by_node: &[Vec<NodeWindow>]) -> Vec<ComponentPowerRow> {
-        use std::collections::BTreeMap;
-        let merged: BTreeMap<i64, ComponentAcc> = windows_by_node
-            .par_iter()
-            .map(|windows| {
-                let mut map: BTreeMap<i64, ComponentAcc> = BTreeMap::new();
-                for w in windows {
-                    let key = w.window_start.round() as i64;
-                    let acc = map.entry(key).or_default();
-                    for s in Socket::ALL {
-                        let st = w.metric(catalog::cpu_power(s));
-                        if st.count > 0 {
-                            acc.cpu.push(st.mean);
-                        }
-                    }
-                    for g in GpuSlot::ALL {
-                        let st = w.metric(catalog::gpu_power(g));
-                        if st.count > 0 {
-                            acc.gpu.push(st.mean);
-                        }
-                    }
-                }
-                map
-            })
-            .reduce(BTreeMap::new, |mut into, from| {
-                for (k, acc) in from {
-                    let m = into.entry(k).or_default();
-                    m.cpu.merge(&acc.cpu);
-                    m.gpu.merge(&acc.gpu);
-                }
-                into
-            });
-        merged
-            .into_iter()
-            .map(|(k, acc)| ComponentPowerRow {
-                window_start: k as f64,
-                mean_cpu_power: acc.cpu.mean(),
-                std_cpu_power: acc.cpu.std(),
-                min_cpu_power: acc.cpu.min(),
-                max_cpu_power: acc.cpu.max(),
-                mean_gpu_power: acc.gpu.mean(),
-                std_gpu_power: acc.gpu.std(),
-                max_gpu_power: acc.gpu.max(),
-                sum_cpu_power: acc.cpu.sum(),
-                sum_gpu_power: acc.gpu.sum(),
             })
             .collect()
     }
@@ -485,11 +335,8 @@ mod tests {
     fn sorted_table_matches_btreemap_reference_bitwise() {
         let windows = adversarial_windows(23);
         let want_power = cluster_power_reference(&windows);
-        let want_comp = cluster_component_reference(&windows);
         for threads in [1usize, 2, 4] {
-            let (got_power, got_comp) = rayon::with_thread_count(threads, || {
-                (cluster_power(&windows), cluster_component_power(&windows))
-            });
+            let got_power = rayon::with_thread_count(threads, || cluster_power(&windows));
             assert_eq!(got_power.len(), want_power.len(), "threads={threads}");
             for (g, w) in got_power.iter().zip(&want_power) {
                 assert_eq!(g.window_start.to_bits(), w.window_start.to_bits());
@@ -501,23 +348,6 @@ mod tests {
                 );
                 assert_eq!(g.mean_inp.to_bits(), w.mean_inp.to_bits());
                 assert_eq!(g.max_inp.to_bits(), w.max_inp.to_bits());
-            }
-            assert_eq!(got_comp.len(), want_comp.len(), "threads={threads}");
-            for (g, w) in got_comp.iter().zip(&want_comp) {
-                for (a, b) in [
-                    (g.window_start, w.window_start),
-                    (g.mean_cpu_power, w.mean_cpu_power),
-                    (g.std_cpu_power, w.std_cpu_power),
-                    (g.min_cpu_power, w.min_cpu_power),
-                    (g.max_cpu_power, w.max_cpu_power),
-                    (g.mean_gpu_power, w.mean_gpu_power),
-                    (g.std_gpu_power, w.std_gpu_power),
-                    (g.max_gpu_power, w.max_gpu_power),
-                    (g.sum_cpu_power, w.sum_cpu_power),
-                    (g.sum_gpu_power, w.sum_gpu_power),
-                ] {
-                    assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
-                }
             }
         }
     }

@@ -26,9 +26,9 @@
 //!    held frame; one that doesn't replaces it.
 //!
 //! **Slab and keys.** A frame's metric values — the catalog's emitted
-//! prefix, one `[f32; EMITTED]` row (see [`crate::batch`]) — are copied
-//! once, by the caller's fill, into a per-node slab of rows recycled
-//! through a free list. Only a 40-byte key — arrival time, insertion
+//! prefix, one `[f32; EMITTED]` row — are copied once, by the caller's
+//! fill, into a per-node row slab (see [`crate::batch`]). Only a
+//! 40-byte key — arrival time, insertion
 //! sequence, node, sample and ingest times, slot — moves through the
 //! heap and the hold; a duplicate copies its row into a second slot.
 //! [`NodeDelivery::offer_row`] and [`NodeDelivery::drain_rows`] release
@@ -42,6 +42,7 @@
 //! every downstream statistic are bit-identical to the batch injector
 //! run over the same per-node sequence.
 
+use crate::batch::RowSlab;
 use crate::catalog::EMITTED;
 use crate::ids::NodeId;
 use crate::records::NodeFrame;
@@ -112,10 +113,8 @@ pub struct NodeDelivery {
     hold: Option<Delivered>,
     counts: InjectedFaults,
     /// Emitted metric values of every frame in the heap, in the hold,
-    /// or released and not yet freed: one row per slot.
-    slab: Vec<[f32; EMITTED]>,
-    /// Slots free for reuse.
-    free: Vec<u32>,
+    /// or released and not yet freed.
+    slab: RowSlab,
 }
 
 impl NodeDelivery {
@@ -128,8 +127,7 @@ impl NodeDelivery {
             heap: BinaryHeap::new(),
             hold: None,
             counts: InjectedFaults::default(),
-            slab: Vec::new(),
-            free: Vec::new(),
+            slab: RowSlab::default(),
         }
     }
 
@@ -147,23 +145,13 @@ impl NodeDelivery {
     /// The emitted metric values of a released frame. Panics if `slot`
     /// was never handed out.
     pub fn row(&self, slot: u32) -> &[f32; EMITTED] {
-        &self.slab[slot as usize]
+        self.slab.row(slot)
     }
 
     /// Returns a released frame's slot for reuse; call it once per
     /// [`Delivered`], after the last [`NodeDelivery::row`] read.
     pub fn free(&mut self, slot: u32) {
-        self.free.push(slot);
-    }
-
-    /// Fills a free slot (the slab grows only when none is free).
-    fn store(&mut self, fill: impl FnOnce(&mut [f32; EMITTED])) -> u32 {
-        let slot = self.free.pop().unwrap_or_else(|| {
-            self.slab.push([f32::NAN; EMITTED]);
-            crate::convert::count_u32(self.slab.len() as u64 - 1)
-        });
-        fill(&mut self.slab[slot as usize]);
-        slot
+        self.slab.free(slot);
     }
 
     fn push_arrival(&mut self, t_arrival: f64, frame: Delivered) {
@@ -217,9 +205,9 @@ impl NodeDelivery {
             FrameFate::Drop => self.counts.dropped += 1,
             FrameFate::Duplicate => {
                 self.counts.duplicated += 1;
-                let slot = self.store(fill);
-                let values = *self.row(slot);
-                let copy = self.store(|dst| *dst = values);
+                let slot = self.slab.store(fill);
+                let values = *self.slab.row(slot);
+                let copy = self.slab.store(|dst| *dst = values);
                 // Copy before original: matches the batch push order so
                 // the stable tie-break is preserved.
                 self.push_arrival(t_ingest + 0.25, frame(copy, t_ingest));
@@ -227,12 +215,12 @@ impl NodeDelivery {
             }
             FrameFate::Delay { extra_s } => {
                 self.counts.delayed += 1;
-                let slot = self.store(fill);
+                let slot = self.slab.store(fill);
                 let t_ingest = t_ingest + extra_s;
                 self.push_arrival(t_ingest, frame(slot, t_ingest));
             }
             FrameFate::Deliver => {
-                let slot = self.store(fill);
+                let slot = self.slab.store(fill);
                 self.push_arrival(t_ingest, frame(slot, t_ingest));
             }
         }

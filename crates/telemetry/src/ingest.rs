@@ -43,6 +43,13 @@ pub enum IngestError {
     },
     /// The frame's sample timestamp is NaN or infinite.
     NonFiniteTimestamp,
+    /// The frame's sample timestamp is finite but at or past
+    /// [`MAX_ABS_TIMESTAMP_S`] in magnitude, where its millisecond key
+    /// would no longer be exact.
+    TimestampOutOfRange {
+        /// Sample timestamp of the rejected frame (s).
+        t_sample: f64,
+    },
     /// The frame carries a finite value for a metric past the catalog's
     /// emitted prefix ([`crate::catalog::EMITTED`]), which the coarsener
     /// does not carry: rejected rather than silently truncated.
@@ -71,6 +78,11 @@ impl std::fmt::Display for IngestError {
                 write!(f, "duplicate frame at t={t_sample}")
             }
             IngestError::NonFiniteTimestamp => write!(f, "non-finite sample timestamp"),
+            IngestError::TimestampOutOfRange { t_sample } => write!(
+                f,
+                "sample timestamp t={t_sample} is out of range (|t| must stay below \
+                 {MAX_ABS_TIMESTAMP_S} s)"
+            ),
             IngestError::UnemittedMetric { metric } => write!(
                 f,
                 "frame carries metric {} past the {} emitted metrics",
@@ -90,6 +102,12 @@ impl std::error::Error for IngestError {}
 /// fabric can deliver is re-ordered into sample order; anything later is
 /// counted and dropped.
 pub const LATENESS_HORIZON_S: f64 = crate::stream::MAX_PROPAGATION_DELAY_S;
+
+/// Bound on the magnitude of an admitted sample timestamp (s): 2^53
+/// milliseconds, about 285,000 years from the epoch. The coarsener
+/// orders and dedups frames by millisecond key, which is exact only
+/// below it; past it distinct timestamps would share a key.
+pub const MAX_ABS_TIMESTAMP_S: f64 = 9_007_199_254_740.992;
 
 /// Upper bound of NaN windows emitted per whole-window gap, so a
 /// pathological timestamp jump cannot allocate unbounded output. Longer
@@ -112,8 +130,8 @@ pub struct IngestHealth {
     pub late_dropped: u64,
     /// Frames dropped for reaching an aggregator of another node.
     pub wrong_node: u64,
-    /// Frames dropped for a NaN/infinite sample timestamp or for a
-    /// finite value past the emitted metrics.
+    /// Frames dropped for a NaN, infinite or out-of-range sample
+    /// timestamp or for a finite value past the emitted metrics.
     pub invalid: u64,
     /// NaN-filled windows emitted for whole-window gaps.
     pub gap_windows: u64,
@@ -203,5 +221,8 @@ mod tests {
         assert!(IngestError::NonFiniteTimestamp
             .to_string()
             .contains("non-finite"));
+        assert!(IngestError::TimestampOutOfRange { t_sample: 1e16 }
+            .to_string()
+            .contains("out of range"));
     }
 }

@@ -21,9 +21,12 @@
 //! [`METRIC_COUNT`] metrics: the rest get `Welford::new().finish()`,
 //! exactly what a lane that saw only NaN samples reports.
 
+use crate::batch::RowSlab;
 use crate::catalog::{MetricId, EMITTED, METRIC_COUNT};
 use crate::ids::NodeId;
-use crate::ingest::{IngestError, IngestHealth, LATENESS_HORIZON_S, MAX_GAP_WINDOWS};
+use crate::ingest::{
+    IngestError, IngestHealth, LATENESS_HORIZON_S, MAX_ABS_TIMESTAMP_S, MAX_GAP_WINDOWS,
+};
 use crate::records::NodeFrame;
 use rayon::prelude::*;
 use std::collections::VecDeque;
@@ -102,19 +105,18 @@ pub struct WindowAggregator {
     out: Vec<NodeWindow>,
 }
 
-/// Reorder-buffer storage: a slab arena. Value rows (the emitted
-/// prefix) live in one contiguous `Vec<f32>` and freed rows are
-/// recycled through a free list, so the buffer reaches a steady state
-/// with zero allocation per frame. The key order lives in a sorted
-/// ring: frames almost always arrive in time order, so insertion is an
-/// O(1) `push_back` (binary insertion for the rare out-of-order frame)
-/// and dedup lookup is a binary search over contiguous memory — far
-/// cheaper than B-tree node hops at reorder-buffer sizes.
+/// Reorder-buffer storage. Value rows (the emitted prefix) live in a
+/// [`RowSlab`], so the buffer reaches a steady state with zero
+/// allocation per frame. The key order lives in a sorted ring of
+/// `(key, slot)`: frames almost always arrive in time order, so
+/// insertion is an O(1) `push_back` (binary insertion for the rare
+/// out-of-order frame) and dedup lookup is a binary search over
+/// contiguous memory — far cheaper than B-tree node hops at
+/// reorder-buffer sizes.
 #[derive(Debug, Default)]
 struct PendingStore {
     order: VecDeque<(i64, u32)>,
-    slab: Vec<f32>,
-    free: Vec<u32>,
+    slab: RowSlab,
 }
 
 impl PendingStore {
@@ -131,34 +133,14 @@ impl PendingStore {
     /// Inserts a new entry. The caller has already rejected duplicate
     /// keys via [`PendingStore::contains_key`].
     fn insert(&mut self, key: i64, values: &[f32; EMITTED]) {
-        let row = match self.free.pop() {
-            Some(row) => {
-                let at = row as usize * EMITTED;
-                self.slab[at..at + EMITTED].copy_from_slice(values);
-                row
-            }
-            None => {
-                let row = crate::convert::count_u32((self.slab.len() / EMITTED) as u64);
-                self.slab.extend_from_slice(values);
-                row
-            }
-        };
+        let slot = self.slab.store(|row| *row = *values);
         match self.order.back() {
-            Some(&(back, _)) if back < key => self.order.push_back((key, row)),
+            Some(&(back, _)) if back < key => self.order.push_back((key, slot)),
             _ => {
                 let pos = self.order.partition_point(|&(k, _)| k < key);
-                self.order.insert(pos, (key, row));
+                self.order.insert(pos, (key, slot));
             }
         }
-    }
-
-    /// Removes the oldest entry, copying its values into `row`.
-    fn pop_first_into(&mut self, row: &mut [f32; EMITTED]) -> Option<i64> {
-        let (k, idx) = self.order.pop_front()?;
-        let at = idx as usize * EMITTED;
-        row.copy_from_slice(&self.slab[at..at + EMITTED]);
-        self.free.push(idx);
-        Some(k)
     }
 
     fn len(&self) -> usize {
@@ -167,7 +149,8 @@ impl PendingStore {
 }
 
 /// Sample timestamps are compared at millisecond grain for dedup and
-/// ordering — far below the 1 Hz sample cadence.
+/// ordering — far below the 1 Hz sample cadence. The key is exact for
+/// every timestamp the aggregator admits (`|t| <` [`MAX_ABS_TIMESTAMP_S`]).
 fn time_key(t: f64) -> i64 {
     (t * 1000.0).round() as i64
 }
@@ -276,28 +259,32 @@ impl WindowAggregator {
         self.acc.push_row(values);
     }
 
+    /// Folds buffered frames, oldest first, into the windows: every
+    /// frame keyed before `cutoff`, or all of them without one.
+    fn fold_pending(&mut self, cutoff: Option<i64>) {
+        // Accumulate straight out of the reorder buffer: the store is
+        // moved aside so its rows can be borrowed across the
+        // `accumulate` call without a per-frame row copy. Nothing on
+        // the accumulate path touches `self.pending`.
+        let mut pending = std::mem::take(&mut self.pending);
+        while let Some(&(k, slot)) = pending.order.front() {
+            if cutoff.is_some_and(|cutoff| k >= cutoff) {
+                break;
+            }
+            pending.order.pop_front();
+            self.accumulate(k as f64 / 1000.0, pending.slab.row(slot));
+            pending.slab.free(slot);
+        }
+        self.pending = pending;
+    }
+
     /// Moves every buffered frame whose window is complete — its end is
     /// a full lateness horizon behind the watermark — into the output,
     /// and closes the current window once the watermark passes its end.
     fn flush_ready(&mut self) {
         let Some(wm) = self.watermark else { return };
         let cutoff_start = self.window_start_of(wm - LATENESS_HORIZON_S);
-        let cutoff = time_key(cutoff_start);
-        // Accumulate straight out of the reorder buffer: the store is
-        // moved aside so its rows can be borrowed across the
-        // `accumulate` call without a per-frame row copy. Nothing on
-        // the accumulate path touches `self.pending`.
-        let mut pending = std::mem::take(&mut self.pending);
-        while let Some(&(k, idx)) = pending.order.front() {
-            if k >= cutoff {
-                break;
-            }
-            pending.order.pop_front();
-            let at = idx as usize * EMITTED;
-            self.accumulate(k as f64 / 1000.0, &pending.slab[at..at + EMITTED]);
-            pending.free.push(idx);
-        }
-        self.pending = pending;
+        self.fold_pending(Some(time_key(cutoff_start)));
         if let Some(cur) = self.current_start {
             // No frame at or before the cutoff can arrive any more, so a
             // current window entirely behind it is complete.
@@ -308,8 +295,9 @@ impl WindowAggregator {
     }
 
     /// Offers one frame to the coarsener. Faulty frames (wrong node,
-    /// beyond the lateness horizon, duplicate, non-finite timestamp) are
-    /// counted in [`WindowAggregator::health`] and reported as a typed
+    /// beyond the lateness horizon, duplicate, non-finite timestamp or
+    /// one at or past [`MAX_ABS_TIMESTAMP_S`]) are counted in
+    /// [`WindowAggregator::health`] and reported as a typed
     /// [`IngestError`]; the aggregator never panics on input. A frame
     /// with a finite value past the emitted metrics cannot be coarsened
     /// without losing it, so it is rejected first, as
@@ -348,6 +336,10 @@ impl WindowAggregator {
             self.health.invalid += 1;
             return Err(IngestError::NonFiniteTimestamp);
         }
+        if t_sample.abs() >= MAX_ABS_TIMESTAMP_S {
+            self.health.invalid += 1;
+            return Err(IngestError::TimestampOutOfRange { t_sample });
+        }
         let wm = self.watermark.unwrap_or(t_sample);
         if t_sample < wm - LATENESS_HORIZON_S {
             self.health.late_dropped += 1;
@@ -372,25 +364,16 @@ impl WindowAggregator {
         Ok(())
     }
 
-    fn drain_pending(&mut self) {
-        let mut row = [0.0f32; EMITTED];
-        while let Some(k) = self.pending.pop_first_into(&mut row) {
-            self.accumulate(k as f64 / 1000.0, &row);
-        }
-    }
-
     /// Closes every remaining window (buffered frames included) and
     /// returns all coarsened windows.
-    pub fn finish(mut self) -> Vec<NodeWindow> {
-        self.drain_pending();
-        self.flush_current();
-        self.out
+    pub fn finish(self) -> Vec<NodeWindow> {
+        self.finish_with_health().0
     }
 
     /// Like [`WindowAggregator::finish`], also returning the final
     /// ingest-health counters.
     pub fn finish_with_health(mut self) -> (Vec<NodeWindow>, IngestHealth) {
-        self.drain_pending();
+        self.fold_pending(None);
         self.flush_current();
         (self.out, self.health)
     }
@@ -736,9 +719,18 @@ mod tests {
             Err(IngestError::NonFiniteTimestamp)
         ));
         assert!(agg.push(&frame(0, f64::INFINITY, 1.0)).is_err());
+        // Past the millisecond key's exact range: 1e16 + 2 s and
+        // 1e16 + 4 s would key as duplicates of 1e16 s.
+        for t in [1e16, 1e16 + 2.0, 1e16 + 4.0, -1e16, MAX_ABS_TIMESTAMP_S] {
+            assert_eq!(
+                agg.push(&frame(0, t, 1.0)),
+                Err(IngestError::TimestampOutOfRange { t_sample: t })
+            );
+        }
         let (windows, health) = agg.finish_with_health();
         assert!(windows.is_empty());
-        assert_eq!(health.invalid, 2);
+        assert_eq!(health.invalid, 7);
+        assert_eq!(health.duplicates, 0);
     }
 
     #[test]
@@ -1026,7 +1018,7 @@ mod tests {
         for i in 0..200 {
             agg.push(&frame(0, i as f64, i as f64)).unwrap();
         }
-        let rows = agg.pending.slab.len() / EMITTED;
+        let rows = agg.pending.slab.len();
         assert!(
             rows <= 32,
             "slab rows must stay bounded by horizon + window, got {rows}"

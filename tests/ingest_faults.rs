@@ -11,18 +11,12 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::BTreeSet;
-use summit_repro::core::pipeline::{run_streaming, StreamConfig};
-use summit_repro::sim::engine::{Engine, EngineConfig, StepOptions};
-use summit_repro::sim::failures::CabinetOutage;
-use summit_repro::telemetry::batch::FrameBatch;
 use summit_repro::telemetry::catalog;
-use summit_repro::telemetry::ids::{CabinetId, NodeId};
+use summit_repro::telemetry::ids::NodeId;
 use summit_repro::telemetry::ingest::IngestError;
 use summit_repro::telemetry::records::NodeFrame;
-use summit_repro::telemetry::stream::{FaultConfig, FaultInjector, IngestStats};
-use summit_repro::telemetry::window::{
-    coarsen_parallel_with_health, NodeWindow, WindowAggregator, PAPER_WINDOW_S,
-};
+use summit_repro::telemetry::stream::{FaultConfig, FaultInjector};
+use summit_repro::telemetry::window::{NodeWindow, WindowAggregator};
 
 const HORIZON_S: f64 = 5.0; // ingest::LATENESS_HORIZON_S
 
@@ -188,107 +182,6 @@ fn clean_stream_is_untouched_by_zero_probability_injector() {
         .all(|w| w.metric(catalog::input_power()).count == 10));
 }
 
-/// The streaming pipeline under whole-cabinet outage bursts must match
-/// a batch reference built from the same public primitives: generate
-/// the tick stream once ([`Engine::step_batch`]), inject the same fault
-/// profile per node, coarsen in parallel — windows, ingest statistics
-/// and injected-fault counts all agree to the bit.
-#[test]
-fn streaming_with_cabinet_outage_bursts_matches_batch_reference() {
-    let outages = vec![
-        CabinetOutage {
-            cabinet: CabinetId(0),
-            start_s: 30.0,
-            end_s: 70.0,
-        },
-        CabinetOutage {
-            cabinet: CabinetId(1),
-            start_s: 100.0,
-            end_s: 140.0,
-        },
-    ];
-    let faults = FaultConfig::light(11);
-    let duration_s = 240.0;
-
-    // Batch reference, mirroring run_telemetry's association exactly.
-    let mut config = EngineConfig::small(2);
-    config.cabinet_outages = outages.clone();
-    let dt = config.dt_s;
-    let n_ticks = (duration_s / dt).ceil() as usize;
-    let mut engine = Engine::new(config, 0.0);
-    let mut batch = FrameBatch::new();
-    let mut frames_by_node: Vec<Vec<NodeFrame>> = Vec::new();
-    for _ in 0..n_ticks {
-        engine.step_batch(&StepOptions { frames: true }, &mut batch);
-        for row in 0..batch.len() {
-            let f = batch.read_frame(row);
-            let idx = f.node.index();
-            if frames_by_node.len() <= idx {
-                frames_by_node.resize_with(idx + 1, Vec::new);
-            }
-            frames_by_node[idx].push(f);
-        }
-    }
-    // The bursts took effect: a cabinet-0 node reports NaN during its
-    // outage window and real power outside it.
-    let in_outage = |f: &&NodeFrame| f.t_sample >= 30.0 && f.t_sample < 70.0;
-    assert!(frames_by_node[0]
-        .iter()
-        .filter(in_outage)
-        .all(|f| f.get(catalog::input_power()).is_nan()));
-    assert!(frames_by_node[0]
-        .iter()
-        .filter(|f| !in_outage(f))
-        .all(|f| !f.get(catalog::input_power()).is_nan()));
-
-    let mut injector = FaultInjector::new(faults);
-    let delivered: Vec<Vec<NodeFrame>> = frames_by_node
-        .into_iter()
-        .map(|batch| injector.deliver(batch))
-        .collect();
-    let mut ref_stats = IngestStats::default();
-    for batch in &delivered {
-        let mut node_stats = IngestStats::default();
-        for f in batch {
-            node_stats.observe(f);
-        }
-        ref_stats.merge(&node_stats);
-    }
-    let (ref_windows, ref_health) = coarsen_parallel_with_health(&delivered, PAPER_WINDOW_S);
-
-    // The online pipeline over the same outage schedule.
-    let mut cfg = StreamConfig::new(2, duration_s, Some(faults));
-    cfg.cabinet_outages = outages;
-    let run = run_streaming(cfg);
-
-    // Exact fault accounting: injected counts and the coarsener's
-    // health ledger agree with the reference integer for integer.
-    assert_eq!(run.injected, injector.injected());
-    assert_eq!(run.stats.health, ref_health);
-    assert_eq!(run.stats.frames, ref_stats.frames);
-    assert_eq!(run.stats.metrics, ref_stats.metrics);
-    assert_eq!(
-        run.stats.total_delay_s.to_bits(),
-        ref_stats.total_delay_s.to_bits()
-    );
-    assert_eq!(
-        run.stats.max_delay_s.to_bits(),
-        ref_stats.max_delay_s.to_bits()
-    );
-
-    // Bit-identical coarsening, node by node (either side may omit
-    // trailing all-silent nodes; absent means no windows).
-    let nodes = run.windows_by_node.len().max(ref_windows.len());
-    for i in 0..nodes {
-        let stream_windows = run.windows_by_node.get(i).map_or(&[][..], Vec::as_slice);
-        let batch_windows = ref_windows.get(i).map_or(&[][..], Vec::as_slice);
-        assert!(
-            windows_bitwise_eq(stream_windows, batch_windows),
-            "node {i}: streaming and batch coarsenings diverge under outage bursts"
-        );
-    }
-}
-
 /// A duplicate arriving after its window has already closed (watermark
 /// beyond the lateness horizon) must classify as `Late` — the pending
 /// dedup set no longer remembers the key, and re-admitting the frame
@@ -384,11 +277,12 @@ fn hostile_stream_never_panics() {
     let _ = agg.push(&NodeFrame::empty(node, f64::NAN));
     let _ = agg.push(&NodeFrame::empty(node, f64::INFINITY));
     let _ = agg.push(&NodeFrame::empty(node, -1e12));
-    offered += 4;
+    let _ = agg.push(&NodeFrame::empty(node, 1e16)); // past the ms key's range
+    offered += 5;
     let (windows, health) = agg.finish_with_health();
     assert_eq!(health.offered(), offered);
     assert_eq!(health.wrong_node, 1);
-    assert_eq!(health.invalid, 2);
+    assert_eq!(health.invalid, 3);
     // A fully reversed 1 Hz stream admits only the 5 s horizon's worth.
     assert!(health.accepted >= 6 && health.late_dropped > 0);
     assert!(!windows.is_empty());
