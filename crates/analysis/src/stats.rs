@@ -614,7 +614,7 @@ mod tests {
     fn welford_columns_match_scalar_welford_bitwise() {
         // Each row is all-finite, all-NaN or mixed (NaN, ±inf, finite),
         // with magnitudes from 1e-6 to 1e12, so both push_row paths run
-        // at the emitted width (25) and at the catalog's (106). Two
+        // at the catalog's width (25) and at a wider one (106). Two
         // windows through the fused finish-and-reset check that the
         // reset leaves every lane empty.
         for width in [25usize, 106] {

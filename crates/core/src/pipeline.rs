@@ -25,7 +25,7 @@ use summit_sim::jobstats::{population_stats, JobStatsRow};
 use summit_sim::power::PowerModel;
 use summit_sim::spec;
 use summit_telemetry::batch::FrameBatch;
-use summit_telemetry::catalog::EMITTED;
+use summit_telemetry::catalog::METRIC_COUNT;
 use summit_telemetry::delivery::{Delivered, NodeDelivery};
 use summit_telemetry::ids::NodeId;
 use summit_telemetry::ingest::{IngestHealth, LATENESS_HORIZON_S};
@@ -431,9 +431,9 @@ fn frame_options() -> StepOptions {
 /// stages behind it and the buffer between them. Lane `i` is node `i`
 /// and consumes row `i` of every tick batch, so a pool worker keeps
 /// one node's state cache-hot across a whole group of ticks. Each
-/// frame's row (the emitted metrics) is copied once, from the batch
-/// into the delivery's slab; from there only its key moves, and the
-/// stages read the row in place.
+/// frame's row is copied once, from the batch into the delivery's
+/// slab; from there only its key moves, and the stages read the row in
+/// place.
 struct NodeLane {
     delivery: NodeDelivery,
     /// Frames the fabric released, on their way to the stages (reused).
@@ -454,7 +454,7 @@ struct NodeStages {
 }
 
 impl NodeStages {
-    fn ingest(&mut self, f: &Delivered, values: &[f32; EMITTED]) {
+    fn ingest(&mut self, f: &Delivered, values: &[f32; METRIC_COUNT]) {
         self.tracker.observe(f.t_sample, f.t_ingest);
         self.stats.observe_arrival(f.t_sample, f.t_ingest);
         // Faults are counted in its health.
@@ -1214,7 +1214,6 @@ mod tests {
         assert_eq!(stream.injected, batch.injected, "fault accounting");
         let (s, b) = (&stream.stats, &batch.stats);
         assert_eq!(s.frames, b.frames);
-        assert_eq!(s.metrics, b.metrics);
         assert_eq!(s.t_first.to_bits(), b.t_first.to_bits());
         assert_eq!(s.t_last.to_bits(), b.t_last.to_bits());
         assert_eq!(s.total_delay_s.to_bits(), b.total_delay_s.to_bits());
@@ -1264,9 +1263,9 @@ mod tests {
     /// the way the batch executor once did: every node's full row
     /// sequence, `FaultInjector::deliver`, a node-ordered stats merge,
     /// `coarsen_parallel_with_health` and the latency replay. The frames
-    /// cross the fabric and the coarsener as whole 106-metric
-    /// `NodeFrame`s from `FrameBatch::read_frame`, not as the executors'
-    /// emitted rows, so a bug in either path cannot hide in both.
+    /// cross the fabric and the coarsener as whole `NodeFrame`s from
+    /// `FrameBatch::read_frame`, not as the executors' slab rows, so a
+    /// bug in either path cannot hide in both.
     struct Reference {
         windows: Vec<Vec<NodeWindow>>,
         stats: IngestStats,
@@ -1328,7 +1327,6 @@ mod tests {
         assert_eq!(injected, r.injected, "{label}: fault accounting");
         let s = &r.stats;
         assert_eq!(stats.frames, s.frames, "{label}: frames");
-        assert_eq!(stats.metrics, s.metrics, "{label}: metrics");
         for (got, want) in [
             (stats.total_delay_s, s.total_delay_s),
             (stats.max_delay_s, s.max_delay_s),

@@ -15,7 +15,7 @@
 
 use rayon::prelude::*;
 use summit_telemetry::batch::FrameBatch;
-use summit_telemetry::catalog::{self, MetricId, EMITTED};
+use summit_telemetry::catalog::{self, MetricId, METRIC_COUNT};
 use summit_telemetry::ids::{CabinetId, GpuSlot, Msb, NodeId, Socket};
 use summit_telemetry::records::{frame_value, CepRecord};
 
@@ -71,8 +71,8 @@ pub const TICKS_PER_GROUP: usize = 16;
 /// What [`Engine::step_batch`] collects beyond the always-on summary.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepOptions {
-    /// Fill the tick's frame batch (one row per node, the catalog's
-    /// emitted metrics).
+    /// Fill the tick's frame batch (one row per node, every catalog
+    /// metric).
     pub frames: bool,
 }
 
@@ -392,7 +392,7 @@ impl Engine {
                         if let Some(row) = frames.as_mut().and_then(Iterator::next) {
                             // A dark cabinet's rows are all-NaN: the
                             // bright-green cabinet.
-                            *row = [f32::NAN; EMITTED];
+                            *row = [f32::NAN; METRIC_COUNT];
                             if !dark {
                                 let mut set = |m: MetricId, v| row[m.index()] = frame_value(v);
                                 write_frame_metrics(&mut set, sensor_power, &power, th);
@@ -484,9 +484,9 @@ impl Engine {
 /// is the one allocation: it starts as each batch's whole row slice,
 /// and each cabinet's split pushes that batch's remaining rows to the
 /// end, where the next cabinet takes them.
-fn cabinet_rows(batches: &mut [FrameBatch], cabinets: usize) -> Vec<&mut [[f32; EMITTED]]> {
+fn cabinet_rows(batches: &mut [FrameBatch], cabinets: usize) -> Vec<&mut [[f32; METRIC_COUNT]]> {
     let n = batches.len();
-    let mut rows: Vec<&mut [[f32; EMITTED]]> = Vec::with_capacity((cabinets + 1) * n);
+    let mut rows: Vec<&mut [[f32; METRIC_COUNT]]> = Vec::with_capacity((cabinets + 1) * n);
     rows.extend(batches.iter_mut().map(FrameBatch::rows_mut));
     for i in 0..cabinets * n {
         let rest = std::mem::take(&mut rows[i]);
@@ -498,8 +498,8 @@ fn cabinet_rows(batches: &mut [FrameBatch], cabinets: usize) -> Vec<&mut [[f32; 
     rows
 }
 
-/// Writes one reporting node's readings through `set`: the catalog's
-/// emitted metrics, ids `0..EMITTED`, each once.
+/// Writes one reporting node's readings through `set`: every catalog
+/// metric, ids `0..METRIC_COUNT`, each once.
 fn write_frame_metrics(
     set: &mut impl FnMut(MetricId, f64),
     sensor_power: f64,
@@ -675,7 +675,7 @@ mod tests {
     }
 
     #[test]
-    fn frame_metrics_are_exactly_the_emitted_prefix() {
+    fn frame_metrics_are_exactly_the_catalog() {
         let power = PowerModel::new(1).node_power(NodeId(0), &NodeUtilization::idle());
         let th = NodeThermals::at_water(30.0);
         let mut ids = Vec::new();
@@ -686,14 +686,14 @@ mod tests {
             &th,
         );
         ids.sort_unstable();
-        assert_eq!(ids, (0..EMITTED).collect::<Vec<_>>());
+        assert_eq!(ids, (0..METRIC_COUNT).collect::<Vec<_>>());
     }
 
     #[test]
-    fn rows_carry_the_emitted_prefix_and_a_dark_cabinet_only_inside_its_outage() {
+    fn rows_carry_every_metric_and_a_dark_cabinet_only_inside_its_outage() {
         // Three cabinets stepped as one 8-tick group; cabinet 1 is dark
-        // over [2, 5). Every reporting row has all its emitted values,
-        // finite; a dark row has none; read_frame adds the NaN tail.
+        // over [2, 5). Every reporting row has all its values, finite; a
+        // dark row has none; read_frame copies the row.
         let mut cfg = EngineConfig::small(3);
         cfg.cabinet_outages = vec![CabinetOutage {
             cabinet: CabinetId(1),
@@ -715,7 +715,6 @@ mod tests {
                     assert!(row.iter().all(|v| v.is_finite()), "{at}");
                 }
                 let frame = batch.read_frame(i);
-                assert!(frame.values[EMITTED..].iter().all(|v| v.is_nan()), "{at}");
                 for (a, b) in frame.values.iter().zip(row) {
                     assert_eq!(a.to_bits(), b.to_bits(), "{at}");
                 }

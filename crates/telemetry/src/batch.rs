@@ -3,11 +3,7 @@
 //!
 //! [`FrameBatch`] is the one form the engine emits telemetry in: one
 //! tick worth of frames, each one contiguous row of the catalog's
-//! emitted prefix (`[f32; EMITTED]`, ids `0..EMITTED`) plus its node
-//! and sample time. The metrics past the prefix are NaN in every frame
-//! the engine makes, so the batch does not store them: a row cannot
-//! hold a value there, and [`FrameBatch::read_frame`] returns them as
-//! NaN.
+//! metrics (`[f32; METRIC_COUNT]`) plus its node and sample time.
 //!
 //! The caller owns the batch and the engine lays it out again every
 //! tick ([`FrameBatch::lay_out`]) and overwrites every row in place
@@ -20,13 +16,13 @@
 //! addressed by slot and recycled through a free list, so only a slot
 //! number moves with a frame's key.
 
-use crate::catalog::EMITTED;
+use crate::catalog::METRIC_COUNT;
 use crate::ids::NodeId;
 use crate::records::NodeFrame;
 
 /// One tick batch of frames, row-major: row `i` is the frame of node
-/// `node(i)` sampled at `t_sample(i)`, its emitted metrics in catalog
-/// order (NaN = missing sensor, as in [`NodeFrame`]).
+/// `node(i)` sampled at `t_sample(i)`, its metrics in catalog order
+/// (NaN = missing sensor, as in [`NodeFrame`]).
 ///
 /// ```
 /// use summit_telemetry::batch::FrameBatch;
@@ -40,14 +36,12 @@ use crate::records::NodeFrame;
 /// assert_eq!(frame.t_sample, 42.0);
 /// assert_eq!(frame.get(catalog::input_power()), 600.0);
 /// assert!(frame.get(catalog::cpu_power(Socket::P0)).is_nan());
-/// // Past the emitted prefix every metric reads missing.
-/// assert!(frame.get(catalog::io_power()).is_nan());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FrameBatch {
     nodes: Vec<NodeId>,
     t_sample: Vec<f64>,
-    rows: Vec<[f32; EMITTED]>,
+    rows: Vec<[f32; METRIC_COUNT]>,
 }
 
 impl FrameBatch {
@@ -83,7 +77,7 @@ impl FrameBatch {
         self.nodes.extend(ids);
         self.t_sample.clear();
         self.t_sample.resize(nodes, t);
-        self.rows.resize(nodes, [f32::NAN; EMITTED]);
+        self.rows.resize(nodes, [f32::NAN; METRIC_COUNT]);
     }
 
     /// Number of rows.
@@ -108,41 +102,40 @@ impl FrameBatch {
         self.t_sample[row]
     }
 
-    /// One row's emitted metric values, in catalog order.
+    /// One row's metric values, in catalog order.
     #[inline]
-    pub fn row(&self, row: usize) -> &[f32; EMITTED] {
+    pub fn row(&self, row: usize) -> &[f32; METRIC_COUNT] {
         &self.rows[row]
     }
 
     /// Every row's metric values, for the writer to fill in place.
-    pub fn rows_mut(&mut self) -> &mut [[f32; EMITTED]] {
+    pub fn rows_mut(&mut self) -> &mut [[f32; METRIC_COUNT]] {
         &mut self.rows
     }
 
     /// Materializes one row as a [`NodeFrame`]: the row's node,
-    /// timestamp and emitted metric values bit for bit, NaN past them
-    /// (`t_ingest` starts at `t_sample`, as in [`NodeFrame::empty`]; the
-    /// delivery layer stamps it later).
+    /// timestamp and metric values bit for bit (`t_ingest` starts at
+    /// `t_sample`; the delivery layer stamps it later).
     pub fn read_frame(&self, row: usize) -> NodeFrame {
-        NodeFrame::from_emitted(self.nodes[row], self.t_sample[row], &self.rows[row])
+        NodeFrame::from_row(self.nodes[row], self.t_sample[row], &self.rows[row])
     }
 }
 
-/// Emitted-metric rows addressed by slot: a freed slot is refilled
-/// before the slab grows, so a slab holds as many rows as were ever in
-/// flight at once and touches no allocator in its steady state.
+/// Metric rows addressed by slot: a freed slot is refilled before the
+/// slab grows, so a slab holds as many rows as were ever in flight at
+/// once and touches no allocator in its steady state.
 #[derive(Debug, Default)]
 pub(crate) struct RowSlab {
-    rows: Vec<[f32; EMITTED]>,
+    rows: Vec<[f32; METRIC_COUNT]>,
     free: Vec<u32>,
 }
 
 impl RowSlab {
     /// Fills a free slot, or a new one when none is free, with `fill`
     /// and returns it.
-    pub(crate) fn store(&mut self, fill: impl FnOnce(&mut [f32; EMITTED])) -> u32 {
+    pub(crate) fn store(&mut self, fill: impl FnOnce(&mut [f32; METRIC_COUNT])) -> u32 {
         let slot = self.free.pop().unwrap_or_else(|| {
-            self.rows.push([f32::NAN; EMITTED]);
+            self.rows.push([f32::NAN; METRIC_COUNT]);
             crate::convert::count_u32(self.rows.len() as u64 - 1)
         });
         fill(&mut self.rows[slot as usize]);
@@ -151,7 +144,7 @@ impl RowSlab {
 
     /// The row in `slot`. Panics if `slot` was never handed out.
     #[inline]
-    pub(crate) fn row(&self, slot: u32) -> &[f32; EMITTED] {
+    pub(crate) fn row(&self, slot: u32) -> &[f32; METRIC_COUNT] {
         &self.rows[slot as usize]
     }
 
@@ -172,7 +165,7 @@ impl RowSlab {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
-    use crate::catalog::{self, METRIC_COUNT};
+    use crate::catalog;
     use crate::ids::{GpuSlot, Socket};
 
     /// Lays `batch` out as `rows` nodes at time `t` and writes every
@@ -181,7 +174,7 @@ mod tests {
         batch.lay_out(rows, t);
         for (i, row) in batch.rows_mut().iter_mut().enumerate() {
             for (m, v) in row.iter_mut().enumerate() {
-                *v = crate::records::frame_value(t * 1000.0 + (i * EMITTED + m) as f64);
+                *v = crate::records::frame_value(t * 1000.0 + (i * METRIC_COUNT + m) as f64);
             }
         }
     }
@@ -222,25 +215,20 @@ mod tests {
         for i in 0..5 {
             assert_eq!(batch.node(i), NodeId(i as u32));
             assert_eq!(batch.t_sample(i).to_bits(), 7.0f64.to_bits());
-            let want = crate::records::frame_value(7000.0 + (i * EMITTED) as f64);
+            let want = crate::records::frame_value(7000.0 + (i * METRIC_COUNT) as f64);
             assert_eq!(batch.row(i)[0].to_bits(), want.to_bits());
         }
     }
 
     #[test]
-    fn read_frame_is_the_row_then_a_nan_tail() {
+    fn read_frame_is_the_row_bit_for_bit() {
         let mut batch = FrameBatch::new();
         fill(&mut batch, 4, 2.0);
         for i in 0..4 {
             let frame = batch.read_frame(i);
-            assert_eq!(frame.values.len(), METRIC_COUNT);
             for (a, b) in frame.values.iter().zip(batch.row(i)) {
                 assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
             }
-            assert!(
-                frame.values[EMITTED..].iter().all(|v| v.is_nan()),
-                "row {i}"
-            );
         }
     }
 

@@ -27,7 +27,7 @@ pub struct ClusterPowerRow {
     pub max_inp: f64,
 }
 
-/// Window-keyed accumulator table kept sorted by window key.
+/// Window-keyed [`Welford`] table kept sorted by window key.
 ///
 /// Per-node windows arrive in ascending window order, so the hot
 /// admission path is a tail hit or a tail append — no tree walk and no
@@ -37,29 +37,29 @@ pub struct ClusterPowerRow {
 /// (per-node push order, then chunk-order merges), so the collapse is
 /// bit-identical to that reference for every thread count, and the
 /// drain is window-ordered by construction (hash-order lint).
-struct WindowTable<T> {
-    rows: Vec<(i64, T)>,
+struct WindowTable {
+    rows: Vec<(i64, Welford)>,
 }
 
-impl<T: Default> WindowTable<T> {
+impl WindowTable {
     fn new() -> Self {
         Self { rows: Vec::new() }
     }
 
-    /// Accumulator slot for `key`, created default if absent. O(1) for
+    /// Accumulator slot for `key`, created empty if absent. O(1) for
     /// the in-order case (key at or past the tail); a late
     /// out-of-order window falls back to a binary-search insert.
-    fn slot(&mut self, key: i64) -> &mut T {
+    fn slot(&mut self, key: i64) -> &mut Welford {
         let at = match self.rows.last() {
             Some(&(last, _)) if last == key => self.rows.len() - 1,
             Some(&(last, _)) if last < key => {
-                self.rows.push((key, T::default()));
+                self.rows.push((key, Welford::new()));
                 self.rows.len() - 1
             }
             _ => {
                 let at = self.rows.partition_point(|&(k, _)| k < key);
                 if self.rows.get(at).map(|&(k, _)| k) != Some(key) {
-                    self.rows.insert(at, (key, T::default()));
+                    self.rows.insert(at, (key, Welford::new()));
                 }
                 at
             }
@@ -68,12 +68,12 @@ impl<T: Default> WindowTable<T> {
     }
 
     /// Merges `from` into `self` with a linear two-way merge on window
-    /// key; same-key accumulators combine via `combine(into, from)`.
-    /// A key present on one side only moves its accumulator across
-    /// unchanged — bitwise the same as merging it into a default
-    /// accumulator, because [`Welford::merge`] copies `other` wholesale
-    /// when `self` is empty.
-    fn merge(&mut self, from: Self, mut combine: impl FnMut(&mut T, T)) {
+    /// key; same-key accumulators combine with [`Welford::merge`]. A key
+    /// present on one side only moves its accumulator across unchanged
+    /// — bitwise the same as merging it into an empty accumulator,
+    /// because [`Welford::merge`] copies `other` wholesale when `self`
+    /// is empty.
+    fn merge(&mut self, from: Self) {
         if self.rows.is_empty() {
             self.rows = from.rows;
             return;
@@ -98,7 +98,7 @@ impl<T: Default> WindowTable<T> {
                     }
                     std::cmp::Ordering::Equal => {
                         let mut x = xa;
-                        combine(&mut x, xb);
+                        x.merge(&xb);
                         merged.push((ka, x));
                         (na, nb) = (a.next(), b.next());
                     }
@@ -128,10 +128,10 @@ pub fn cluster_power(windows_by_node: &[Vec<NodeWindow>]) -> Vec<ClusterPowerRow
     // chunk accumulators merge in chunk order — no barrier collect of
     // all per-node tables. The merge grouping is fixed by the chunk
     // layout, so results are identical for every thread count.
-    let merged: WindowTable<Welford> = windows_by_node
+    let merged = windows_by_node
         .par_iter()
         .map(|windows| {
-            let mut table: WindowTable<Welford> = WindowTable::new();
+            let mut table = WindowTable::new();
             for w in windows {
                 let s = w.metric(catalog::input_power());
                 if s.count == 0 {
@@ -143,7 +143,7 @@ pub fn cluster_power(windows_by_node: &[Vec<NodeWindow>]) -> Vec<ClusterPowerRow
             table
         })
         .reduce(WindowTable::new, |mut into, from| {
-            into.merge(from, |w: &mut Welford, other| w.merge(&other));
+            into.merge(from);
             into
         });
 
@@ -354,7 +354,7 @@ mod tests {
 
     #[test]
     fn window_table_slot_handles_out_of_order_keys() {
-        let mut table: WindowTable<Welford> = WindowTable::new();
+        let mut table = WindowTable::new();
         for key in [10i64, 20, 20, 5, 15, 30, 5] {
             table.slot(key).push(key as f64);
         }

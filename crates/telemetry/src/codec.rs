@@ -5,7 +5,7 @@
 //! 460k metrics per second data stream from Summit resulted in a
 //! manageable 1MB/s data stream" (Section 2), accumulating to 8.5 TB/year.
 //!
-//! BMC sensors emit integer readings (watts, tenths of a degree, RPM), so
+//! BMC sensors emit integer readings (watts, tenths of a degree), so
 //! the codec operates on integer columns: per-metric time columns are
 //! delta-encoded, zigzag-mapped, varint-packed, and zero-runs (the "push
 //! at metric value change" property — most sensors are unchanged between
@@ -282,7 +282,7 @@ impl CompressionStats {
 }
 
 /// Fixed-point quantization scales per unit, matching what real BMC
-/// sensors emit: integer watts, tenths of a degree, integer RPM.
+/// sensors emit: integer watts, tenths of a degree.
 pub mod quant {
     use crate::catalog::Unit;
 
@@ -291,7 +291,6 @@ pub mod quant {
         match unit {
             Unit::Watts => 1.0,
             Unit::Celsius => 10.0,
-            Unit::Rpm => 1.0,
         }
     }
 

@@ -25,9 +25,9 @@
 //!    frame suffices: a frame that draws a swap is emitted ahead of the
 //!    held frame; one that doesn't replaces it.
 //!
-//! **Slab and keys.** A frame's metric values — the catalog's emitted
-//! prefix, one `[f32; EMITTED]` row — are copied once, by the caller's
-//! fill, into a per-node row slab (see [`crate::batch`]). Only a
+//! **Slab and keys.** A frame's metric values — one
+//! `[f32; METRIC_COUNT]` row — are copied once, by the caller's fill,
+//! into a per-node row slab (see [`crate::batch`]). Only a
 //! 40-byte key — arrival time, insertion
 //! sequence, node, sample and ingest times, slot — moves through the
 //! heap and the hold; a duplicate copies its row into a second slot.
@@ -36,14 +36,14 @@
 //! [`NodeDelivery::row`] before handing the slot back with
 //! [`NodeDelivery::free`], so the slab holds only the frames in flight.
 //! [`NodeDelivery::offer`] and [`NodeDelivery::finish`] adapt that core
-//! to whole [`NodeFrame`]s, whose metrics past the prefix must be NaN.
+//! to whole [`NodeFrame`]s.
 //!
 //! The result: delivered frame sequence, injected-fault counts, and
 //! every downstream statistic are bit-identical to the batch injector
 //! run over the same per-node sequence.
 
 use crate::batch::RowSlab;
-use crate::catalog::EMITTED;
+use crate::catalog::METRIC_COUNT;
 use crate::ids::NodeId;
 use crate::records::NodeFrame;
 use crate::stream::{propagation_delay_s, FaultConfig, FrameFate, InjectedFaults};
@@ -112,8 +112,8 @@ pub struct NodeDelivery {
     heap: BinaryHeap<Arrival>,
     hold: Option<Delivered>,
     counts: InjectedFaults,
-    /// Emitted metric values of every frame in the heap, in the hold,
-    /// or released and not yet freed.
+    /// Metric values of every frame in the heap, in the hold, or
+    /// released and not yet freed.
     slab: RowSlab,
 }
 
@@ -142,9 +142,9 @@ impl NodeDelivery {
         self.heap.len() + usize::from(self.hold.is_some())
     }
 
-    /// The emitted metric values of a released frame. Panics if `slot`
-    /// was never handed out.
-    pub fn row(&self, slot: u32) -> &[f32; EMITTED] {
+    /// The metric values of a released frame. Panics if `slot` was
+    /// never handed out.
+    pub fn row(&self, slot: u32) -> &[f32; METRIC_COUNT] {
         self.slab.row(slot)
     }
 
@@ -183,15 +183,15 @@ impl NodeDelivery {
     }
 
     /// Offers one source frame — its node, sample time and a `fill` that
-    /// writes its emitted metric values into a slab row, called once
-    /// unless the fabric drops the frame — and appends every frame that
+    /// writes its metric values into a slab row, called once unless the
+    /// fabric drops the frame — and appends every frame that
     /// became safe to deliver. Frames must come in `t_sample` order, the
     /// order the engine produces them.
     pub fn offer_row(
         &mut self,
         node: NodeId,
         t_sample: f64,
-        fill: impl FnOnce(&mut [f32; EMITTED]),
+        fill: impl FnOnce(&mut [f32; METRIC_COUNT]),
         out: &mut Vec<Delivered>,
     ) {
         let t_ingest = t_sample + propagation_delay_s(node.0, t_sample);
@@ -249,11 +249,10 @@ impl NodeDelivery {
         }
     }
 
-    /// Moves released frames out of the slab as whole frames, NaN past
-    /// the emitted prefix.
+    /// Moves released frames out of the slab as whole frames.
     fn take_frames(&mut self, released: &[Delivered], out: &mut Vec<NodeFrame>) {
         for d in released {
-            let mut frame = NodeFrame::from_emitted(d.node, d.t_sample, self.row(d.slot));
+            let mut frame = NodeFrame::from_row(d.node, d.t_sample, self.row(d.slot));
             frame.t_ingest = d.t_ingest;
             out.push(frame);
             self.free(d.slot);
@@ -262,20 +261,13 @@ impl NodeDelivery {
 
     /// [`NodeDelivery::offer_row`] for a whole source frame (its
     /// `t_ingest` is ignored: the fabric stamps it), appending delivered
-    /// frames. Only the emitted prefix travels, so every metric past it
-    /// must be NaN, as in every frame the engine makes (debug-asserted);
-    /// delivered frames carry NaN there.
+    /// frames.
     pub fn offer(&mut self, frame: NodeFrame, out: &mut Vec<NodeFrame>) {
-        let (prefix, tail) = frame.values.split_at(EMITTED);
-        debug_assert!(
-            tail.iter().all(|v| v.is_nan()),
-            "NodeDelivery carries only the emitted metrics"
-        );
         let mut released = Vec::new();
         self.offer_row(
             frame.node,
             frame.t_sample,
-            |dst| dst.copy_from_slice(prefix),
+            |dst| *dst = frame.values,
             &mut released,
         );
         self.take_frames(&released, out);
@@ -371,14 +363,14 @@ mod tests {
     }
 
     /// Source frames whose values identify them, so a slot mix-up
-    /// shows: metric 0 carries the sample time, the last emitted metric
-    /// its negation.
+    /// shows: metric 0 carries the sample time, the last metric its
+    /// negation.
     fn marked(node: u32, n: usize) -> Vec<NodeFrame> {
         batch(node, n)
             .into_iter()
             .map(|mut f| {
                 f.values[0] = f.t_sample as f32;
-                f.values[EMITTED - 1] = -(f.t_sample as f32);
+                f.values[METRIC_COUNT - 1] = -(f.t_sample as f32);
                 f
             })
             .collect()
@@ -394,20 +386,14 @@ mod tests {
         let mut out = Vec::new();
         let mut take = |stage: &mut NodeDelivery, released: &mut Vec<Delivered>| {
             for d in released.drain(..) {
-                let mut f = NodeFrame::from_emitted(d.node, d.t_sample, stage.row(d.slot));
+                let mut f = NodeFrame::from_row(d.node, d.t_sample, stage.row(d.slot));
                 f.t_ingest = d.t_ingest;
                 out.push(f);
                 stage.free(d.slot);
             }
         };
         for f in frames {
-            let prefix = &f.values[..EMITTED];
-            stage.offer_row(
-                f.node,
-                f.t_sample,
-                |dst| dst.copy_from_slice(prefix),
-                &mut released,
-            );
+            stage.offer_row(f.node, f.t_sample, |dst| *dst = f.values, &mut released);
             take(&mut stage, &mut released);
         }
         stage.drain_rows(&mut released);
@@ -446,15 +432,6 @@ mod tests {
         // Freed slots are reused, so the slab holds the frames in flight
         // (bounded by the fabric delay), not one row per frame offered.
         assert!(slab_len <= 64, "slab grew to {slab_len} rows");
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "only the emitted metrics")]
-    fn offer_refuses_a_value_past_the_emitted_metrics_in_debug_builds() {
-        let mut frame = NodeFrame::empty(NodeId(0), 0.0);
-        frame.values[EMITTED] = 1.0;
-        NodeDelivery::new(FaultConfig::default()).offer(frame, &mut Vec::new());
     }
 
     #[test]

@@ -192,7 +192,7 @@ pub fn write_ingest_health<W: Write>(out: &mut W, stats: &IngestStats) -> io::Re
         out,
         "{},{},{},{},{},{},{},{},{},{},{},{}",
         stats.frames,
-        stats.metrics,
+        stats.metrics(),
         fmt(stats.mean_delay_s()),
         fmt(stats.max_delay_s),
         fmt(stats.metrics_per_second()),
@@ -291,7 +291,6 @@ mod tests {
         use crate::ingest::IngestHealth;
         let stats = IngestStats {
             frames: 4,
-            metrics: 8,
             total_delay_s: 4.0,
             max_delay_s: 2.0,
             t_first: 0.0,
@@ -313,7 +312,8 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("frames,metrics,"));
         assert!(lines[0].ends_with("gap_windows"));
-        assert_eq!(lines[1], "4,8,1,2,4,3,1,1,0,0,0,2");
+        // 4 frames x 25 metrics over a 2 s span.
+        assert_eq!(lines[1], "4,100,1,2,50,3,1,1,0,0,0,2");
     }
 
     #[test]

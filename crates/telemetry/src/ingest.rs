@@ -11,7 +11,6 @@
 //! counters that account for every frame the pipeline tolerated rather
 //! than processed.
 
-use crate::catalog::MetricId;
 use crate::ids::NodeId;
 
 /// Why the ingest path rejected a frame. Every variant is handled by
@@ -50,13 +49,6 @@ pub enum IngestError {
         /// Sample timestamp of the rejected frame (s).
         t_sample: f64,
     },
-    /// The frame carries a finite value for a metric past the catalog's
-    /// emitted prefix ([`crate::catalog::EMITTED`]), which the coarsener
-    /// does not carry: rejected rather than silently truncated.
-    UnemittedMetric {
-        /// The first such metric.
-        metric: MetricId,
-    },
 }
 
 impl std::fmt::Display for IngestError {
@@ -82,12 +74,6 @@ impl std::fmt::Display for IngestError {
                 f,
                 "sample timestamp t={t_sample} is out of range (|t| must stay below \
                  {MAX_ABS_TIMESTAMP_S} s)"
-            ),
-            IngestError::UnemittedMetric { metric } => write!(
-                f,
-                "frame carries metric {} past the {} emitted metrics",
-                metric.0,
-                crate::catalog::EMITTED
             ),
         }
     }
@@ -131,7 +117,7 @@ pub struct IngestHealth {
     /// Frames dropped for reaching an aggregator of another node.
     pub wrong_node: u64,
     /// Frames dropped for a NaN, infinite or out-of-range sample
-    /// timestamp or for a finite value past the emitted metrics.
+    /// timestamp.
     pub invalid: u64,
     /// NaN-filled windows emitted for whole-window gaps.
     pub gap_windows: u64,

@@ -1,13 +1,13 @@
 //! # summit-telemetry
 //!
 //! The out-of-band telemetry pipeline of the SC '21 Summit power study,
-//! rebuilt as a library: per-node metric catalog (106 metrics, mirroring
-//! the paper's "over 100 metrics at 1 Hz"), 1 Hz frame records with the
-//! 2.5 s-average propagation-delay model, a deterministic per-node fault
-//! fabric, lossless delta/varint/RLE compression of the archived stream,
-//! the 10-second `count/min/max/mean/std` window coarsening, and the
-//! cluster-level and job-aware aggregations that produce the paper's
-//! derived Datasets 0-7.
+//! rebuilt as a library: per-node metric catalog (the 25 Dataset 0 key
+//! columns of the paper's "over 100 metrics at 1 Hz"), 1 Hz frame
+//! records with the 2.5 s-average propagation-delay model, a
+//! deterministic per-node fault fabric, lossless delta/varint/RLE
+//! compression of the archived stream, the 10-second
+//! `count/min/max/mean/std` window coarsening, and the cluster-level and
+//! job-aware aggregations that produce the paper's derived Datasets 0-7.
 //!
 //! Data flows as in the paper's Figure 3. The live pipeline
 //! (`summit-core`'s `run_telemetry` and `run_streaming`) feeds each node

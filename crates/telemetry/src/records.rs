@@ -4,7 +4,7 @@
 //! (e). The simulator produces these; the pipeline and experiments consume
 //! them.
 
-use crate::catalog::{EMITTED, METRIC_COUNT};
+use crate::catalog::METRIC_COUNT;
 use crate::ids::{AllocationId, GpuSlot, NodeId};
 
 /// One 1 Hz telemetry frame from one node: a dense vector of all catalog
@@ -42,20 +42,18 @@ pub fn frame_value(value: f64) -> f32 {
 impl NodeFrame {
     /// Creates a frame with all metrics missing.
     pub fn empty(node: NodeId, t_sample: f64) -> Self {
+        Self::from_row(node, t_sample, &[f32::NAN; METRIC_COUNT])
+    }
+
+    /// A frame whose metric values are `row` (`t_ingest` starts at
+    /// `t_sample`; the delivery layer stamps it later).
+    pub fn from_row(node: NodeId, t_sample: f64, row: &[f32; METRIC_COUNT]) -> Self {
         Self {
             node,
             t_sample,
             t_ingest: t_sample,
-            values: [f32::NAN; METRIC_COUNT],
+            values: *row,
         }
-    }
-
-    /// A frame whose emitted metrics (ids `0..EMITTED`) are `values`,
-    /// every other metric missing.
-    pub fn from_emitted(node: NodeId, t_sample: f64, values: &[f32; EMITTED]) -> Self {
-        let mut frame = Self::empty(node, t_sample);
-        frame.values[..EMITTED].copy_from_slice(values);
-        frame
     }
 
     /// Value of a metric as f64 (NaN if missing).

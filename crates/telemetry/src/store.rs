@@ -201,7 +201,9 @@ mod tests {
             let t_rest = rest.get(catalog::gpu_core_temp(crate::ids::GpuSlot(0)));
             assert!((t_orig - t_rest).abs() < 0.05 + 1e-9);
             // Missing metrics stay missing.
-            assert!(rest.get(catalog::nvme_temp()).is_nan());
+            assert!(rest
+                .get(catalog::cpu_pkg_temp(crate::ids::Socket::P1))
+                .is_nan());
         }
     }
 
@@ -228,7 +230,7 @@ mod tests {
         use crate::codec::{write_varint, zigzag_encode};
         // 11 bytes: one column whose header claims 2^24 values, its
         // first value and one zero-run token covering the rest. The
-        // partition's budget of 107 x 60 values refuses it before it
+        // partition's budget of 26 x 60 values refuses it before it
         // expands to 128 MB.
         let mut buf = bytes::BytesMut::new();
         write_varint(&mut buf, 1);
@@ -250,7 +252,7 @@ mod tests {
         // metric column holds 2: reading frame 2 of it would index past
         // its end.
         let mut columns = vec![vec![0, 1000, 2000]];
-        columns.extend((0..METRIC_COUNT).map(|m| vec![0; if m == 40 { 2 } else { 3 }]));
+        columns.extend((0..METRIC_COUNT).map(|m| vec![0; if m == 20 { 2 } else { 3 }]));
         let store = TelemetryStore::new();
         insert_raw(&store, ColumnBlock { columns }.encode(), 3);
         assert!(store.load_partition(NodeId(0), 0.0).is_none());

@@ -57,8 +57,6 @@ fn unit_f64(h: u64) -> f64 {
 pub struct IngestStats {
     /// Frames received.
     pub frames: u64,
-    /// Individual metric readings received (frames x catalog size).
-    pub metrics: u64,
     /// Sum of per-frame propagation delays (s).
     pub total_delay_s: f64,
     /// Maximum observed delay (s).
@@ -73,6 +71,12 @@ pub struct IngestStats {
 }
 
 impl IngestStats {
+    /// Individual metric readings received: every frame carries the
+    /// whole catalog.
+    pub fn metrics(&self) -> u64 {
+        self.frames * METRIC_COUNT as u64
+    }
+
     /// Mean propagation delay (s).
     pub fn mean_delay_s(&self) -> f64 {
         if self.frames == 0 {
@@ -92,7 +96,7 @@ impl IngestStats {
             return f64::NAN;
         }
         let span = (self.t_last - self.t_first).max(1.0);
-        self.metrics as f64 / span
+        self.metrics() as f64 / span
     }
 
     /// Folds one delivered frame into the statistics.
@@ -101,7 +105,7 @@ impl IngestStats {
     }
 
     /// [`IngestStats::observe`] for a delivered frame given by its
-    /// sample and ingest times (every frame carries the full catalog).
+    /// sample and ingest times.
     pub fn observe_arrival(&mut self, t_sample: f64, t_ingest: f64) {
         if self.frames == 0 {
             self.t_first = t_sample;
@@ -111,7 +115,6 @@ impl IngestStats {
             self.t_last = self.t_last.max(t_sample);
         }
         self.frames += 1;
-        self.metrics += METRIC_COUNT as u64;
         let d = t_ingest - t_sample;
         self.total_delay_s += d;
         if d > self.max_delay_s {
@@ -139,7 +142,6 @@ impl IngestStats {
             self.t_last = self.t_last.max(other.t_last);
         }
         self.frames += other.frames;
-        self.metrics += other.metrics;
         self.total_delay_s += other.total_delay_s;
         if other.max_delay_s > self.max_delay_s {
             self.max_delay_s = other.max_delay_s;
@@ -157,7 +159,7 @@ impl IngestStats {
         r.counter("summit_telemetry_ingest_frames_total")
             .inc_by(self.frames);
         r.counter("summit_telemetry_ingest_metrics_total")
-            .inc_by(self.metrics);
+            .inc_by(self.metrics());
         r.counter("summit_telemetry_ingest_reordered_total")
             .inc_by(self.health.reordered);
         r.counter("summit_telemetry_ingest_duplicates_total")
@@ -531,7 +533,6 @@ mod tests {
         };
         let merged = per_node_merge();
         assert_eq!(merged.frames, sequential.frames);
-        assert_eq!(merged.metrics, sequential.metrics);
         assert!((merged.total_delay_s - sequential.total_delay_s).abs() < 1e-9);
         assert_eq!(
             merged.max_delay_s.to_bits(),

@@ -14,15 +14,12 @@
 //! aggregation already treats as missing (at most [`MAX_GAP_WINDOWS`]
 //! per gap).
 //!
-//! The coarsener carries each frame as its catalog's emitted prefix
-//! ([`EMITTED`] metrics, the ones the engine writes): the reorder
-//! buffer holds those rows and the Welford bank has one lane per
-//! emitted metric. Each closed window is widened back to all
-//! [`METRIC_COUNT`] metrics: the rest get `Welford::new().finish()`,
-//! exactly what a lane that saw only NaN samples reports.
+//! The coarsener carries each frame as one row of the catalog's
+//! [`METRIC_COUNT`] metrics: the reorder buffer holds those rows and
+//! the Welford bank has one lane per metric.
 
 use crate::batch::RowSlab;
-use crate::catalog::{MetricId, EMITTED, METRIC_COUNT};
+use crate::catalog::METRIC_COUNT;
 use crate::ids::NodeId;
 use crate::ingest::{
     IngestError, IngestHealth, LATENESS_HORIZON_S, MAX_ABS_TIMESTAMP_S, MAX_GAP_WINDOWS,
@@ -98,21 +95,20 @@ pub struct WindowAggregator {
     /// the next frame opens a non-adjacent window.
     last_closed: Option<f64>,
     /// Open-window accumulator: a structure-of-arrays Welford bank that
-    /// updates one lane per emitted metric in one vectorizable pass per
-    /// frame. Reset keeps the allocations, so the bank touches no
-    /// allocator after its first window.
+    /// updates one lane per metric in one vectorizable pass per frame.
+    /// Reset keeps the allocations, so the bank touches no allocator
+    /// after its first window.
     acc: WelfordColumns,
     out: Vec<NodeWindow>,
 }
 
-/// Reorder-buffer storage. Value rows (the emitted prefix) live in a
-/// [`RowSlab`], so the buffer reaches a steady state with zero
-/// allocation per frame. The key order lives in a sorted ring of
-/// `(key, slot)`: frames almost always arrive in time order, so
-/// insertion is an O(1) `push_back` (binary insertion for the rare
-/// out-of-order frame) and dedup lookup is a binary search over
-/// contiguous memory — far cheaper than B-tree node hops at
-/// reorder-buffer sizes.
+/// Reorder-buffer storage. Value rows live in a [`RowSlab`], so the
+/// buffer reaches a steady state with zero allocation per frame. The key
+/// order lives in a sorted ring of `(key, slot)`: frames almost always
+/// arrive in time order, so insertion is an O(1) `push_back` (binary
+/// insertion for the rare out-of-order frame) and dedup lookup is a
+/// binary search over contiguous memory — far cheaper than B-tree node
+/// hops at reorder-buffer sizes.
 #[derive(Debug, Default)]
 struct PendingStore {
     order: VecDeque<(i64, u32)>,
@@ -132,7 +128,7 @@ impl PendingStore {
 
     /// Inserts a new entry. The caller has already rejected duplicate
     /// keys via [`PendingStore::contains_key`].
-    fn insert(&mut self, key: i64, values: &[f32; EMITTED]) {
+    fn insert(&mut self, key: i64, values: &[f32; METRIC_COUNT]) {
         let slot = self.slab.store(|row| *row = *values);
         match self.order.back() {
             Some(&(back, _)) if back < key => self.order.push_back((key, slot)),
@@ -177,7 +173,7 @@ impl WindowAggregator {
             pending: PendingStore::default(),
             current_start: None,
             last_closed: None,
-            acc: WelfordColumns::new(EMITTED),
+            acc: WelfordColumns::new(METRIC_COUNT),
             out: Vec::new(),
         }
     }
@@ -201,15 +197,11 @@ impl WindowAggregator {
         (t / self.window_s).floor() * self.window_s
     }
 
-    /// Closes the current window: the emitted lanes' statistics, then
-    /// the empty record of every metric past them (count 0, NaN
-    /// min/max/mean, std 0), as a lane fed only NaN would report.
+    /// Closes the current window with its lanes' statistics.
     fn flush_current(&mut self) {
         if let Some(start) = self.current_start.take() {
             let mut stats = Vec::with_capacity(METRIC_COUNT);
             self.acc.finish_reset_into(&mut stats);
-            let unemitted = Welford::new().finish();
-            stats.resize(METRIC_COUNT, unemitted);
             self.out.push(NodeWindow {
                 node: self.node,
                 window_start: start,
@@ -228,12 +220,10 @@ impl WindowAggregator {
         }
         let emit = (gaps as usize).min(MAX_GAP_WINDOWS);
         for k in 1..=emit as i64 {
-            let stats: Vec<WindowStats> =
-                (0..METRIC_COUNT).map(|_| Welford::new().finish()).collect();
             self.out.push(NodeWindow {
                 node: self.node,
                 window_start: closed + k as f64 * self.window_s,
-                stats,
+                stats: vec![Welford::new().finish(); METRIC_COUNT],
             });
         }
         self.health.gap_windows += emit as u64;
@@ -254,7 +244,7 @@ impl WindowAggregator {
             }
             self.current_start = Some(ws);
         }
-        // One vectorized pass over the emitted lanes; missing sensors
+        // One vectorized pass over the lanes; missing sensors
         // (NaN) are masked out inside the bank.
         self.acc.push_row(values);
     }
@@ -298,32 +288,18 @@ impl WindowAggregator {
     /// beyond the lateness horizon, duplicate, non-finite timestamp or
     /// one at or past [`MAX_ABS_TIMESTAMP_S`]) are counted in
     /// [`WindowAggregator::health`] and reported as a typed
-    /// [`IngestError`]; the aggregator never panics on input. A frame
-    /// with a finite value past the emitted metrics cannot be coarsened
-    /// without losing it, so it is rejected first, as
-    /// [`IngestError::UnemittedMetric`] counted in `invalid`; NaN and
-    /// ±inf there are missing readings, ignored as in any lane.
+    /// [`IngestError`]; the aggregator never panics on input.
     pub fn push(&mut self, frame: &NodeFrame) -> Result<(), IngestError> {
-        let (prefix, tail) = frame.values.split_at(EMITTED);
-        if let Some(m) = tail.iter().position(|v| v.is_finite()) {
-            self.health.invalid += 1;
-            let id = u16::try_from(EMITTED + m).unwrap_or(u16::MAX);
-            return Err(IngestError::UnemittedMetric {
-                metric: MetricId(id),
-            });
-        }
-        let mut values = [f32::NAN; EMITTED];
-        values.copy_from_slice(prefix);
-        self.push_values(frame.node, frame.t_sample, &values)
+        self.push_values(frame.node, frame.t_sample, &frame.values)
     }
 
     /// [`WindowAggregator::push`] for a frame given by its fields: the
-    /// node, the sample time and the emitted metric values.
+    /// node, the sample time and the metric values.
     pub fn push_values(
         &mut self,
         node: NodeId,
         t_sample: f64,
-        values: &[f32; EMITTED],
+        values: &[f32; METRIC_COUNT],
     ) -> Result<(), IngestError> {
         if node != self.node {
             self.health.wrong_node += 1;
@@ -1026,43 +1002,10 @@ mod tests {
     }
 
     #[test]
-    fn a_finite_value_past_the_emitted_metrics_is_rejected_as_invalid() {
-        let mut agg = WindowAggregator::paper(NodeId(0));
-        let mut f = frame(0, 0.0, 600.0);
-        f.set(catalog::dimm_temp(3), 41.0);
-        let err = agg.push(&f).unwrap_err();
-        assert_eq!(
-            err,
-            IngestError::UnemittedMetric {
-                metric: catalog::dimm_temp(3)
-            }
-        );
-        assert!(err.to_string().contains("emitted"), "{err}");
-        // NaN and ±inf past the prefix are missing readings: accepted.
-        for (t, v) in [
-            (1.0, f64::NAN),
-            (2.0, f64::INFINITY),
-            (3.0, f64::NEG_INFINITY),
-        ] {
-            let mut f = frame(0, t, 600.0 + t);
-            f.set(catalog::io_power(), v);
-            agg.push(&f).unwrap();
-        }
-        let (windows, health) = agg.finish_with_health();
-        assert_eq!(health.invalid, 1);
-        assert_eq!(health.accepted, 3);
-        assert_eq!(health.offered(), 4);
-        assert_eq!(windows.len(), 1);
-        let power = windows[0].metric(catalog::input_power());
-        assert_eq!((power.count, power.min, power.max), (3, 601.0, 603.0));
-        assert_eq!(windows[0].metric(catalog::io_power()).count, 0);
-    }
-
-    #[test]
-    fn closed_windows_report_every_metric_with_the_empty_lane_record_past_the_prefix() {
-        // Past the emitted prefix every window reads what a Welford fed
-        // only NaN reports: count 0, NaN min/max/mean and std 0, not
-        // `WindowStats::empty()`'s NaN std. Gap windows are all empty.
+    fn closed_and_gap_windows_report_every_metric() {
+        // Every window holds one record per catalog metric; a gap
+        // window's are what a Welford fed nothing reports: count 0, NaN
+        // min/max/mean and std 0, not `WindowStats::empty()`'s NaN std.
         let mut agg = WindowAggregator::paper(NodeId(0));
         for t in [0.0, 1.0, 2.0, 35.0] {
             agg.push(&frame(0, t, 100.0 + t)).unwrap();
@@ -1070,14 +1013,16 @@ mod tests {
         let (windows, health) = agg.finish_with_health();
         assert_eq!(windows.len(), 4);
         assert_eq!(health.gap_windows, 2);
-        let unemitted = Welford::new().finish();
+        let empty = Welford::new().finish();
         for w in &windows {
             assert_eq!(w.stats.len(), METRIC_COUNT);
-            for s in &w.stats[EMITTED..] {
+        }
+        for w in &windows[1..3] {
+            for s in &w.stats {
                 assert_eq!(s.count, 0);
                 assert!(s.min.is_nan() && s.max.is_nan() && s.mean.is_nan());
                 assert_eq!(s.std.to_bits(), 0.0f64.to_bits());
-                assert_eq!(s.std.to_bits(), unemitted.std.to_bits());
+                assert_eq!(s.std.to_bits(), empty.std.to_bits());
             }
         }
         assert_eq!(windows[0].metric(catalog::input_power()).count, 3);
