@@ -6,8 +6,9 @@
 //! and the measurement layer (BMC sensors, MSB meters).
 //!
 //! Ticks are stepped in groups (see [`Engine::step_group`]). A node's
-//! tick reads only its own thermal state, its job assignment at that
-//! tick and `(node, tick)`: the supply water is a constant and the
+//! tick reads only its own thermal state, its chip constants (fixed by
+//! the seed and computed once, in [`Engine::new`]), its job assignment
+//! at that tick and `(node, tick)`: the supply water is a constant and the
 //! facility never feeds back into the nodes. So one pool dispatch runs
 //! every cabinet's nodes through the whole group, writing each node's
 //! frame row as it goes, and the calling thread then reduces each tick
@@ -22,10 +23,10 @@ use summit_telemetry::records::{frame_value, CepRecord};
 use crate::facility::{Facility, FacilityConfig};
 use crate::failures::CabinetOutage;
 use crate::msb::MsbMeterModel;
-use crate::power::{NodePower, NodeUtilization, PowerModel};
+use crate::power::{ChipVariation, NodePower, NodeUtilization, PowerModel};
 use crate::scheduler::Scheduler;
 use crate::spec::{NODES_PER_CABINET, TOTAL_CABINETS};
-use crate::thermal::{NodeThermals, ThermalModel};
+use crate::thermal::{ChipResistance, NodeThermals, ThermalModel, ThermalResponse};
 use crate::topology::Topology;
 use crate::weather::Weather;
 use crate::workload::WorkloadSignal;
@@ -125,8 +126,10 @@ pub struct TickOutput {
 pub struct Engine {
     config: EngineConfig,
     topology: Topology,
-    power_model: PowerModel,
-    thermal_model: ThermalModel,
+    /// Each node's chip constants, `[node]`, built once from the seed.
+    chips: Vec<NodeChips>,
+    /// The thermal response to one tick of `config.dt_s`.
+    response: ThermalResponse,
     weather: Weather,
     facility: Facility,
     /// Non-compute IT load of this floor (W).
@@ -137,6 +140,15 @@ pub struct Engine {
     group: GroupScratch,
     t: f64,
     tick: u64,
+}
+
+/// One node's chip constants: the manufacturing variation of the power
+/// of its 2 CPUs and 6 GPUs and their 8 cold-plate resistances (16 f64,
+/// 128 B).
+#[derive(Debug, Clone, Copy)]
+struct NodeChips {
+    variation: ChipVariation,
+    resistance: ChipResistance,
 }
 
 /// A node's job at one tick: the index of the job's `(signal, t_rel)`
@@ -192,12 +204,24 @@ impl Engine {
     /// Builds an engine from config, starting at `t0` seconds. The MTW
     /// flow, the base pump load and the non-compute IT load are the full
     /// floor's times `cabinets / 257`, so PUE stays representative on
-    /// any slice.
+    /// any slice. Each node's chip constants and the tick's thermal
+    /// response are computed here, once.
+    ///
+    /// # Panics
+    ///
+    /// If `config.dt_s` is not positive (zero, negative or NaN).
     pub fn new(config: EngineConfig, t0: f64) -> Self {
+        let response = ThermalResponse::new(config.dt_s);
         let topology = Topology::scaled(config.cabinets);
         let node_count = topology.node_count();
         let power_model = PowerModel::new(config.seed);
         let thermal_model = ThermalModel::new(config.seed);
+        let chips = (0..node_count as u32)
+            .map(|n| NodeChips {
+                variation: power_model.variation(NodeId(n)),
+                resistance: thermal_model.resistances(NodeId(n)),
+            })
+            .collect();
         let weather = Weather::oak_ridge(config.seed);
         let frac = config.cabinets as f64 / TOTAL_CABINETS as f64;
         let mut plant = FacilityConfig::default();
@@ -210,8 +234,8 @@ impl Engine {
         let supply = crate::spec::MTW_SUPPLY_NOMINAL_C;
         Self {
             config,
-            power_model,
-            thermal_model,
+            chips,
+            response,
             weather,
             facility,
             infrastructure_it_w,
@@ -344,8 +368,7 @@ impl Engine {
         if g.nodes.len() < node_count * n {
             g.nodes.resize(node_count * n, NodeTick::default());
         }
-        let pm = self.power_model;
-        let tm = self.thermal_model;
+        let response = self.response;
         let msb = self.msb_model;
         let supply_c = crate::spec::MTW_SUPPLY_NOMINAL_C;
         let (slots, jobs, dark, tick0) = (&g.slots, &g.jobs, &g.dark, self.tick);
@@ -358,13 +381,16 @@ impl Engine {
         let cabinets: Vec<_> = self
             .thermals
             .chunks_mut(NODES_PER_CABINET)
+            .zip(self.chips.chunks(NODES_PER_CABINET))
             .zip(g.nodes[..node_count * n].chunks_mut(NODES_PER_CABINET * n))
-            .map(|(thermals, results)| (thermals, results, rows.next().unwrap_or_default()))
+            .map(|((thermals, chips), results)| {
+                (thermals, chips, results, rows.next().unwrap_or_default())
+            })
             .enumerate()
             .collect();
         let _: Vec<()> = cabinets
             .into_par_iter()
-            .map(|(c, (thermals, results, rows))| {
+            .map(|(c, (thermals, chips, results, rows))| {
                 let first = c * NODES_PER_CABINET;
                 let ticks = slots
                     .chunks(node_count)
@@ -373,15 +399,15 @@ impl Engine {
                     let tick = tick0 + k as u64;
                     let dark = dark[k * cabinet_count + c];
                     let mut frames = rows.get_mut(k).map(|rows| rows.iter_mut());
-                    let nodes = thermals.iter_mut().zip(results).zip(&slots[first..]);
-                    for (j, ((th, r), slot)) in nodes.enumerate() {
+                    let nodes = thermals.iter_mut().zip(chips).zip(results);
+                    for (j, (((th, chip), r), slot)) in nodes.zip(&slots[first..]).enumerate() {
                         let node = NodeId((first + j) as u32);
                         let util = match jobs.get(slot.job as usize) {
                             Some((sig, t_rel)) => sig.node_utilization(*t_rel, slot.rank),
                             None => NodeUtilization::idle(),
                         };
-                        let power = pm.node_power(node, &util);
-                        tm.step(node, th, &power, supply_c, dt);
+                        let power = chip.variation.node_power(&util);
+                        chip.resistance.step(th, &power, supply_c, response);
                         let sensor_power = msb.sensor_reading(node, tick, power.input_w);
                         *r = NodeTick {
                             true_power: power.input_w,
@@ -527,6 +553,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
     use crate::jobs::JobGenerator;
+    use crate::thermal::{CPU_TAU_S, GPU_TAU_S};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -974,6 +1001,91 @@ mod tests {
         assert!(outs.iter().any(|o| o.busy_nodes == 40));
         assert!(grouped.run(0).is_empty());
         assert_eq!(grouped.time().to_bits(), single.time().to_bits());
+    }
+
+    #[test]
+    fn cached_chip_constants_equal_a_per_call_reference_bit_for_bit() {
+        // Two cabinets, a 20-node job from tick 3 on, so nodes are busy
+        // and idle side by side; 40 ticks at 1 s and again at 10 s. The
+        // reference derives each node's power, steady state and thermal
+        // response from the models on every tick, as the kernel did
+        // before it read the engine's per-node table.
+        let supply = crate::spec::MTW_SUPPLY_NOMINAL_C;
+        let msb = MsbMeterModel::default();
+        let bits = |t: &NodeThermals| {
+            let temps = t.cpu_c.iter().chain(&t.gpu_core_c).chain(&t.gpu_mem_c);
+            temps.map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        for dt in [1.0, 10.0] {
+            let mut cfg = EngineConfig::small(2);
+            cfg.dt_s = dt;
+            let (pm, tm) = (PowerModel::new(cfg.seed), ThermalModel::new(cfg.seed));
+            let mut e = Engine::new(cfg, 0.0);
+            let mut job = burst_job(6, 3.0 * dt, 1e9);
+            job.record.node_count = 20;
+            e.scheduler().submit(job);
+            let node_count = e.topology().node_count();
+            let mut thermals = vec![NodeThermals::at_water(supply + 8.0); node_count];
+            let mut batch = FrameBatch::new();
+            for tick in 0..40u64 {
+                let out = e.step_batch(&StepOptions { frames: true }, &mut batch);
+                assert_eq!(out.busy_nodes, if tick < 3 { 0 } else { 20 }, "tick {tick}");
+                let mut util = vec![NodeUtilization::idle(); node_count];
+                for p in e.scheduler_ref().running() {
+                    for (rank, node) in p.nodes.iter().enumerate() {
+                        let t_rel = out.t - p.start_time;
+                        util[node.index()] = p.signal().node_utilization(t_rel, rank as u32);
+                    }
+                }
+                for (i, th) in thermals.iter_mut().enumerate() {
+                    let node = NodeId(i as u32);
+                    let power = pm.node_power(node, &util[i]);
+                    let target = tm.resistances(node).steady_state(&power, supply);
+                    let a_gpu = 1.0 - (-dt / GPU_TAU_S).exp();
+                    let a_cpu = 1.0 - (-dt / CPU_TAU_S).exp();
+                    for c in 0..2 {
+                        th.cpu_c[c] += a_cpu * (target.cpu_c[c] - th.cpu_c[c]);
+                    }
+                    for g in 0..6 {
+                        th.gpu_core_c[g] += a_gpu * (target.gpu_core_c[g] - th.gpu_core_c[g]);
+                        th.gpu_mem_c[g] += a_gpu * (target.gpu_mem_c[g] - th.gpu_mem_c[g]);
+                    }
+                    let sensor_power = msb.sensor_reading(node, tick, power.input_w);
+                    let mut row = [f32::NAN; METRIC_COUNT];
+                    let mut set = |m: MetricId, v| row[m.index()] = frame_value(v);
+                    write_frame_metrics(&mut set, sensor_power, &power, th);
+                    let at = format!("dt {dt}, tick {tick}, node {i}");
+                    let got = batch.row(i).map(f32::to_bits);
+                    assert_eq!(got, row.map(f32::to_bits), "{at}: frame row");
+                    assert_eq!(bits(&e.thermals[i]), bits(th), "{at}: thermal state");
+                }
+            }
+        }
+    }
+
+    /// An engine on one cabinet with ticks of `dt_s` seconds.
+    fn engine_with_tick(dt_s: f64) -> Engine {
+        let mut cfg = EngineConfig::small(1);
+        cfg.dt_s = dt_s;
+        Engine::new(cfg, 0.0)
+    }
+
+    #[test]
+    #[should_panic(expected = "dt must be positive")]
+    fn a_zero_tick_is_refused_when_the_engine_is_built() {
+        engine_with_tick(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "dt must be positive")]
+    fn a_negative_tick_is_refused_when_the_engine_is_built() {
+        engine_with_tick(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "dt must be positive")]
+    fn a_nan_tick_is_refused_when_the_engine_is_built() {
+        engine_with_tick(f64::NAN);
     }
 
     #[test]

@@ -118,38 +118,20 @@ pub struct PowerModel {
     seed: u64,
 }
 
+/// One node's per-chip manufacturing variation: the factor each CPU's
+/// and GPU's draw is scaled by, fixed by the model's seed. Holds the
+/// node power formula, so a caller that steps a node many times builds
+/// it once ([`PowerModel::variation`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ChipVariation {
+    cpu: [f64; 2],
+    gpu: [f64; 6],
+}
+
 impl PowerModel {
     /// Creates a model; `seed` fixes the per-chip variation pattern.
     pub fn new(seed: u64) -> Self {
         Self { seed }
-    }
-
-    /// Per-chip variation factor for a CPU (stable across calls).
-    fn cpu_variation(&self, node: NodeId, socket: Socket) -> f64 {
-        let entity = node.0 as u64 * 8 + socket.index() as u64;
-        1.0 + CHIP_POWER_VARIATION * stable_jitter(self.seed ^ 0xC9, entity)
-    }
-
-    /// Per-chip variation factor for a GPU (stable across calls).
-    fn gpu_variation(&self, node: NodeId, slot: GpuSlot) -> f64 {
-        let entity = node.0 as u64 * 8 + slot.index() as u64;
-        1.0 + CHIP_POWER_VARIATION * stable_jitter(self.seed ^ 0x67, entity)
-    }
-
-    /// CPU package power at `util` in [0,1] (W).
-    ///
-    /// Slightly super-linear in utilization (voltage/frequency scaling).
-    pub fn cpu_power(&self, node: NodeId, socket: Socket, util: f64) -> f64 {
-        let u = util.clamp(0.0, 1.0);
-        let base = CPU_IDLE_W + (CPU_MAX_W - CPU_IDLE_W) * (0.75 * u + 0.25 * u * u);
-        base * self.cpu_variation(node, socket)
-    }
-
-    /// GPU power at `util` in [0,1] (W).
-    pub fn gpu_power(&self, node: NodeId, slot: GpuSlot, util: f64) -> f64 {
-        let u = util.clamp(0.0, 1.0);
-        let base = GPU_IDLE_W + (GPU_MAX_W - GPU_IDLE_W) * (0.7 * u + 0.3 * u * u);
-        base * self.gpu_variation(node, slot)
     }
 
     /// PSU efficiency at a given DC load fraction (flat-top curve: ~88 %
@@ -159,16 +141,47 @@ impl PowerModel {
         0.88 + 0.06 * (2.0 * f).min(1.0)
     }
 
+    /// The per-chip variation factors of `node` (stable across calls).
+    pub(crate) fn variation(&self, node: NodeId) -> ChipVariation {
+        let factor = |salt: u64, chip: usize| {
+            let entity = node.0 as u64 * 8 + chip as u64;
+            1.0 + CHIP_POWER_VARIATION * stable_jitter(self.seed ^ salt, entity)
+        };
+        ChipVariation {
+            cpu: Socket::ALL.map(|s| factor(0xC9, s.index())),
+            gpu: GpuSlot::ALL.map(|g| factor(0x67, g.index())),
+        }
+    }
+
     /// Full node power at the given utilization.
     pub fn node_power(&self, node: NodeId, util: &NodeUtilization) -> NodePower {
-        let mut cpu_w = [0.0; 2];
-        for s in Socket::ALL {
-            cpu_w[s.index()] = self.cpu_power(node, s, util.cpu[s.index()]);
-        }
-        let mut gpu_w = [0.0; 6];
-        for g in GpuSlot::ALL {
-            gpu_w[g.index()] = self.gpu_power(node, g, util.gpu[g.index()]);
-        }
+        self.variation(node).node_power(util)
+    }
+
+    /// Cluster idle power with every node idle (W) — the paper's 2.5 MW
+    /// anchor at full scale.
+    pub fn cluster_idle_power(&self, nodes: usize) -> f64 {
+        (0..nodes as u32)
+            .map(|n| self.node_power(NodeId(n), &NodeUtilization::idle()).input_w)
+            .sum()
+    }
+}
+
+impl ChipVariation {
+    /// Full node power at the given utilization. CPU package power is
+    /// slightly super-linear in utilization (voltage/frequency scaling),
+    /// and each chip's draw is scaled by its variation factor.
+    pub(crate) fn node_power(&self, util: &NodeUtilization) -> NodePower {
+        let cpu_w: [f64; 2] = std::array::from_fn(|i| {
+            let u = util.cpu[i].clamp(0.0, 1.0);
+            let base = CPU_IDLE_W + (CPU_MAX_W - CPU_IDLE_W) * (0.75 * u + 0.25 * u * u);
+            base * self.cpu[i]
+        });
+        let gpu_w: [f64; 6] = std::array::from_fn(|i| {
+            let u = util.gpu[i].clamp(0.0, 1.0);
+            let base = GPU_IDLE_W + (GPU_MAX_W - GPU_IDLE_W) * (0.7 * u + 0.3 * u * u);
+            base * self.gpu[i]
+        });
         let io_act = util.io.clamp(0.0, 1.0);
         let mem_w = [
             MEM_IDLE_W + (MEM_MAX_W - MEM_IDLE_W) * util.cpu[0].clamp(0.0, 1.0).max(io_act * 0.6),
@@ -190,21 +203,13 @@ impl PowerModel {
             psu_efficiency: 1.0,
         };
         let dc = partial.dc_total();
-        let eff = Self::psu_efficiency(dc / NODE_MAX_POWER_W);
+        let eff = PowerModel::psu_efficiency(dc / NODE_MAX_POWER_W);
         let input = (dc / eff).min(NODE_MAX_POWER_W);
         NodePower {
             input_w: input,
             psu_efficiency: eff,
             ..partial
         }
-    }
-
-    /// Cluster idle power with every node idle (W) — the paper's 2.5 MW
-    /// anchor at full scale.
-    pub fn cluster_idle_power(&self, nodes: usize) -> f64 {
-        (0..nodes as u32)
-            .map(|n| self.node_power(NodeId(n), &NodeUtilization::idle()).input_w)
-            .sum()
     }
 }
 
@@ -220,6 +225,20 @@ mod tests {
 
     fn model() -> PowerModel {
         PowerModel::new(2020)
+    }
+
+    /// One CPU's package power at `util` on the per-node path (W).
+    fn cpu_power(m: &PowerModel, node: NodeId, socket: Socket, util: f64) -> f64 {
+        let mut u = NodeUtilization::idle();
+        u.cpu[socket.index()] = util;
+        m.variation(node).node_power(&u).cpu_w[socket.index()]
+    }
+
+    /// One GPU's power at `util` on the per-node path (W).
+    fn gpu_power(m: &PowerModel, node: NodeId, slot: GpuSlot, util: f64) -> f64 {
+        let mut u = NodeUtilization::idle();
+        u.gpu[slot.index()] = util;
+        m.variation(node).node_power(&u).gpu_w[slot.index()]
     }
 
     #[test]
@@ -283,28 +302,28 @@ mod tests {
     fn cpu_gpu_power_curves_hit_endpoints() {
         let m = model();
         // Variation is +-4 %, so endpoints land within that band.
-        let c0 = m.cpu_power(NodeId(0), Socket::P0, 0.0);
+        let c0 = cpu_power(&m, NodeId(0), Socket::P0, 0.0);
         assert!((c0 - CPU_IDLE_W).abs() < CPU_IDLE_W * 0.05);
-        let c1 = m.cpu_power(NodeId(0), Socket::P0, 1.0);
+        let c1 = cpu_power(&m, NodeId(0), Socket::P0, 1.0);
         assert!((c1 - CPU_MAX_W).abs() < CPU_MAX_W * 0.05);
-        let g1 = m.gpu_power(NodeId(0), GpuSlot(3), 1.0);
+        let g1 = gpu_power(&m, NodeId(0), GpuSlot(3), 1.0);
         assert!((g1 - GPU_MAX_W).abs() < GPU_MAX_W * 0.05);
     }
 
     #[test]
     fn manufacturing_variation_differs_by_chip_but_stable() {
         let m = model();
-        let a = m.gpu_power(NodeId(1), GpuSlot(0), 0.8);
-        let b = m.gpu_power(NodeId(2), GpuSlot(0), 0.8);
+        let a = gpu_power(&m, NodeId(1), GpuSlot(0), 0.8);
+        let b = gpu_power(&m, NodeId(2), GpuSlot(0), 0.8);
         assert_ne!(a, b, "different chips should differ");
         assert_eq!(
             a,
-            m.gpu_power(NodeId(1), GpuSlot(0), 0.8),
+            gpu_power(&m, NodeId(1), GpuSlot(0), 0.8),
             "stable per chip"
         );
         // Spread across many chips is bounded by the variation constant.
         let powers: Vec<f64> = (0..1000)
-            .map(|n| m.gpu_power(NodeId(n), GpuSlot(0), 1.0))
+            .map(|n| gpu_power(&m, NodeId(n), GpuSlot(0), 1.0))
             .collect();
         let min = powers.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = powers.iter().cloned().fold(f64::NEG_INFINITY, f64::max);

@@ -57,11 +57,44 @@ impl NodeThermals {
     }
 }
 
-/// The thermal model: per-chip resistances fixed by seed, first-order
-/// dynamics advanced by [`ThermalModel::step`].
+/// The thermal model: per-chip resistances fixed by seed
+/// ([`ThermalModel::resistances`]), which hold the steady state and the
+/// first-order step toward it.
 #[derive(Debug, Clone, Copy)]
 pub struct ThermalModel {
     seed: u64,
+}
+
+/// One node's per-chip cold-plate thermal resistances (K/W), fixed by
+/// the model's seed. Holds the steady-state and step formulas, so a
+/// caller that steps a node many times builds it once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ChipResistance {
+    cpu: [f64; 2],
+    gpu: [f64; 6],
+}
+
+/// The fraction `1 − e^(−dt/τ)` of the gap to the steady state that a
+/// GPU and a CPU close in one step of `dt` seconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ThermalResponse {
+    gpu: f64,
+    cpu: f64,
+}
+
+impl ThermalResponse {
+    /// The response to steps of `dt` seconds.
+    ///
+    /// # Panics
+    ///
+    /// If `dt` is not positive (zero, negative or NaN).
+    pub(crate) fn new(dt: f64) -> Self {
+        assert!(dt > 0.0, "dt must be positive");
+        Self {
+            gpu: 1.0 - (-dt / GPU_TAU_S).exp(),
+            cpu: 1.0 - (-dt / CPU_TAU_S).exp(),
+        }
+    }
 }
 
 impl ThermalModel {
@@ -70,25 +103,25 @@ impl ThermalModel {
         Self { seed }
     }
 
-    /// Per-chip GPU thermal resistance (K/W), stable per (node, slot).
-    pub fn gpu_resistance(&self, node: NodeId, slot: GpuSlot) -> f64 {
-        let j = stable_jitter(self.seed ^ 0x7e4a, node.0 as u64 * 8 + slot.index() as u64);
-        GPU_THERMAL_RESISTANCE * (1.0 + GPU_RESISTANCE_SPREAD * j)
-    }
-
-    /// Per-chip CPU thermal resistance (K/W).
-    pub fn cpu_resistance(&self, node: NodeId, socket: Socket) -> f64 {
-        let j = stable_jitter(
-            self.seed ^ 0x11c7,
-            node.0 as u64 * 8 + socket.index() as u64,
-        );
-        CPU_THERMAL_RESISTANCE * (1.0 + CPU_RESISTANCE_SPREAD * j)
+    /// The per-chip resistances of `node` (stable across calls).
+    pub fn resistances(&self, node: NodeId) -> ChipResistance {
+        let jitter = |salt: u64, chip: usize| {
+            stable_jitter(self.seed ^ salt, node.0 as u64 * 8 + chip as u64)
+        };
+        ChipResistance {
+            cpu: Socket::ALL.map(|s| {
+                CPU_THERMAL_RESISTANCE * (1.0 + CPU_RESISTANCE_SPREAD * jitter(0x11c7, s.index()))
+            }),
+            gpu: GpuSlot::ALL.map(|g| {
+                GPU_THERMAL_RESISTANCE * (1.0 + GPU_RESISTANCE_SPREAD * jitter(0x7e4a, g.index()))
+            }),
+        }
     }
 
     /// Water temperature entering the cold plate of `slot`, given the
     /// branch inlet temperature and the current GPU powers on the node:
     /// downstream plates receive water pre-warmed by upstream plates.
-    pub fn water_at_slot(&self, inlet_c: f64, slot: GpuSlot, gpu_power_w: &[f64; 6]) -> f64 {
+    pub(crate) fn water_at_slot(inlet_c: f64, slot: GpuSlot, gpu_power_w: &[f64; 6]) -> f64 {
         let socket = slot.socket();
         let mut t = inlet_c;
         for upstream in GpuSlot::ALL {
@@ -98,17 +131,19 @@ impl ThermalModel {
         }
         t
     }
+}
 
+impl ChipResistance {
     /// Steady-state temperatures for the given power and water inlet.
-    pub fn steady_state(&self, node: NodeId, power: &NodePower, inlet_c: f64) -> NodeThermals {
+    pub fn steady_state(&self, power: &NodePower, inlet_c: f64) -> NodeThermals {
         let mut out = NodeThermals::at_water(inlet_c);
         for s in Socket::ALL {
-            let r = self.cpu_resistance(node, s);
+            let r = self.cpu[s.index()];
             out.cpu_c[s.index()] = inlet_c + r * power.cpu_w[s.index()];
         }
         for g in GpuSlot::ALL {
-            let water = self.water_at_slot(inlet_c, g, &power.gpu_w);
-            let r = self.gpu_resistance(node, g);
+            let water = ThermalModel::water_at_slot(inlet_c, g, &power.gpu_w);
+            let r = self.gpu[g.index()];
             let rise = r * power.gpu_w[g.index()];
             out.gpu_core_c[g.index()] = water + rise;
             out.gpu_mem_c[g.index()] = water + rise * MEM_TEMP_FACTOR;
@@ -116,26 +151,22 @@ impl ThermalModel {
         out
     }
 
-    /// Advances the thermal state by `dt` seconds toward the steady state
-    /// implied by (`power`, `inlet_c`), with per-component time constants.
-    pub fn step(
+    /// Advances the thermal state by one step of `response` toward the
+    /// steady state implied by (`power`, `inlet_c`).
+    pub(crate) fn step(
         &self,
-        node: NodeId,
         state: &mut NodeThermals,
         power: &NodePower,
         inlet_c: f64,
-        dt: f64,
+        response: ThermalResponse,
     ) {
-        assert!(dt > 0.0, "dt must be positive");
-        let target = self.steady_state(node, power, inlet_c);
-        let a_gpu = 1.0 - (-dt / GPU_TAU_S).exp();
-        let a_cpu = 1.0 - (-dt / CPU_TAU_S).exp();
+        let target = self.steady_state(power, inlet_c);
         for i in 0..2 {
-            state.cpu_c[i] += a_cpu * (target.cpu_c[i] - state.cpu_c[i]);
+            state.cpu_c[i] += response.cpu * (target.cpu_c[i] - state.cpu_c[i]);
         }
         for i in 0..6 {
-            state.gpu_core_c[i] += a_gpu * (target.gpu_core_c[i] - state.gpu_core_c[i]);
-            state.gpu_mem_c[i] += a_gpu * (target.gpu_mem_c[i] - state.gpu_mem_c[i]);
+            state.gpu_core_c[i] += response.gpu * (target.gpu_core_c[i] - state.gpu_core_c[i]);
+            state.gpu_mem_c[i] += response.gpu * (target.gpu_mem_c[i] - state.gpu_mem_c[i]);
         }
     }
 }
@@ -158,7 +189,7 @@ mod tests {
         let total = 500 * 6;
         for n in 0..500u32 {
             let p = pm.node_power(NodeId(n), &NodeUtilization::uniform(0.3, 1.0));
-            let t = tm.steady_state(NodeId(n), &p, 21.1);
+            let t = tm.resistances(NodeId(n)).steady_state(&p, 21.1);
             for g in t.gpu_core_c {
                 if g > 60.0 {
                     over += 1;
@@ -177,7 +208,7 @@ mod tests {
         let mut temps = Vec::new();
         for n in 0..2000u32 {
             let p = pm.node_power(NodeId(n), &NodeUtilization::uniform(0.2, 0.95));
-            let t = tm.steady_state(NodeId(n), &p, 21.1);
+            let t = tm.resistances(NodeId(n)).steady_state(&p, 21.1);
             temps.extend(t.gpu_core_c);
         }
         let b = summit_analysis::stats::BoxStats::compute(&temps).unwrap();
@@ -190,16 +221,15 @@ mod tests {
 
     #[test]
     fn serial_water_heating_warms_downstream_slots() {
-        let (_, tm) = models();
         let powers = [300.0; 6];
-        let w0 = tm.water_at_slot(21.0, GpuSlot(0), &powers);
-        let w1 = tm.water_at_slot(21.0, GpuSlot(1), &powers);
-        let w2 = tm.water_at_slot(21.0, GpuSlot(2), &powers);
+        let w0 = ThermalModel::water_at_slot(21.0, GpuSlot(0), &powers);
+        let w1 = ThermalModel::water_at_slot(21.0, GpuSlot(1), &powers);
+        let w2 = ThermalModel::water_at_slot(21.0, GpuSlot(2), &powers);
         assert_eq!(w0, 21.0);
         assert!(w1 > w0 && w2 > w1);
         assert!((w1 - w0 - 0.9).abs() < 1e-9); // 300 W * 0.003 K/W
                                                // Slot 3 starts a fresh branch.
-        let w3 = tm.water_at_slot(21.0, GpuSlot(3), &powers);
+        let w3 = ThermalModel::water_at_slot(21.0, GpuSlot(3), &powers);
         assert_eq!(w3, 21.0);
     }
 
@@ -208,8 +238,8 @@ mod tests {
         let (pm, tm) = models();
         let idle = pm.node_power(NodeId(0), &NodeUtilization::idle());
         let busy = pm.node_power(NodeId(0), &NodeUtilization::uniform(0.9, 0.9));
-        let t_idle = tm.steady_state(NodeId(0), &idle, 21.0);
-        let t_busy = tm.steady_state(NodeId(0), &busy, 21.0);
+        let t_idle = tm.resistances(NodeId(0)).steady_state(&idle, 21.0);
+        let t_busy = tm.resistances(NodeId(0)).steady_state(&busy, 21.0);
         for i in 0..6 {
             assert!(t_busy.gpu_core_c[i] > t_idle.gpu_core_c[i]);
             assert!(
@@ -228,12 +258,13 @@ mod tests {
         let node = NodeId(0);
         let idle = pm.node_power(node, &NodeUtilization::idle());
         let busy = pm.node_power(node, &NodeUtilization::uniform(1.0, 1.0));
-        let mut state = tm.steady_state(node, &idle, 21.0);
-        let target = tm.steady_state(node, &busy, 21.0);
+        let chips = tm.resistances(node);
+        let mut state = chips.steady_state(&idle, 21.0);
+        let target = chips.steady_state(&busy, 21.0);
         let gpu_gap0 = target.gpu_core_c[0] - state.gpu_core_c[0];
         let cpu_gap0 = target.cpu_c[0] - state.cpu_c[0];
         // One 10 s step toward the new load.
-        tm.step(node, &mut state, &busy, 21.0, 10.0);
+        chips.step(&mut state, &busy, 21.0, ThermalResponse::new(10.0));
         let gpu_progress = (state.gpu_core_c[0] - (target.gpu_core_c[0] - gpu_gap0)) / gpu_gap0;
         let cpu_progress = (state.cpu_c[0] - (target.cpu_c[0] - cpu_gap0)) / cpu_gap0;
         assert!(
@@ -249,10 +280,12 @@ mod tests {
         let (pm, tm) = models();
         let node = NodeId(5);
         let busy = pm.node_power(node, &NodeUtilization::uniform(0.7, 0.8));
-        let target = tm.steady_state(node, &busy, 20.0);
+        let chips = tm.resistances(node);
+        let target = chips.steady_state(&busy, 20.0);
         let mut state = NodeThermals::at_water(20.0);
+        let response = ThermalResponse::new(1.0);
         for _ in 0..600 {
-            tm.step(node, &mut state, &busy, 20.0, 1.0);
+            chips.step(&mut state, &busy, 20.0, response);
         }
         for i in 0..6 {
             assert!((state.gpu_core_c[i] - target.gpu_core_c[i]).abs() < 0.01);
@@ -265,12 +298,12 @@ mod tests {
     #[test]
     fn resistances_are_stable_and_varied() {
         let (_, tm) = models();
-        let a = tm.gpu_resistance(NodeId(0), GpuSlot(0));
-        assert_eq!(a, tm.gpu_resistance(NodeId(0), GpuSlot(0)));
-        assert_ne!(a, tm.gpu_resistance(NodeId(0), GpuSlot(1)));
+        let a = tm.resistances(NodeId(0)).gpu[0];
+        assert_eq!(a, tm.resistances(NodeId(0)).gpu[0]);
+        assert_ne!(a, tm.resistances(NodeId(0)).gpu[1]);
         for n in 0..100u32 {
             for g in GpuSlot::ALL {
-                let r = tm.gpu_resistance(NodeId(n), g);
+                let r = tm.resistances(NodeId(n)).gpu[g.index()];
                 assert!(r > 0.0);
                 assert!(
                     (r - GPU_THERMAL_RESISTANCE).abs()

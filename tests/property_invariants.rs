@@ -302,7 +302,7 @@ fn thermal_steady_state_above_water() {
         let util = rng.gen_range(0.0f64..1.0);
         let water = rng.gen_range(15.0f64..25.0);
         let p = pm.node_power(NodeId(node), &NodeUtilization::uniform(util, util));
-        let t = tm.steady_state(NodeId(node), &p, water);
+        let t = tm.resistances(NodeId(node)).steady_state(&p, water);
         for g in t.gpu_core_c {
             assert!(g >= water, "case {case}: GPU below water temp");
             assert!(g < 90.0, "case {case}: GPU unphysically hot");
